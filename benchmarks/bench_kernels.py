@@ -134,12 +134,16 @@ def main():
             print(f"{name:28} {pure_t:10.4f} {comp_t:13.4f} {speedup:7.1f}x")
 
     if not args.quick:
+        name = "enumerate 4-regular n=10"
         pure_e = enumeration_subprocess(pure=True)
-        comp_e = enumeration_subprocess(pure=False)
-        print(
-            f"{'enumerate 4-regular n=10':28} {pure_e:10.4f} "
-            f"{comp_e:13.4f} {pure_e / comp_e:7.1f}x"
-        )
+        if _kernels is None:
+            print(f"{name:28} {pure_e:10.4f} {'n/a':>13} {'n/a':>8}")
+        else:
+            comp_e = enumeration_subprocess(pure=False)
+            print(
+                f"{name:28} {pure_e:10.4f} "
+                f"{comp_e:13.4f} {pure_e / comp_e:7.1f}x"
+            )
     if _kernels is None:
         print("compiled kernels unavailable; fallback timings only")
 

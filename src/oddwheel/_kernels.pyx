@@ -1,9 +1,9 @@
 # cython: language_level=3, boundscheck=False, wraparound=False
 """Compiled combinatorial kernels (64-bit adjacency masks, order <= 64).
 
-Mirrors oddwheel._kernels_py bit for bit; see that module for the
-algorithm notes.  The dispatcher in oddwheel.kernels routes larger
-graphs to the pure implementation.
+Same codes and answers as oddwheel._kernels_py; canonical form is found
+through a per-vertex contribution frontier (see that module's notes).
+The dispatcher in oddwheel.kernels routes larger graphs to pure Python.
 """
 
 from libc.stdlib cimport free, malloc, realloc

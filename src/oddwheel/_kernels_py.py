@@ -1,9 +1,9 @@
 """Pure-Python reference implementations of the combinatorial hot kernels.
 
-The compiled module (oddwheel._kernels) mirrors these functions bit for
-bit; kernels.py selects whichever is available at import.  Rows are
-adjacency bitmasks, so this module works for any order; the compiled one
-is limited to 64-bit masks and the dispatcher routes accordingly.
+The compiled module (oddwheel._kernels) produces the same results;
+kernels.py selects whichever is available at import.  Rows are adjacency
+bitmasks, so this module works for any order; the compiled one is limited
+to 64-bit masks and the dispatcher routes accordingly.
 
 Canonical form
 --------------
@@ -11,26 +11,34 @@ The canonical code of a graph is the lexicographically minimal adjacency
 bit-string over all vertex orderings, reading the upper triangle in
 column-major order: bits (0,1), (0,2), (1,2), (0,3), ... (the same bit
 order graph6 uses).  Column-major reading makes the string decomposable
-into per-position contributions: placing a vertex at position j fixes
-exactly the bits (i,j) for i<j, so the minimum can be found level by
-level.
+into per-position contributions: placing a vertex w at position j fixes
+exactly the bits (i,j) for i<j, and those bits are w's adjacencies to the
+vertices already placed, first-placed most significant.  So the minimum
+can be found level by level.
 
 At each level the search keeps every partial placement achieving the
 minimal prefix (a frontier), because prefix-tied placements may differ
-later.  Two placements with the same used set and identical pending
-contributions for every unplaced vertex are interchangeable from that
-point on, which is what the dedup signature captures; without it the
-frontier blows up factorially on vertex-transitive graphs.
+later.  A frontier entry is (used, planes): the mask of placed vertices
+and, in placement order, the adjacency row of each placed vertex masked
+to the unplaced ones.  Bit w of plane i is the i-th bit, most
+significant first, of the contribution w would make, so the
+contributions of all unplaced vertices are read column-wise from the
+planes at once.  The minimal contribution and the
+set of vertices reaching it come from one bit-sliced scan: start with
+every unplaced vertex as a candidate and, plane by plane, keep only the
+candidates without that bit whenever some exist (emitting a 0), else
+keep them all (emitting a 1).
+
+Two placements with the same used set and the same planes are
+interchangeable from that point on: every unplaced vertex has the same
+pending contribution in both.  Entries are keyed by exactly that pair,
+which dedups the frontier; without it the frontier blows up factorially
+on vertex-transitive graphs.
 """
 
 from __future__ import annotations
 
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+from oddwheel.graphs import bits_of
 
 
 def canon_code(n: int, rows) -> bytes:
@@ -41,54 +49,48 @@ def canon_code(n: int, rows) -> bytes:
     if n <= 1:
         return bytes([n])
     total_bits = n * (n - 1) // 2
+    full = (1 << n) - 1
 
-    # Frontier entries: (placed tuple, used mask, contribs) where
-    # contribs[v] is the bit-int of v's adjacencies to the placed prefix
-    # (first-placed vertex most significant), for every unplaced v.
-    entries = []
-    for v in range(n):
-        contribs = {w: (rows[w] >> v) & 1 for w in range(n) if w != v}
-        entries.append(((v,), 1 << v, contribs))
-    entries = _dedup(entries)
-
+    frontier = dict.fromkeys(
+        (1 << v, (rows[v] & ~(1 << v),)) for v in range(n)
+    )
     code = 0
     for pos in range(1, n):
         best = -1
         chosen = []
-        for placed, used, contribs in entries:
-            for v, c in contribs.items():
-                if best < 0 or c < best:
-                    best = c
-                    chosen = [(placed, used, contribs, v)]
-                elif c == best:
-                    chosen.append((placed, used, contribs, v))
+        for entry in frontier:
+            used, planes = entry
+            cand = full & ~used
+            c = 0
+            for p in planes:
+                rest = cand & ~p
+                if rest:
+                    cand = rest
+                    c <<= 1
+                else:
+                    c = (c << 1) | 1
+            if best < 0 or c < best:
+                best = c
+                chosen = [(entry, cand)]
+            elif c == best:
+                chosen.append((entry, cand))
         code = (code << pos) | best
-        nxt = []
-        for placed, used, contribs, v in chosen:
-            rv = rows[v]
-            new_contribs = {
-                w: (c << 1) | ((rv >> w) & 1)
-                for w, c in contribs.items()
-                if w != v
-            }
-            nxt.append((placed + (v,), used | (1 << v), new_contribs))
-        entries = _dedup(nxt)
-        if len(entries) > 1_000_000:
+        nxt = {}
+        for (used, planes), cand in chosen:
+            for v in bits_of(cand):
+                now_used = used | (1 << v)
+                keep = ~now_used
+                nxt[
+                    now_used,
+                    tuple([p & keep for p in planes]) + (rows[v] & keep,),
+                ] = None
+        frontier = nxt
+        if len(frontier) > 1_000_000:
             raise RuntimeError(
                 "canonical-form frontier explosion; canonicalize per "
                 "component instead of the whole graph"
             )
     return bytes([n]) + code.to_bytes((total_bits + 7) // 8, "big")
-
-
-def _dedup(entries):
-    seen = {}
-    for e in entries:
-        _, used, contribs = e
-        key = (used, tuple(sorted(contribs.items())))
-        if key not in seen:
-            seen[key] = e
-    return list(seen.values())
 
 
 def pack_code(n: int, rows) -> bytes:
@@ -146,7 +148,7 @@ def has_cycle_of_length(n: int, rows, length: int, budget: int) -> int:
     if alive.bit_count() < length:
         return 0
     ops = 0
-    for s in _bits(alive):
+    for s in bits_of(alive):
         gt = alive & ~((1 << (s + 1)) - 1)
         rs = rows[s]
         if (rs & gt).bit_count() < 2:
@@ -205,7 +207,7 @@ def longest_path_order(n: int, rows, budget: int) -> int:
             frontier = low
             while frontier:
                 nb = 0
-                for x in _bits(frontier):
+                for x in bits_of(frontier):
                     nb |= rows[x]
                 frontier = nb & avail & ~reach
                 reach |= frontier

@@ -83,8 +83,10 @@ def contains_odd_wheel(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     induces a cycle on 2k vertices.
 
     Hubs are scanned in decreasing degree order; hubs of degree below 2k
-    cannot work.  A budget overrun on one hub is only an error when no
-    other hub certifies containment.
+    cannot work.  The budget applies per hub: each hub's cycle search
+    gets `budget` node expansions of its own, so a full scan may expand
+    up to budget times the number of hubs scanned.  A budget overrun on
+    one hub is only an error when no other hub certifies containment.
     """
     if k < 2:
         raise ValueError("odd wheels need k >= 2")

@@ -329,7 +329,8 @@ class Claim1Result:
     n = 2 mod 4: the 6-class matrix of the balanced candidate (radius1)
     against the 3-class matrix of the unbalanced one (radius2), plus the
     exact sign of the first matrix's characteristic polynomial at the
-    second's Perron root."""
+    second's Perron root.  graph1 and graph2 are the two candidates the
+    matrices were derived from."""
 
     radius1: float
     radius2: float
@@ -337,6 +338,8 @@ class Claim1Result:
     bracket: tuple[Fraction, Fraction] = field(repr=False)
     matrix1: tuple[tuple[Fraction, ...], ...] = field(repr=False)
     matrix2: tuple[tuple[Fraction, ...], ...] = field(repr=False)
+    graph1: Graph = field(repr=False)
+    graph2: Graph = field(repr=False)
 
 
 def balanced_partition(k: int, n: int) -> list[list[int]]:
@@ -411,6 +414,8 @@ def claim1_comparison(
         bracket=(lo, hi),
         matrix1=qs1.matrix,
         matrix2=qs2.matrix,
+        graph1=balanced,
+        graph2=unbalanced,
     )
 
 

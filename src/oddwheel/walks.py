@@ -42,17 +42,12 @@ def vertex_walks(g: Graph, levels: int) -> list[tuple[int, ...]]:
     length l starting at u (length-1 counts are the degrees)."""
     if levels < 1:
         raise ValueError("levels >= 1 required")
+    nbrs = [tuple(bits_of(r)) for r in g.rows]
     cur = [1] * g.order
     out = []
     for _ in range(levels):
-        nxt = [0] * g.order
-        for u in range(g.order):
-            total = 0
-            for v in bits_of(g.rows[u]):
-                total += cur[v]
-            nxt[u] = total
-        out.append(tuple(nxt))
-        cur = nxt
+        cur = [sum([cur[v] for v in nb]) for nb in nbrs]
+        out.append(tuple(cur))
     return out
 
 

@@ -163,9 +163,10 @@ def _dense_top_eigenvalue(g):
 def test_criterion_05_quotient_comparison_as_specified():
     """k=4, every n = 2 mod 4 in [22, 402], brackets of width 1e-12:
     (a) radius1 < radius2 and f1 > 0 at f2's bracketed root;
-    (b) at n=22 and n=102 the largest dense eigenvalues of the two
-        candidate graphs equal radius1 and radius2 to 1e-8 and are
-        strictly ordered the same way;
+    (b) at n=22 and n=102 the two graphs returned are the candidates
+        built independently, and their largest dense eigenvalues equal
+        radius1 and radius2 to 1e-8 and are strictly ordered the same
+        way;
     (c) with k-3 instead of the derived k-4 at entry (1, 1) of matrix1,
         radius1 > radius2 and the exact sign is negative, but row 1 then
         no longer sums to the class-1 degree that the derived row has."""
@@ -187,16 +188,19 @@ def test_criterion_05_quotient_comparison_as_specified():
         ):
             variant_misses.append(n)
 
-        balanced = spex_candidate(
-            CandidateSpec(n, k, 0, standard_member(V_KIND, k, n // 2), True)
-        )
-        class1_degree = balanced.degree(balanced_partition(k, n)[1][0])
+        class1_degree = res.graph1.degree(balanced_partition(k, n)[1][0])
         derived_fits = sum(res.matrix1[1]) == class1_degree
         variant_fits = sum(variant[1]) == class1_degree
         if not derived_fits or variant_fits:
             row_misses.append(n)
 
         if n in dense_sizes:
+            # built again here: the graphs returned must be these two
+            balanced = spex_candidate(
+                CandidateSpec(
+                    n, k, 0, standard_member(V_KIND, k, n // 2), True
+                )
+            )
             unbalanced = spex_candidate(
                 CandidateSpec(
                     n, k, 1, standard_member(U_KIND, k, n // 2 + 1), True
@@ -205,7 +209,8 @@ def test_criterion_05_quotient_comparison_as_specified():
             lam1 = _dense_top_eigenvalue(balanced)
             lam2 = _dense_top_eigenvalue(unbalanced)
             if not (
-                abs(lam1 - res.radius1) <= 1e-8
+                (res.graph1, res.graph2) == (balanced, unbalanced)
+                and abs(lam1 - res.radius1) <= 1e-8
                 and abs(lam2 - res.radius2) <= 1e-8
                 and lam1 < lam2
             ):

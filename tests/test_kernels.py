@@ -1,12 +1,14 @@
 """Compiled and pure kernels must agree bit for bit; both must agree with
 brute-force oracles at small orders."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from oddwheel import _kernels_py, kernels
+from oddwheel.enumerate import all_graphs, connected_with_degrees
 
 
 def random_rows(rng, n, p):
@@ -61,10 +63,45 @@ def brute_longest_path(n, rows):
     return best
 
 
+def relabel(n, rows, perm):
+    """Copy of the graph with vertex u renamed perm[u]."""
+    out = [0] * n
+    for u in range(n):
+        for v in range(n):
+            if (rows[u] >> v) & 1:
+                out[perm[u]] |= 1 << perm[v]
+    return out
+
+
+def circulant(n, offsets):
+    return [
+        sum((1 << ((u + o) % n)) | (1 << ((u - o) % n)) for o in offsets)
+        for u in range(n)
+    ]
+
+
+def complete_bipartite(a, b):
+    left, right = (1 << a) - 1, ((1 << b) - 1) << a
+    return [right if u < a else left for u in range(a + b)]
+
+
+def petersen():
+    rows = [0] * 10
+    for i in range(5):
+        for u, v in ((i, (i + 1) % 5), (i, i + 5), (i + 5, 5 + (i + 2) % 5)):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return rows
+
+
+def hypercube(d):
+    return [sum(1 << (u ^ (1 << i)) for i in range(d)) for u in range(1 << d)]
+
+
 def test_pure_matches_brute_canon():
     rng = random.Random(11)
     for _ in range(150):
-        n = rng.randint(0, 6)
+        n = rng.randint(0, 7)
         rows = random_rows(rng, n, rng.choice([0.2, 0.5, 0.8]))
         assert _kernels_py.canon_code(n, rows) == brute_min_code(n, rows)
 
@@ -85,13 +122,75 @@ def test_canon_invariant_under_relabeling():
         rows = random_rows(rng, n, 0.5)
         perm = list(range(n))
         rng.shuffle(perm)
-        shuffled = [0] * n
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (rows[u] >> v) & 1:
-                    shuffled[perm[u]] |= 1 << perm[v]
-                    shuffled[perm[v]] |= 1 << perm[u]
+        shuffled = relabel(n, rows, perm)
         assert kernels.canon_code(n, rows) == kernels.canon_code(n, shuffled)
+
+
+# sha256 of the sorted pure canonical codes of every graph in the list,
+# each canonicalized from its reversed labelling (u -> n-1-u).  Recorded
+# with the earlier per-vertex contribution frontier, so they pin the
+# codes of the bit-plane frontier to it byte for byte.
+GOLDEN_ALL_GRAPHS = {
+    1: "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    2: "e14b77bb203317724ad98b20cf058c977a65f1fbb20c40b5b71b9f063f68c64a",
+    3: "4baf3bbd7d9d9c85b869d826c8d834a5c0f4f20f80dd1e5743a3b195210fa833",
+    4: "36aae959a2f5d52433edea3c64bf7dd30283d8441398217ad4577344c745680f",
+    5: "859f46efecd46312016052c63d001b25967af7b67b1251143dbc795ec4ff43d4",
+    6: "9a4165fc39443def0e1a304144703837e1c3805ed276020000b8fc295d110e57",
+    7: "f13b5d9342945face76d4008b29c7aa211b48bfd9e8501739d5f230a12e1a199",
+}
+GOLDEN_CUBIC_10 = (
+    "cd287a973c497f493dedbe7a5a7016d19ca3b5ee6a5b128eb0c394dadf8e5b20"
+)
+
+
+def golden_digest(graphs):
+    codes = sorted(
+        _kernels_py.canon_code(
+            g.order, relabel(g.order, g.rows, range(g.order - 1, -1, -1))
+        )
+        for g in graphs
+    )
+    return hashlib.sha256(b"".join(codes)).hexdigest()
+
+
+def test_canon_codes_match_golden_digests():
+    for n, digest in GOLDEN_ALL_GRAPHS.items():
+        assert golden_digest(all_graphs(n)) == digest, n
+    cubic = connected_with_degrees(10, 3, False)
+    assert len(cubic) == 19
+    assert golden_digest(cubic) == GOLDEN_CUBIC_10
+
+
+@pytest.mark.parametrize(
+    "n, rows",
+    [
+        (12, circulant(12, [1])),
+        (10, complete_bipartite(5, 5)),
+        (10, petersen()),
+        (16, hypercube(4)),
+    ],
+    ids=["C12", "K5,5", "Petersen", "Q4"],
+)
+def test_canon_invariant_on_vertex_transitive_graphs(n, rows):
+    # every vertex ties at the first level and automorphic placements
+    # keep tying after it; only the frontier dedup keeps these from
+    # growing factorially
+    rng = random.Random(n)
+    code = _kernels_py.canon_code(n, rows)
+    for _ in range(2):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        shuffled = relabel(n, rows, perm)
+        assert _kernels_py.canon_code(n, shuffled) == code
+
+
+def test_frontier_guard_on_long_cycle():
+    # C_24: the minimal prefix starts with an independent set, and by its
+    # fifth vertex over a million ordered placements of one tie, so the
+    # frontier guard must fire
+    with pytest.raises(RuntimeError, match="frontier explosion"):
+        _kernels_py.canon_code(24, circulant(24, [1]))
 
 
 def test_code_roundtrip():
