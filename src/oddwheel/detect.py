@@ -83,18 +83,25 @@ def contains_odd_wheel(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     induces a cycle on 2k vertices.
 
     Hubs are scanned in decreasing degree order; hubs of degree below 2k
-    cannot work.  The budget applies per hub: each hub's cycle search
-    gets `budget` node expansions of its own, so a full scan may expand
-    up to budget times the number of hubs scanned.  A budget overrun on
-    one hub is only an error when no other hub certifies containment.
+    cannot work.  A hub with the same neighbourhood as a hub already
+    scanned is skipped: its neighbourhood subgraph, and so its answer or
+    its budget overrun, is the same.  The budget applies per scanned hub:
+    each hub's cycle search gets `budget` node expansions of its own, so
+    a full scan may expand up to budget times the number of hubs scanned.
+    A budget overrun on one hub is only an error when no other hub
+    certifies containment.
     """
     if k < 2:
         raise ValueError("odd wheels need k >= 2")
     hubs = sorted(range(g.order), key=g.degree, reverse=True)
     exhausted = False
+    scanned: set[int] = set()
     for v in hubs:
         if g.degree(v) < 2 * k:
             break
+        if g.rows[v] in scanned:
+            continue
+        scanned.add(g.rows[v])
         nbhd = g.subgraph(g.neighbors(v))
         try:
             if contains_cycle_of_length(nbhd, 2 * k, budget):

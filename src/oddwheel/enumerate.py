@@ -1,23 +1,31 @@
 """Isomorph-free exhaustive graph enumeration (canonical augmentation).
 
-Graphs are generated by adding one vertex at a time.  A child built from a
-parent by attaching a new vertex v is kept only when deleting v leaves the
-same canonical form as deleting the top-labeled vertex of the child's
-canonical copy.  Children of one parent are deduped by canonical form;
-across parents the deletion rule guarantees each isomorphism class appears
-exactly once, because accepted parents are forced isomorphic to the
-child's canonical-deletion graph.
+Graphs are generated by adding one vertex at a time.  Each graph has one
+canonical deletion vertex: the highest-labelled vertex of maximum degree
+in its canonical copy.  A child built from a parent by attaching a new
+vertex v is kept only when deleting v leaves the same canonical form as
+deleting the canonical deletion vertex.  Children of one parent are
+deduped by canonical form; across parents the deletion rule guarantees
+each isomorphism class appears exactly once, because accepted parents
+are forced isomorphic to the child's canonical-deletion graph.
+
+A child whose new vertex has lower degree than some other vertex of the
+child is skipped before it is canonicalized: it can never pass the
+deletion test.  G-u and G-v isomorphic forces deg u = deg v (the two
+graphs have |E|-deg u and |E|-deg v edges), and the canonical deletion
+vertex has maximum degree.
 
 Degree-constrained enumeration (regular and one-deficient-vertex targets)
 prunes partial graphs that cannot reach the target: the prune conditions
-are isomorphism-invariant and hold along every deletion path of a valid
-final graph, which is what completeness requires.
+are isomorphism-invariant and hold on every induced subgraph of a valid
+final graph, so along every deletion path, whichever vertex the deletion
+rule picks.  That is what completeness requires.
 """
 
 from __future__ import annotations
 
 from oddwheel import kernels
-from oddwheel.graphs import Graph, is_connected
+from oddwheel.graphs import Graph, components, is_connected
 
 
 class BudgetExceededError(RuntimeError):
@@ -39,22 +47,26 @@ def graph_code(g: Graph) -> bytes:
 
     Connected graphs get the lexicographically minimal bit-string over all
     vertex orderings.  Disconnected graphs are canonicalized per component
-    and reassembled with the component codes sorted; minimizing over all
-    orderings at once would interleave components through their
-    independent sets and blow up combinatorially, and the per-component
-    form is the same complete isomorphism invariant either way.
+    and reassembled by `union_code`; minimizing over all orderings at once
+    would interleave components through their independent sets and blow
+    up combinatorially, and the per-component form is the same complete
+    isomorphism invariant either way.
     """
-    from oddwheel.graphs import components  # local import breaks a cycle
-
     comps = components(g)
     if len(comps) <= 1:
         return kernels.canon_code(g.order, list(g.rows))
-    pieces = sorted(
-        kernels.canon_code(c.graph.order, list(c.graph.rows)) for c in comps
+    return union_code(
+        [kernels.canon_code(c.graph.order, list(c.graph.rows)) for c in comps]
     )
+
+
+def union_code(piece_codes: list[bytes]) -> bytes:
+    """`graph_code` of a disjoint union, from the canonical codes of its
+    connected pieces: the pieces in sorted code order, each labelled after
+    the ones before it."""
     rows: list[int] = []
     offset = 0
-    for piece in pieces:
+    for piece in sorted(piece_codes):
         m, sub = kernels.code_to_rows(piece)
         rows.extend(r << offset for r in sub)
         offset += m
@@ -62,13 +74,26 @@ def graph_code(g: Graph) -> bytes:
 
 
 def _deletion_code(child_code: bytes) -> bytes:
-    """Canonical form after deleting the top-labeled vertex of the
-    canonical copy.  Cached: the value depends on the class alone."""
+    """Canonical form after deleting the canonical deletion vertex, the
+    highest-labelled vertex of maximum degree in the canonical copy.
+
+    The choice is isomorphism-invariant, so each class has exactly one
+    canonical parent class.  A child passes the deletion test only if its
+    new vertex v has G-v isomorphic to G-u for this vertex u, which forces
+    deg v = deg u, the maximum (G-v has |E|-deg v edges); so `_children`
+    skips, before canonicalizing, every child whose new vertex is not of
+    maximum degree.  Completeness still holds: a class is reached once its
+    canonical parent is, and the degree-constrained prune holds on every
+    induced subgraph of a valid final graph, canonical parents included.
+    Cached: the value depends on the class alone.
+    """
     k = _deletion_cache.get(child_code)
     if k is None:
         n, rows = kernels.code_to_rows(child_code)
-        top = 1 << (n - 1)
-        sub = [rows[i] & ~top for i in range(n - 1)]
+        degs = [r.bit_count() for r in rows]
+        u = n - 1 - degs[::-1].index(max(degs))
+        low = (1 << u) - 1
+        sub = [(r & low) | ((r >> 1) & ~low) for i, r in enumerate(rows) if i != u]
         k = kernels.canon_code(n - 1, sub)
         _deletion_cache[child_code] = k
     return k
@@ -97,6 +122,12 @@ def _children(
     n, rows = kernels.code_to_rows(parent_code)
     rows = list(rows)
     allowed = allowed_mask_fn(n, rows)
+    # The new vertex must end with maximum degree to be the canonical
+    # deletion vertex: above the parent's top degree, or equal to it
+    # while missing every top-degree vertex.
+    degs = [r.bit_count() for r in rows]
+    top = max(degs)
+    top_mask = sum(1 << v for v in range(n) if degs[v] == top)
     seen: set[bytes] = set()
     out: list[bytes] = []
     sub = allowed
@@ -108,11 +139,13 @@ def _children(
                 child[v] |= 1 << n
         if child_ok(n + 1, child):
             budget.spend()
-            code = kernels.canon_code(n + 1, child)
-            if code not in seen:
-                seen.add(code)
-                if _deletion_code(code) == parent_code:
-                    out.append(code)
+            deg = s.bit_count()
+            if deg > top or (deg == top and not s & top_mask):
+                code = kernels.canon_code(n + 1, child)
+                if code not in seen:
+                    seen.add(code)
+                    if _deletion_code(code) == parent_code:
+                        out.append(code)
         if sub == 0:
             break
         sub = (sub - 1) & allowed

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
-from oddwheel.enumerate import connected_with_degrees, graph_code
+from oddwheel import kernels
+from oddwheel.enumerate import connected_with_degrees, graph_code, union_code
 from oddwheel.graphs import (
     Graph,
     GraphError,
@@ -159,14 +160,20 @@ def _order_partitions(total: int, orders: list[int]) -> list[tuple[int, ...]]:
     return out
 
 
+def _coded(g: Graph) -> tuple[bytes, Graph]:
+    """A canonically labelled graph with its code, read off without
+    re-canonicalizing."""
+    return kernels.pack_code(g.order, g.rows), g
+
+
 def _regular_multisets(
     total: int, d: int, budget: int | None = None
-) -> list[list[Graph]]:
+) -> list[list[tuple[bytes, Graph]]]:
     """All multisets of connected d-regular components (orders <= 2d)
-    covering `total` vertices, one list of Graphs per multiset."""
+    covering `total` vertices, one list of (code, Graph) per multiset."""
     if total == 0:
         return [[]]
-    out: list[list[Graph]] = []
+    out: list[list[tuple[bytes, Graph]]] = []
     for part in _order_partitions(total, _regular_component_orders(d)):
         counts: dict[int, int] = {}
         for m in part:
@@ -178,22 +185,29 @@ def _regular_multisets(
             if not pool:
                 feasible = False
                 break
-            per_order.append(list(combinations_with_replacement(pool, c)))
+            per_order.append(
+                list(combinations_with_replacement(map(_coded, pool), c))
+            )
         if not feasible:
             continue
         for combo in product(*per_order):
-            member: list[Graph] = []
+            member: list[tuple[bytes, Graph]] = []
             for group in combo:
                 member.extend(group)
             out.append(member)
     return out
 
 
-def _assemble(deficient: Graph | None, regulars: list[Graph]) -> Graph:
+def _assemble(
+    deficient: tuple[bytes, Graph] | None, regulars: list[tuple[bytes, Graph]]
+) -> tuple[list[bytes], Graph]:
+    """A member from (code, connected piece) pairs: the deficient piece
+    first, then the regular ones by code.  Returns the pieces' codes with
+    it; their `union_code` is the member's `graph_code` (orders <= 255)."""
     parts = ([] if deficient is None else [deficient]) + sorted(
-        regulars, key=lambda g: (g.order, graph_code(g))
+        regulars, key=lambda p: p[0]
     )
-    return disjoint_union(parts)
+    return [c for c, _ in parts], disjoint_union([g for _, g in parts])
 
 
 def enumerate_family(spec: FamilySpec, budget: int | None = None) -> list[Graph]:
@@ -204,14 +218,15 @@ def enumerate_family(spec: FamilySpec, budget: int | None = None) -> list[Graph]
     """
     spec.validate()
     n = spec.order
-    members: list[Graph] = []
+    members: list[tuple[list[bytes], Graph]] = []
 
     if spec.kind == V_KIND:
         k = spec.degree_param
         core = core_component(k)
         if n >= core.order:
+            coded_core = (graph_code(core), core)
             for regs in _regular_multisets(n - core.order, k - 1, budget):
-                members.append(_assemble(core, regs))
+                members.append(_assemble(coded_core, regs))
     else:
         d = spec.degree_param - 1 if spec.kind == U_KIND else spec.degree_param
         cap = 2 * d  # components of U stop at 2k-2 = 2d; GFAM at 2*Delta = 2d
@@ -224,12 +239,14 @@ def enumerate_family(spec: FamilySpec, budget: int | None = None) -> list[Graph]
             for q in _deficient_component_orders(d):
                 if q > min(n, cap):
                     continue
+                fillers = _regular_multisets(n - q, d, budget)
                 for dg in connected_with_degrees(q, d, True, budget=budget):
-                    for regs in _regular_multisets(n - q, d, budget):
-                        members.append(_assemble(dg, regs))
+                    coded_dg = _coded(dg)
+                    for regs in fillers:
+                        members.append(_assemble(coded_dg, regs))
 
-    members.sort(key=graph_code)
-    return members
+    members.sort(key=lambda m: union_code(m[0]))
+    return [g for _, g in members]
 
 
 @dataclass(frozen=True)
@@ -347,17 +364,25 @@ def regular_filler(total: int, d: int) -> list[Graph]:
 def standard_member(kind: str, k: int, order: int) -> Graph:
     """One deterministic family member without full enumeration; used for
     large candidate constructions where any member serves."""
+    core: Graph | None = None
     if kind == V_KIND:
         core = core_component(k)
         if order % 2 == 0 or order < core.order:
             raise ValueError("V member needs odd order >= k+1")
-        return _assemble(core, regular_filler(order - core.order, k - 1))
-    if kind == U_KIND:
+        filler = regular_filler(order - core.order, k - 1)
+    elif kind == U_KIND:
         d = k - 1
         if (d * order) % 2 == 0:
-            return _assemble(None, regular_filler(order, d))
-        core = core_component(k)
-        if order < core.order:
-            raise ValueError("no nearly-regular member this small")
-        return _assemble(core, regular_filler(order - core.order, d))
-    raise ValueError("standard_member supports kinds U and V")
+            filler = regular_filler(order, d)
+        else:
+            core = core_component(k)
+            if order < core.order:
+                raise ValueError("no nearly-regular member this small")
+            filler = regular_filler(order - core.order, d)
+    else:
+        raise ValueError("standard_member supports kinds U and V")
+    # The circulant fillers are not canonically labelled.  No member code
+    # is formed: orders above 255 are built here and the format stops there.
+    pieces = [(graph_code(g), g) for g in filler]
+    coded_core = None if core is None else (graph_code(core), core)
+    return _assemble(coded_core, pieces)[1]

@@ -186,6 +186,18 @@ def join(parts: list[Graph]) -> Graph:
     return Graph(g.order, tuple(rows))
 
 
+def _component_mask(rows, start: int) -> int:
+    """Mask of the vertices reachable from `start` (breadth-first)."""
+    comp = frontier = 1 << start
+    while frontier:
+        nxt = 0
+        for v in bits_of(frontier):
+            nxt |= rows[v]
+        frontier = nxt & ~comp
+        comp |= nxt
+    return comp
+
+
 def components(g: Graph) -> list[Component]:
     """Maximal connected pieces, ordered by minimum original label.
 
@@ -197,14 +209,7 @@ def components(g: Graph) -> list[Component]:
     for start in range(g.order):
         if (seen >> start) & 1:
             continue
-        comp = 1 << start
-        frontier = 1 << start
-        while frontier:
-            nxt = 0
-            for v in bits_of(frontier):
-                nxt |= g.rows[v]
-            frontier = nxt & ~comp
-            comp |= nxt
+        comp = _component_mask(g.rows, start)
         seen |= comp
         labels = tuple(bits_of(comp))
         out.append(Component(g.subgraph(labels), labels))
@@ -212,17 +217,7 @@ def components(g: Graph) -> list[Component]:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.order == 0:
-        return True
-    comp = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in bits_of(frontier):
-            nxt |= g.rows[v]
-        frontier = nxt & ~comp
-        comp |= nxt
-    return comp == (1 << g.order) - 1
+    return g.order == 0 or _component_mask(g.rows, 0) == (1 << g.order) - 1
 
 
 def classify_degrees(g: Graph) -> DegreeClassification:

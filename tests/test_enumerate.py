@@ -13,6 +13,7 @@ import random
 import pytest
 
 from oddwheel import _kernels_py
+from oddwheel import enumerate as enum_mod
 from oddwheel.enumerate import (
     BudgetExceededError,
     all_graphs,
@@ -129,3 +130,56 @@ def test_budget_raises():
     # an uncached, nontrivial target so the budget is actually consumed
     with pytest.raises(BudgetExceededError):
         connected_with_degrees(11, 4, False, budget=5)
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Empty enumeration caches for one test; the shared ones come back
+    afterwards untouched."""
+    for name in ("_deletion_cache", "_all_cache", "_degree_cache"):
+        monkeypatch.setattr(enum_mod, name, {})
+
+
+@pytest.mark.parametrize(
+    "run, counts",
+    [
+        (lambda: all_graphs(7), KNOWN_CLASS_COUNTS),
+        (lambda: connected_with_degrees(10, 4, False), None),
+        (lambda: connected_with_degrees(9, 5, True), None),
+    ],
+    ids=["all_graphs_7", "quartic_10", "quintic_deficient_9"],
+)
+def test_each_class_generated_once(fresh_caches, monkeypatch, run, counts):
+    # The callers dedup each level with set() or sorting; record what
+    # _children itself accepts, before any of that, and require every
+    # child class of every level to come from exactly one parent.
+    accepted = {}
+    original = enum_mod._children
+
+    def recording(*args):
+        out = original(*args)
+        for code in out:
+            accepted.setdefault(code[0], []).append(code)
+        return out
+
+    monkeypatch.setattr(enum_mod, "_children", recording)
+    run()
+    assert accepted
+    for order, codes in accepted.items():
+        assert len(set(codes)) == len(codes), f"duplicate at order {order}"
+        if counts is not None:
+            assert len(codes) == counts[order]
+
+
+# Smallest budget at which connected_with_degrees(8, 3, False) completes
+# from empty caches: the number of children that pass the degree prune.
+# Skipping children that cannot pass the deletion test must not change
+# what the budget counts.
+CUBIC_8_BUDGET = 459
+
+
+def test_budget_counts_pruned_children(fresh_caches):
+    with pytest.raises(BudgetExceededError):
+        connected_with_degrees(8, 3, False, budget=CUBIC_8_BUDGET - 1)
+    got = connected_with_degrees(8, 3, False, budget=CUBIC_8_BUDGET)
+    assert len(got) == KNOWN_CUBIC_CONNECTED[8]

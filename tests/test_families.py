@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from oddwheel.enumerate import graph_code
+from oddwheel.formats import encode_graph6
 from oddwheel.families import (
     CandidateSpec,
     FamilySpec,
@@ -194,6 +197,10 @@ def test_standard_members():
     u2 = standard_member("U", 3, 50)
     assert classify_degrees(u2).is_regular
     assert max(c.graph.order for c in components(u2)) <= 4
+    # beyond the 255-vertex code format: no member code may be formed
+    big = standard_member("V", 4, 301)
+    cls = classify_degrees(big)
+    assert big.order == 301 and cls.is_nearly_regular and cls.max_degree == 3
 
 
 def test_bipartite_candidate_validation():
@@ -204,3 +211,41 @@ def test_bipartite_candidate_validation():
         bipartite_candidate(21, 11, inner, True)  # inner order mismatch
     with pytest.raises(ValueError):
         bipartite_candidate(11, 10, inner, True)  # one right vertex
+
+
+# sha256 of the graph6 lines (each ending in a newline) of the graphs in
+# the order returned: pins each member's labelling and position, not only
+# its class.
+GOLDEN_FAMILIES = {
+    ("GFAM", 5, 19): (
+        1681, "bb9a28e17ef1eedaa6b498ffbc6c93bafe8da66c6d5c12bde15b710a17b8d9bf"
+    ),
+    ("V", 6, 19): (
+        1, "8e4f036b38599593166761a2b6cfb5be95b40a9357dea6ac64149591131dc5c0"
+    ),
+    ("U", 4, 12): (
+        4, "5fd694965d362dcecfd042c975200a698fe0e1bf6721656f776d230e53d02440"
+    ),
+}
+GOLDEN_STANDARD_MEMBERS = {
+    ("V", 4, 101): "27d3f843959a86dc7025b0408f4142405bf3db87d70ccf8dbaa4f3c84a156ac9",
+    ("U", 5, 51): "7da86d290670cba7e7468b13f79d7302ed732fc9c6e3ba5ae6b30807fc14df3e",
+}
+
+
+def graph6_digest(graphs):
+    text = "".join(encode_graph6(g) + "\n" for g in graphs)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_FAMILIES))
+def test_family_golden_graph6(key):
+    count, digest = GOLDEN_FAMILIES[key]
+    fam = enumerate_family(FamilySpec(*key))
+    assert len(fam) == count
+    assert graph6_digest(fam) == digest
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_STANDARD_MEMBERS))
+def test_standard_member_golden_graph6(key):
+    assert graph6_digest([standard_member(*key)]) == GOLDEN_STANDARD_MEMBERS[key]
