@@ -6,6 +6,17 @@ from oddwheel.cli import main
 from oddwheel.families import odd_wheel, primitive
 from oddwheel.formats import decode_graph6, encode_graph6
 from oddwheel.graphs import disjoint_union
+from oddwheel.verify import (
+    CLAIMS,
+    brute_spex,
+    verify_bounded_order,
+    verify_claim1,
+    verify_fact1,
+    verify_join_bound,
+    verify_one_set,
+    verify_spex_structure,
+    verify_walk_lemma,
+)
 
 
 def run_cli(capsys, *argv):
@@ -133,3 +144,81 @@ def test_out_file(tmp_path, capsys):
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "check", "path", "/nonexistent.g6")
     assert code == 2
+
+
+C6 = primitive("cycle", 6)
+C3C3 = disjoint_union([primitive("cycle", 3)] * 2)
+EXIT_OF = {"PASS": 0, "FAIL": 1, "BUDGET": 3}
+
+# Each CLI line next to the direct job call it must mean: once with small
+# explicit parameters and once with the CLI defaults.  "H1"/"H2" stand for
+# graph files holding C6 and 2C3.
+CLI_JOBS = [
+    (("verify", "lemma-3.2", "--delta", "2", "--cap", "6"),
+     lambda: verify_bounded_order(2, 6)),
+    (("verify", "lemma-3.2"), lambda: verify_bounded_order(3, 10)),
+    (("verify", "lemma-3.2", "--delta", "4", "--cap", "12", "--budget", "10"),
+     lambda: verify_bounded_order(4, 12, budget=10)),
+    (("verify", "lemma-3.3", "--delta", "3", "--n", "13", "--budget", "10000"),
+     lambda: verify_walk_lemma(3, 13, budget=10000)),
+    (("verify", "lemma-3.3"), lambda: verify_walk_lemma(3, 13)),
+    (("verify", "thm-3.1", "--h1", "H1", "--h2", "H2", "--base-order", "20",
+      "--t-size", "6", "--tol", "1e-4"),
+     lambda: verify_one_set(20, 6, C6, C3C3, 1e-4)),
+    (("verify", "thm-3.1", "--h1", "H1", "--h2", "H2"),
+     lambda: verify_one_set(40, 6, C6, C3C3)),
+    (("verify", "spex-structure", "--n", "10", "--k", "2", "--tol", "1e-4"),
+     lambda: verify_spex_structure(10, 2, 1e-4)),
+    (("verify", "spex-structure", "--n", "12", "--k", "3"),
+     lambda: verify_spex_structure(12, 3)),
+    (("verify", "claim-1-thm-1.4", "--k", "4", "--n-values", "22,26"),
+     lambda: verify_claim1(4, [22, 26])),
+    (("verify", "claim-1-thm-1.4", "--n", "22"), lambda: verify_claim1(4, [22])),
+    (("verify", "claim-1-thm-1.4"), lambda: verify_claim1(4, [22, 102])),
+    (("verify", "fact-1", "--k", "3", "--n", "20", "--tol", "1e-4"),
+     lambda: verify_fact1(3, 20, 1e-4)),
+    (("verify", "fact-1"), lambda: verify_fact1(3, 100)),
+    (("verify", "lemma-2.1", "--pairs", "5", "--max-order", "8", "--seed", "3",
+      "--tol", "1e-4"),
+     lambda: verify_join_bound(5, 8, 3, 1e-4)),
+    (("verify", "lemma-2.1"), lambda: verify_join_bound()),
+    (("verify", "brute-spex", "--n", "5", "--k", "2", "--tol", "1e-4"),
+     lambda: brute_spex(5, 2, 1e-4)),
+    (("verify", "brute-spex", "--n", "5", "--k", "2"), lambda: brute_spex(5, 2)),
+    (("brute-spex", "--n", "5", "--k", "2"), lambda: brute_spex(5, 2)),
+]
+
+
+def test_cli_jobs_cover_every_claim():
+    assert {argv[1] for argv, _ in CLI_JOBS if argv[0] == "verify"} == set(CLAIMS)
+
+
+@pytest.mark.parametrize(
+    "argv, job", CLI_JOBS, ids=[" ".join(argv) for argv, _ in CLI_JOBS]
+)
+def test_cli_matches_direct_job(tmp_path, capsys, argv, job):
+    files = {"H1": tmp_path / "h1.g6", "H2": tmp_path / "h2.g6"}
+    files["H1"].write_text(encode_graph6(C6) + "\n")
+    files["H2"].write_text(encode_graph6(C3C3) + "\n")
+    argv = [str(files[a]) if a in files else a for a in argv]
+    code, out, _ = run_cli(capsys, *argv)
+    want = job().to_dict()
+    assert json.loads(out) == want
+    assert code == EXIT_OF[want["outcome"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "thm-3.1"),
+        ("verify", "thm-3.1", "--h1", "/nonexistent.g6", "--h2", "H2"),
+        ("verify", "spex-structure", "--k", "3"),
+        ("verify", "brute-spex", "--k", "2"),
+    ],
+)
+def test_verify_missing_input_is_usage_error(tmp_path, capsys, argv):
+    h2 = tmp_path / "h2.g6"
+    h2.write_text(encode_graph6(C3C3) + "\n")
+    argv = [str(h2) if a == "H2" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "error" in err

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -86,6 +87,22 @@ def test_spex_structure_even_k_reports_honestly():
     radii = rep.evidence["v_embedded_radii"]
     assert max(radii) - min(radii) <= 1e-9
     assert all(r["wheel_free"] for r in rep.evidence["candidates"])
+
+
+# sha256 of the sorted-key JSON of the whole report: pins every k=2
+# candidate of the side-size sweep label for label through its radius.
+GOLDEN_K2_SPEX = {
+    10: "07c6a6b94406a4ef759f0e6ae4c7117a9dfe67730509eda9ef173a7628536abc",
+    22: "b24c5263e863cc194f2f15221c700451ef61fe6166e0760790add7dea27e0997",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_K2_SPEX))
+def test_spex_structure_k2_golden(n):
+    report = verify_spex_structure(n, 2).to_dict()
+    assert report["outcome"] == "PASS"
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_K2_SPEX[n]
 
 
 def test_brute_spex_small():
