@@ -3,6 +3,10 @@
 Exit status: 0 success/PASS, 1 FAIL, 2 usage error, 3 budget exhausted.
 Graph inputs are files in graph6 or edge-list form (sniffed); outputs
 honor --format.  All numeric output is full precision, locale-free.
+
+`verify` and `brute-spex` take their claims, jobs and per-claim defaults
+from `oddwheel.verify.CLAIMS`, the one place to register a claim; this
+module only maps flags to job keywords.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from oddwheel.formats import (
 )
 from oddwheel.graphs import Graph, GraphError
 from oddwheel.spectral import spectral_radius
-from oddwheel.verify import CLAIMS, run_claim
+from oddwheel.verify import CLAIMS, REQUIRED, run_claim
 from oddwheel.walks import walk_compare, walk_profile
 
 EXIT_OK = 0
@@ -139,13 +143,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--base-order", type=int, default=40)
-    p.add_argument("--t-size", type=int, default=6)
+    p.add_argument("--cap", type=int, default=None, dest="order_cap")
+    p.add_argument("--base-order", type=int, default=None)
+    p.add_argument("--t-size", type=int, default=None)
     p.add_argument("--h1", default=None, help="graph file for thm-3.1")
     p.add_argument("--h2", default=None, help="graph file for thm-3.1")
-    p.add_argument("--pairs", type=int, default=200)
-    p.add_argument("--max-order", type=int, default=30)
+    p.add_argument("--pairs", type=int, default=None)
+    p.add_argument("--max-order", type=int, default=None)
     p.add_argument("--n-values", default=None,
                    help="comma-separated n list for claim-1-thm-1.4")
     _common(p)
@@ -154,6 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     _common(p)
+    p.set_defaults(claim="brute-spex")
 
     return parser
 
@@ -280,60 +285,36 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    kwargs: dict = {"tol": args.tol, "budget": args.budget}
-    claim = args.claim
-    if claim == "lemma-3.2":
-        kwargs.update(delta=args.delta or 3, order_cap=args.cap or 10)
-    elif claim == "lemma-3.3":
-        kwargs.update(delta=args.delta or 3, n=args.n or 13)
-    elif claim == "thm-3.1":
-        if not (args.h1 and args.h2):
-            raise SystemExit2("thm-3.1 needs --h1 and --h2 graph files")
-        kwargs.update(
-            base_order=args.base_order,
-            t_size=args.t_size,
-            h1=_read_graph(args.h1),
-            h2=_read_graph(args.h2),
-        )
-    elif claim == "spex-structure":
-        if args.n is None or args.k is None:
-            raise SystemExit2("spex-structure needs --n and --k")
-        kwargs.update(n=args.n, k=args.k)
-    elif claim == "claim-1-thm-1.4":
-        k = args.k or 4
+def _claim_arg(args, name: str):
+    """The value given for job keyword `name`, or None if its flag was
+    omitted; graph files are read and --n-values (else --n) is a list."""
+    if name in ("h1", "h2"):
+        path = getattr(args, name)
+        return None if path is None else _read_graph(path)
+    if name == "n_values":
         if args.n_values:
-            n_values = [int(x) for x in args.n_values.split(",")]
-        elif args.n:
-            n_values = [args.n]
-        else:
-            n_values = [22, 102]
-        kwargs = {"k": k, "n_values": n_values}
-    elif claim == "fact-1":
-        kwargs.update(k=args.k or 3, n=args.n or 100)
-        kwargs.pop("budget", None)
-    elif claim == "lemma-2.1":
-        kwargs.update(pairs=args.pairs, max_order=args.max_order,
-                      seed=args.seed)
-        kwargs.pop("budget", None)
-    elif claim == "brute-spex":
-        if args.n is None or args.k is None:
-            raise SystemExit2("brute-spex needs --n and --k")
-        kwargs.update(n=args.n, k=args.k)
-        kwargs.pop("budget", None)
-    report = run_claim(claim, **kwargs)
+            return [int(x) for x in args.n_values.split(",")]
+        return None if args.n is None else [args.n]
+    return getattr(args, name)
+
+
+def _cmd_verify(args) -> int:
+    claim = CLAIMS[args.claim]
+    required = [name for name, v in claim.params.items() if v is REQUIRED]
+    if any(getattr(args, name) is None for name in required):
+        flags = " and ".join(f"--{name}" for name in required)
+        raise SystemExit2(f"{args.claim} needs {flags}")
+    kwargs = {}
+    for name, default in claim.params.items():
+        value = _claim_arg(args, name)
+        kwargs[name] = default if value is None else value
+    report = run_claim(args.claim, **kwargs)
     _emit(report.to_json() + "\n", args.out)
     if report.outcome == "PASS":
         return EXIT_OK
     if report.outcome == "BUDGET":
         return EXIT_BUDGET
     return EXIT_FAIL
-
-
-def _cmd_brute_spex(args) -> int:
-    report = run_claim("brute-spex", n=args.n, k=args.k, tol=args.tol)
-    _emit(report.to_json() + "\n", args.out)
-    return EXIT_OK if report.outcome == "PASS" else EXIT_FAIL
 
 
 class SystemExit2(Exception):
@@ -351,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
         "compare": _cmd_compare,
         "enumerate": _cmd_enumerate,
         "verify": _cmd_verify,
-        "brute-spex": _cmd_brute_spex,
+        "brute-spex": _cmd_verify,
     }
     try:
         return handlers[args.command](args)

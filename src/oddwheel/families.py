@@ -303,13 +303,15 @@ def spex_candidate(spec: CandidateSpec) -> Graph:
     return bipartite_candidate(spec.n, spec.left_size(), spec.inner, spec.r_edge)
 
 
-def matching_embedded_candidate(n: int) -> Graph:
-    """The k=2 extremal candidate: complete bipartite plus a maximum
-    matching embedded in each side (|L| = n/2+1 when n = 2 mod 4,
-    otherwise |L| = ceil(n/2))."""
-    if n < 4:
-        raise ValueError("candidate needs at least 4 vertices")
-    left = n // 2 + 1 if n % 4 == 2 else (n + 1) // 2
+def matching_embedded_candidate(n: int, left: int | None = None) -> Graph:
+    """Complete bipartite K_{left,n-left} plus a maximum matching embedded
+    in each side.  Without `left` this is the k=2 extremal candidate, with
+    |L| = auto_left_sizes(n, 2)[0] (n/2+1 when n = 2 mod 4, otherwise
+    ceil(n/2))."""
+    if left is None:
+        if n < 4:
+            raise ValueError("candidate needs at least 4 vertices")
+        left = auto_left_sizes(n, 2)[0]
     right = n - left
     edges = [(i, j) for i in range(left) for j in range(left, n)]
     edges += [(2 * i, 2 * i + 1) for i in range(left // 2)]
@@ -381,8 +383,10 @@ def standard_member(kind: str, k: int, order: int) -> Graph:
             filler = regular_filler(order - core.order, d)
     else:
         raise ValueError("standard_member supports kinds U and V")
-    # The circulant fillers are not canonically labelled.  No member code
-    # is formed: orders above 255 are built here and the format stops there.
-    pieces = [(graph_code(g), g) for g in filler]
-    coded_core = None if core is None else (graph_code(core), core)
-    return _assemble(coded_core, pieces)[1]
+    # The core first, then the fillers by code, as `_assemble` orders them.
+    # The circulant fillers are not canonically labelled, so each distinct
+    # one is canonicalized once.  No member code is formed: orders above
+    # 255 are built here and the format stops there.
+    codes = {g: graph_code(g) for g in set(filler)}
+    pieces = sorted(filler, key=codes.__getitem__)
+    return disjoint_union(([] if core is None else [core]) + pieces)

@@ -4,12 +4,17 @@ emitting a structured report.
 Reports never guess: FAIL carries a replayable counterexample, BUDGET
 means the search ran out before deciding, and finite-size checks of
 asymptotic statements are labeled as trend observations in the notes.
+
+`CLAIMS` at the end of the module is the one place to register a claim:
+its id, its statement, its job function and the job's CLI parameters
+with their defaults.  `run_claim` and the `verify` command read it.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 from oddwheel.detect import (
@@ -31,6 +36,7 @@ from oddwheel.families import (
     auto_left_sizes,
     bipartite_candidate,
     enumerate_family,
+    matching_embedded_candidate,
     primitive,
     spex_candidate,
     standard_member,
@@ -50,26 +56,6 @@ from oddwheel.walks import Relation, ex_infinity_trace, walk_compare, walk_profi
 PASS = "PASS"
 FAIL = "FAIL"
 BUDGET = "BUDGET"
-
-CLAIMS = {
-    "lemma-3.2": "connected graphs with all degrees D except at most one "
-    "of degree D-1 and order >= 2D+1 contain a path of order 2D+1",
-    "lemma-3.3": "iterated walk-count maximizers of the one-deficient "
-    "bounded-component family are exactly the fixed-core family",
-    "thm-3.1": "embedding walk-ordered graphs into a dominated independent "
-    "set orders the spectral radii the same way",
-    "spex-structure": "predicted bipartite-plus-embedding candidates attain "
-    "the maximum spectral radius among the side-size sweep",
-    "claim-1-thm-1.4": "6-class quotient of the balanced candidate beats "
-    "the 3-class quotient of the unbalanced one",
-    "fact-1": "constructed candidates exceed the radius lower bound "
-    "(k-1+sqrt((k-1)^2+n^2-1))/2 + 1/(2n)",
-    "lemma-2.1": "the spectral radius of a chain join is at most the Perron "
-    "root of the 2x2 degree/size bound matrix",
-    "brute-spex": "finite-n exhaustive maximizer of the spectral radius "
-    "among odd-wheel-free graphs",
-}
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -279,7 +265,7 @@ def verify_spex_structure(
     try:
         if k == 2:
             for left in sweep:
-                g = _k2_candidate(n, left)
+                g = matching_embedded_candidate(n, left)
                 candidates.append((f"L={left} matching", left, g))
         else:
             for left in sweep:
@@ -376,14 +362,6 @@ def verify_spex_structure(
     return VerificationReport(
         "spex-structure", params, FAIL, evidence, "; ".join(notes)
     )
-
-
-def _k2_candidate(n: int, left: int) -> Graph:
-    right = n - left
-    edges = [(i, j) for i in range(left) for j in range(left, n)]
-    edges += [(2 * i, 2 * i + 1) for i in range(left // 2)]
-    edges += [(left + 2 * i, left + 2 * i + 1) for i in range(right // 2)]
-    return build_graph(n, edges)
 
 
 def brute_spex(n: int, k: int, tol: float = 1e-10) -> VerificationReport:
@@ -552,40 +530,67 @@ def verify_claim1(k: int, n_values: list[int]) -> VerificationReport:
     )
 
 
+REQUIRED = object()  # marks a CLI parameter that has no default
+
+
+@dataclass(frozen=True)
+class Claim:
+    """A registered claim: its statement, the job that checks it, and the
+    job keywords the CLI passes, each with its CLI default (REQUIRED when
+    the flag must be given).  Only an omitted flag takes the default."""
+
+    description: str
+    job: Callable[..., VerificationReport]
+    params: Mapping[str, object]
+
+
+CLAIMS = {
+    "lemma-3.2": Claim(
+        "connected graphs with all degrees D except at most one of degree "
+        "D-1 and order >= 2D+1 contain a path of order 2D+1",
+        verify_bounded_order, {"delta": 3, "order_cap": 10, "budget": None}),
+    "lemma-3.3": Claim(
+        "iterated walk-count maximizers of the one-deficient bounded-"
+        "component family are exactly the fixed-core family",
+        verify_walk_lemma, {"delta": 3, "n": 13, "budget": None}),
+    "thm-3.1": Claim(
+        "embedding walk-ordered graphs into a dominated independent set "
+        "orders the spectral radii the same way",
+        verify_one_set, {"base_order": 40, "t_size": 6, "h1": REQUIRED,
+                         "h2": REQUIRED, "tol": 1e-10}),
+    "spex-structure": Claim(
+        "predicted bipartite-plus-embedding candidates attain the maximum "
+        "spectral radius among the side-size sweep",
+        verify_spex_structure,
+        {"n": REQUIRED, "k": REQUIRED, "tol": 1e-10, "budget": None}),
+    "claim-1-thm-1.4": Claim(
+        "6-class quotient of the balanced candidate beats the 3-class "
+        "quotient of the unbalanced one",
+        verify_claim1, {"k": 4, "n_values": (22, 102)}),
+    "fact-1": Claim(
+        "constructed candidates exceed the radius lower bound "
+        "(k-1+sqrt((k-1)^2+n^2-1))/2 + 1/(2n)",
+        verify_fact1, {"k": 3, "n": 100, "tol": 1e-10}),
+    "lemma-2.1": Claim(
+        "the spectral radius of a chain join is at most the Perron root of "
+        "the 2x2 degree/size bound matrix",
+        verify_join_bound,
+        {"pairs": 200, "max_order": 30, "seed": 0, "tol": 1e-10}),
+    "brute-spex": Claim(
+        "finite-n exhaustive maximizer of the spectral radius among "
+        "odd-wheel-free graphs",
+        brute_spex, {"n": REQUIRED, "k": REQUIRED, "tol": 1e-10}),
+}
+
+
 def run_claim(claim_id: str, **kwargs) -> VerificationReport:
-    """CLI dispatcher; unknown ids raise KeyError with the known list."""
-    if claim_id == "lemma-3.2":
-        return verify_bounded_order(
-            kwargs["delta"], kwargs["order_cap"], kwargs.get("budget")
+    """Run the registered job of `claim_id` on `kwargs`.
+
+    Unknown ids raise KeyError with the known list; a keyword the job
+    does not take raises TypeError.
+    """
+    if claim_id not in CLAIMS:
+        raise KeyError(
+            f"unknown claim {claim_id!r}; known: {', '.join(sorted(CLAIMS))}"
         )
-    if claim_id == "lemma-3.3":
-        return verify_walk_lemma(
-            kwargs["delta"], kwargs["n"], kwargs.get("budget")
-        )
-    if claim_id == "thm-3.1":
-        return verify_one_set(
-            kwargs["base_order"], kwargs["t_size"], kwargs["h1"], kwargs["h2"],
-            kwargs.get("tol", 1e-10),
-        )
-    if claim_id == "spex-structure":
-        return verify_spex_structure(
-            kwargs["n"], kwargs["k"], kwargs.get("tol", 1e-10),
-            kwargs.get("budget"),
-        )
-    if claim_id == "claim-1-thm-1.4":
-        return verify_claim1(kwargs["k"], kwargs["n_values"])
-    if claim_id == "fact-1":
-        return verify_fact1(kwargs["k"], kwargs["n"], kwargs.get("tol", 1e-10))
-    if claim_id == "lemma-2.1":
-        return verify_join_bound(
-            kwargs.get("pairs", 200),
-            kwargs.get("max_order", 30),
-            kwargs.get("seed", 0),
-            kwargs.get("tol", 1e-10),
-            kwargs.get("slack", 1e-9),
-        )
-    if claim_id == "brute-spex":
-        return brute_spex(kwargs["n"], kwargs["k"], kwargs.get("tol", 1e-10))
-    raise KeyError(
-        f"unknown claim {claim_id!r}; known: {', '.join(sorted(CLAIMS))}"
-    )
+    return CLAIMS[claim_id].job(**kwargs)

@@ -222,3 +222,27 @@ def test_verify_missing_input_is_usage_error(tmp_path, capsys, argv):
     argv = [str(h2) if a == "H2" else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "lemma-3.2", "--delta", "0"),
+        ("verify", "lemma-3.2", "--delta", "0", "--cap", "6"),
+        ("verify", "lemma-3.3", "--delta", "0", "--n", "0"),
+        ("verify", "fact-1", "--k", "0", "--n", "0"),
+        ("verify", "claim-1-thm-1.4", "--k", "0", "--n-values", "22"),
+        ("verify", "claim-1-thm-1.4", "--n", "0"),
+    ],
+)
+def test_verify_explicit_zero_is_not_replaced(capsys, argv):
+    # only an omitted flag takes the claim's default; 0 reaches the job,
+    # which rejects it
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "error" in err
+
+
+def test_verify_explicit_zero_cap_is_kept(capsys):
+    code, out, _ = run_cli(capsys, "verify", "lemma-3.2", "--cap", "0")
+    assert code == 0
+    assert json.loads(out)["parameters"] == {"delta": 3, "order_cap": 0}

@@ -161,6 +161,9 @@ def test_matching_candidate_sizes():
     assert g2.edge_count == 10 * 10 + 5 + 5
     g3 = matching_embedded_candidate(5)
     assert g3.order == 5 and g3.edge_count == 2 * 3 + 1 + 1
+    g4 = matching_embedded_candidate(22, 11)  # explicit side size
+    assert g4.edge_count == 11 * 11 + 5 + 5
+    assert sorted(g4.degrees()) == [11, 11] + [12] * 20
     _ = degs
 
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -159,8 +161,18 @@ def test_claim1_report_contents():
 def test_run_claim_dispatch():
     rep = run_claim("lemma-3.3", delta=3, n=13)
     assert isinstance(rep, VerificationReport)
-    with pytest.raises(KeyError):
+    assert rep.to_dict() == verify_walk_lemma(3, 13).to_dict()
+    with pytest.raises(KeyError, match="lemma-3.3"):
         run_claim("lemma-9.9")
+    with pytest.raises(TypeError):
+        run_claim("lemma-3.3", delta=3, n=13, order_cap=10)
+
+
+def test_readme_lists_every_claim():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Verification jobs", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)`", section, re.M)
+    assert sorted(rows) == sorted(CLAIMS)
 
 
 def test_reports_are_deterministic():
