@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 
+from oddwheel import __version__, kernels
 from oddwheel.detect import (
     contains_cycle_of_length,
     contains_odd_wheel,
@@ -159,6 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     _common(p)
     p.set_defaults(claim="brute-spex")
+
+    subs.add_parser("info", help="kernel backend, version, platform, JSON")
 
     return parser
 
@@ -317,6 +321,17 @@ def _cmd_verify(args) -> int:
     return EXIT_FAIL
 
 
+def _cmd_info(args) -> int:
+    payload = {
+        "backend": "compiled" if kernels.HAVE_COMPILED else "pure",
+        "version": __version__,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
+    _emit(json.dumps(payload, indent=2) + "\n", None)
+    return EXIT_OK
+
+
 class SystemExit2(Exception):
     """Usage error carrying the message for exit status 2."""
 
@@ -333,6 +348,7 @@ def main(argv: list[str] | None = None) -> int:
         "enumerate": _cmd_enumerate,
         "verify": _cmd_verify,
         "brute-spex": _cmd_verify,
+        "info": _cmd_info,
     }
     try:
         return handlers[args.command](args)

@@ -11,53 +11,66 @@ most `cap` vertices, so keeping min(class size, cap) representatives per
 class preserves the existence of every such subgraph.  On the near
 complete-bipartite candidate graphs this shrinks the search space from
 hundreds of vertices to a handful.
+
+The odd-wheel scan reduces each hub's neighbourhood on the hub's
+neighbour mask, before any subgraph is built, and builds only the kept
+vertices' subgraph.  Reduced graphs are labelled by decreasing degree:
+the cycle search anchors each cycle at its lowest label and then drops
+that anchor, so a vertex joined to everything is searched first and then
+removed instead of widening every later anchor's paths.
 """
 
 from __future__ import annotations
 
 from oddwheel import kernels
 from oddwheel.enumerate import BudgetExceededError
-from oddwheel.graphs import Graph
+from oddwheel.graphs import Graph, bits_of
 
 DEFAULT_BUDGET = 10_000_000
 
 
-def _drop_twin_surplus(rows: list[int], cap: int, closed: bool) -> list[int]:
-    """One capping pass over one twin family (open or closed classes)."""
-    groups: dict[int, list[int]] = {}
-    for v in range(len(rows)):
-        key = rows[v] | (1 << v) if closed else rows[v]
-        groups.setdefault(key, []).append(v)
-    kept = []
-    for v in range(len(rows)):
-        members = groups[rows[v] | (1 << v) if closed else rows[v]]
-        if members.index(v) < cap:
-            kept.append(v)
-    if len(kept) == len(rows):
-        return rows
+def _reduced(rows, alive: int, cap: int) -> Graph:
+    """Twin-reduced subgraph of the graph with adjacency `rows`, induced
+    on the vertex mask `alive`.
+
+    Each pass caps one twin family (open, then closed) at `cap` members
+    per class, keeping the lowest labels; its keys are the rows masked to
+    `alive` as it stood when the pass began.  Passes repeat until nothing
+    is dropped.  Only the kept vertices' subgraph is built, labelled by
+    decreasing degree in it, ties broken by the original label.
+    """
+    while True:
+        before = alive
+        for closed in (False, True):
+            counts: dict[int, int] = {}
+            drop = 0
+            for v in bits_of(alive):
+                key = rows[v] & alive
+                if closed:
+                    key |= 1 << v
+                c = counts.get(key, 0)
+                if c < cap:
+                    counts[key] = c + 1
+                else:
+                    drop |= 1 << v
+            alive &= ~drop
+        if alive == before:
+            break
+    kept = sorted(
+        bits_of(alive), key=lambda v: (-(rows[v] & alive).bit_count(), v)
+    )
     pos = {v: i for i, v in enumerate(kept)}
     new_rows = []
     for v in kept:
         r = 0
-        m = rows[v]
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
-            m ^= low
-            if w in pos:
-                r |= 1 << pos[w]
+        for w in bits_of(rows[v] & alive):
+            r |= 1 << pos[w]
         new_rows.append(r)
-    return new_rows
+    return Graph(len(kept), tuple(new_rows))
 
 
 def _twin_reduce(g: Graph, cap: int) -> Graph:
-    rows = list(g.rows)
-    while True:
-        n = len(rows)
-        rows = _drop_twin_surplus(rows, cap, closed=False)
-        rows = _drop_twin_surplus(rows, cap, closed=True)
-        if len(rows) == n:
-            return Graph(len(rows), tuple(rows))
+    return _reduced(g.rows, (1 << g.order) - 1, cap)
 
 
 def contains_cycle_of_length(
@@ -82,31 +95,36 @@ def contains_odd_wheel(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff g contains W_{2k+1}, i.e. some vertex whose neighborhood
     induces a cycle on 2k vertices.
 
-    Hubs are scanned in decreasing degree order; hubs of degree below 2k
-    cannot work.  A hub with the same neighbourhood as a hub already
-    scanned is skipped: its neighbourhood subgraph, and so its answer or
-    its budget overrun, is the same.  The budget applies per scanned hub:
-    each hub's cycle search gets `budget` node expansions of its own, so
-    a full scan may expand up to budget times the number of hubs scanned.
-    A budget overrun on one hub is only an error when no other hub
-    certifies containment.
+    Hubs are taken in decreasing degree order; hubs of degree below 2k
+    cannot work.  Each hub's neighbourhood is twin-reduced on its
+    neighbour mask and labelled by degree, and each distinct reduced
+    neighbourhood is searched once per call: the search is
+    deterministic, so a repeat has the same answer or the same overrun.
+    The budget applies per distinct reduced neighbourhood searched: each
+    search gets `budget` node expansions of its own, so a full scan may
+    expand up to budget times the number of distinct neighbourhoods.  A
+    budget overrun on one neighbourhood is only an error when no other
+    hub certifies containment.
     """
     if k < 2:
         raise ValueError("odd wheels need k >= 2")
+    length = 2 * k
     hubs = sorted(range(g.order), key=g.degree, reverse=True)
     exhausted = False
-    scanned: set[int] = set()
+    searched: set[tuple[int, ...]] = set()
     for v in hubs:
-        if g.degree(v) < 2 * k:
+        if g.degree(v) < length:
             break
-        if g.rows[v] in scanned:
+        nbhd = _reduced(g.rows, g.rows[v], length)
+        if nbhd.rows in searched:
             continue
-        scanned.add(g.rows[v])
-        nbhd = g.subgraph(g.neighbors(v))
-        try:
-            if contains_cycle_of_length(nbhd, 2 * k, budget):
-                return True
-        except BudgetExceededError:
+        searched.add(nbhd.rows)
+        result = kernels.has_cycle_of_length(
+            nbhd.order, list(nbhd.rows), length, budget
+        )
+        if result > 0:
+            return True
+        if result < 0:
             exhausted = True
     if exhausted:
         raise BudgetExceededError(

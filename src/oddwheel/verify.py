@@ -255,12 +255,18 @@ def verify_spex_structure(
     """Sweep side sizes |L| in {n/2-1, n/2, n/2+1} (every family member,
     one R edge), require every candidate odd-wheel-free, and test whether
     the predicted family attains the maximum radius; V-embedded
-    candidates must additionally tie through one equitable quotient."""
+    candidates must additionally tie through one equitable quotient.
+    An n at which a swept side would be empty (n < 4) is rejected."""
     if k < 2:
         raise ValueError("k >= 2 required")
+    sweep = sorted({n // 2 - 1, n // 2, n - n // 2, n // 2 + 1})
+    if sweep[0] < 1 or sweep[-1] > n - 1:
+        raise ValueError(
+            f"spex-structure needs both sides non-empty at every swept "
+            f"side size {sweep}; n={n} is too small"
+        )
     params = {"n": n, "k": k}
     predicted_lefts = auto_left_sizes(n, k)
-    sweep = sorted({n // 2 - 1, n // 2, n - n // 2, n // 2 + 1})
     candidates: list[tuple[str, int, Graph]] = []
     try:
         if k == 2:
@@ -466,13 +472,19 @@ def fact1_bound(k: int, n: int) -> float:
 
 def verify_fact1(k: int, n: int, tol: float = 1e-10) -> VerificationReport:
     """Finite-n observation: the constructed candidate's radius exceeds
-    the lower bound the asymptotic argument relies on."""
+    the lower bound the asymptotic argument relies on.  An n whose side
+    |L| is smaller than the smallest U member (k vertices) is rejected."""
     params = {"k": k, "n": n}
+    left = auto_left_sizes(n, k)[0]
+    if left < k:
+        raise ValueError(
+            f"fact-1 needs a side of at least k={k} vertices; n={n} gives "
+            f"|L|={left}"
+        )
     if k % 2 == 0 and n % 4 == 2:
         inner = standard_member(V_KIND, k, n // 2)
         g = spex_candidate(CandidateSpec(n, k, 0, inner, True))
     else:
-        left = auto_left_sizes(n, k)[0]
         g = bipartite_candidate(n, left, standard_member(U_KIND, k, left), True)
     res = spectral_radius(g, tol)
     bound = fact1_bound(k, n)

@@ -1,7 +1,10 @@
 import json
+import platform
 
 import pytest
 
+import oddwheel
+from oddwheel import kernels
 from oddwheel.cli import main
 from oddwheel.families import odd_wheel, primitive
 from oddwheel.formats import decode_graph6, encode_graph6
@@ -246,3 +249,28 @@ def test_verify_explicit_zero_cap_is_kept(capsys):
     code, out, _ = run_cli(capsys, "verify", "lemma-3.2", "--cap", "0")
     assert code == 0
     assert json.loads(out)["parameters"] == {"delta": 3, "order_cap": 0}
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("verify", "spex-structure", "--n", "1", "--k", "2"), "n=1"),
+        (("verify", "spex-structure", "--n", "2", "--k", "2"), "n=2"),
+        (("verify", "spex-structure", "--n", "3", "--k", "2"), "n=3"),
+        (("verify", "fact-1", "--n", "0"), "n=0"),
+        (("verify", "fact-1", "--k", "5", "--n", "8"), "n=8"),
+    ],
+)
+def test_verify_too_small_n_is_usage_error(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and named in err
+
+
+def test_info(capsys):
+    code, out, _ = run_cli(capsys, "info")
+    assert code == 0
+    info = json.loads(out)
+    assert set(info) == {"backend", "version", "python", "platform"}
+    assert info["backend"] == ("compiled" if kernels.HAVE_COMPILED else "pure")
+    assert info["version"] == oddwheel.__version__
+    assert info["python"] == platform.python_version()

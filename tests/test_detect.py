@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from oddwheel import _kernels_py, kernels
 from oddwheel.detect import (
+    _reduced,
     contains_cycle_of_length,
     contains_odd_wheel,
     is_star_free,
@@ -11,7 +13,10 @@ from oddwheel.detect import (
 )
 from oddwheel.enumerate import BudgetExceededError
 from oddwheel.families import (
+    U_KIND,
+    V_KIND,
     CandidateSpec,
+    bipartite_candidate,
     core_component,
     matching_embedded_candidate,
     odd_wheel,
@@ -173,3 +178,179 @@ def test_lemma_path_guarantee_small():
         for g in connected_with_degrees(order, 2, False) + \
                 connected_with_degrees(order, 2, True):
             assert longest_path_order(g) >= 5
+
+
+def reference_contains_odd_wheel(g, k):
+    """Plain hub scan: every hub of degree >= 2k, its whole neighbourhood
+    subgraph, the unreduced pure cycle search without a budget."""
+    for hub in range(g.order):
+        if g.degree(hub) < 2 * k:
+            continue
+        nbhd = g.subgraph(g.neighbors(hub))
+        if _kernels_py.has_cycle_of_length(
+            nbhd.order, list(nbhd.rows), 2 * k, -1
+        ):
+            return True
+    return False
+
+
+def relabelled(g, seed):
+    perm = list(range(g.order))
+    random.Random(seed).shuffle(perm)
+    return build_graph(g.order, ((perm[u], perm[v]) for u, v in g.edges()))
+
+
+def test_odd_wheel_against_reference_scan_random():
+    rng = random.Random(2024)
+    seen = {(k, answer): 0 for k in (2, 3) for answer in (False, True)}
+    for _ in range(150):
+        n = rng.randint(9, 14)
+        p = rng.choice([0.3, 0.5, 0.7, 0.85])
+        edges = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < p
+        ]
+        g = build_graph(n, edges)
+        for k in (2, 3):
+            want = reference_contains_odd_wheel(g, k)
+            assert contains_odd_wheel(g, k) == want
+            seen[k, want] += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize(
+    "k, g",
+    [
+        (3, bipartite_candidate(20, 10, standard_member(U_KIND, 3, 10), True)),
+        (4, spex_candidate(
+            CandidateSpec(22, 4, 0, standard_member(V_KIND, 4, 11), True))),
+        (5, bipartite_candidate(22, 11, standard_member(U_KIND, 5, 11), True)),
+    ],
+    ids=["k3-n20", "k4-n22", "k5-n22"],
+)
+def test_odd_wheel_against_reference_scan_candidates(k, g):
+    assert not reference_contains_odd_wheel(g, k)
+    assert not contains_odd_wheel(g, k)
+    non_edges = [
+        (u, v)
+        for u in range(g.order)
+        for v in range(u + 1, g.order)
+        if not g.has_edge(u, v)
+    ]
+    random.Random(k).shuffle(non_edges)
+    for edge in non_edges:
+        h = g.add_edges([edge])
+        if reference_contains_odd_wheel(h, k):
+            assert contains_odd_wheel(h, k)
+            break
+        assert not contains_odd_wheel(h, k)
+    else:
+        pytest.fail("no single added edge creates a wheel")
+
+
+def test_odd_wheel_budget_independent_of_labelling():
+    # Degree-ordered labels make the per-neighbourhood work independent
+    # of the input labelling: 10,000 expansions suffice under every
+    # relabelling of the order-202 candidate.
+    n, k = 202, 4
+    g = spex_candidate(
+        CandidateSpec(n, k, 0, standard_member(V_KIND, k, n // 2), True)
+    )
+    for seed in (0, 1, 2):
+        assert not contains_odd_wheel(relabelled(g, seed), k, budget=10_000)
+
+
+def test_odd_wheel_searches_each_neighbourhood_once(monkeypatch):
+    n, k = 202, 4
+    g = relabelled(
+        spex_candidate(
+            CandidateSpec(n, k, 0, standard_member(V_KIND, k, n // 2), True)
+        ),
+        7,
+    )
+    searched = []
+    search = kernels.has_cycle_of_length
+
+    def recording(order, rows, length, budget):
+        searched.append(tuple(rows))
+        return search(order, rows, length, budget)
+
+    monkeypatch.setattr(kernels, "has_cycle_of_length", recording)
+    assert not contains_odd_wheel(g, k)
+    distinct = {
+        _reduced(g.rows, g.rows[v], 2 * k).rows
+        for v in range(n)
+        if g.degree(v) >= 2 * k
+    }
+    assert len(searched) == len(set(searched)) == len(distinct)
+
+
+def old_twin_kept(rows, cap):
+    """The kept labels of the earlier twin reduction: per pass rebuild the
+    rows on the survivors, open classes then closed, to a fixed point."""
+    labels = list(range(len(rows)))
+    rows = list(rows)
+    while True:
+        size = len(rows)
+        for closed in (False, True):
+            keys = [
+                rows[v] | (1 << v) if closed else rows[v]
+                for v in range(len(rows))
+            ]
+            taken: dict[int, int] = {}
+            kept = []
+            for v, key in enumerate(keys):
+                taken[key] = taken.get(key, 0) + 1
+                if taken[key] <= cap:
+                    kept.append(v)
+            pos = {v: i for i, v in enumerate(kept)}
+            rows = [
+                sum(1 << pos[w] for w in range(len(rows))
+                    if (rows[v] >> w) & 1 and w in pos)
+                for v in kept
+            ]
+            labels = [labels[v] for v in kept]
+        if len(rows) == size:
+            return labels
+
+
+def random_blow_up(rng):
+    """A small random graph with each vertex replaced by a class of open
+    or closed twins, plus a few stray edges."""
+    base = rng.randint(2, 5)
+    sizes = [rng.randint(1, 5) for _ in range(base)]
+    starts = [sum(sizes[:i]) for i in range(base)]
+    n = sum(sizes)
+    edges = set()
+    for i in range(base):
+        cls = range(starts[i], starts[i] + sizes[i])
+        if rng.random() < 0.5:
+            edges.update(itertools.combinations(cls, 2))
+        for j in range(i + 1, base):
+            if rng.random() < 0.6:
+                other = range(starts[j], starts[j] + sizes[j])
+                edges.update(itertools.product(cls, other))
+    for _ in range(rng.randint(0, 2)):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_graph(n, ((perm[u], perm[v]) for u, v in edges))
+
+
+def test_reduced_keeps_the_old_vertex_set():
+    rng = random.Random(31)
+    for _ in range(200):
+        g = random_blow_up(rng)
+        cap = rng.randint(1, 4)
+        masks = [(1 << g.order) - 1] + [g.rows[v] for v in range(g.order)]
+        for alive in masks:
+            verts = [v for v in range(g.order) if (alive >> v) & 1]
+            sub = g.subgraph(verts)
+            kept = [verts[i] for i in old_twin_kept(sub.rows, cap)]
+            kept_mask = sum(1 << v for v in kept)
+            order = sorted(
+                kept, key=lambda v: (-(g.rows[v] & kept_mask).bit_count(), v)
+            )
+            assert _reduced(g.rows, alive, cap) == g.subgraph(order)

@@ -107,6 +107,14 @@ def test_spex_structure_k2_golden(n):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_K2_SPEX[n]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spex_structure_rejects_an_empty_side(n):
+    # the sweep |L| in {n/2-1, ..., n/2+1} reaches 0 or n below n = 4
+    with pytest.raises(ValueError, match=f"n={n} "):
+        verify_spex_structure(n, 2)
+    assert verify_spex_structure(4, 2).outcome == "PASS"
+
+
 def test_brute_spex_small():
     rep = brute_spex(4, 2)
     assert rep.outcome == "PASS"
@@ -141,6 +149,13 @@ def test_fact1():
     rep = verify_fact1(3, 100)
     assert rep.outcome == "PASS" and rep.evidence["margin"] > 0
     assert "finite-n" in rep.notes
+
+
+def test_fact1_rejects_n_below_the_member_minimum():
+    for k, n in ((3, 0), (3, 4), (4, 1), (5, 8)):
+        with pytest.raises(ValueError, match=f"n={n} "):
+            verify_fact1(k, n)
+    assert verify_fact1(3, 5).outcome == "PASS"
 
 
 def test_claim1_report_contents():
