@@ -1,15 +1,21 @@
 """Spectral radii, Perron vectors, equitable quotients, and exact
 characteristic polynomials.
 
-Floating work (power iteration) runs on numpy; everything feeding a sign
-decision runs over exact rationals, because the comparisons the harness
-certifies must not depend on rounding.
+Floating work runs on numpy: graphs are power-iterated; quotient matrices
+take the dense Perron pair of `np.linalg.eig` when its residual meets the
+tolerance and are power-iterated otherwise.  Every returned root carries
+the residual ||A x - radius x||_inf of its vector.  Everything feeding a
+sign decision is exact (characteristic polynomials by an integer
+recurrence, their values by integer Horner, roots by rational bisection),
+because the comparisons the harness certifies must not depend on rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -35,8 +41,9 @@ class SpectralResult:
 
     radius: dominant eigenvalue estimate; perron: non-negative vector
     normalized to max entry 1 (strictly positive on connected graphs);
-    residual: ||A x - radius x||_inf at the returned vector; iterations
-    spent.  For disconnected inputs the note names the achieving
+    residual: ||A x - radius x||_inf at the returned vector; iterations:
+    power-iteration steps spent (0 when a quotient's dense eigenpair met
+    the tolerance).  For disconnected inputs the note names the achieving
     component and the vector is supported on it.
     """
 
@@ -159,22 +166,57 @@ def _pattern_irreducible(a: np.ndarray) -> bool:
     return True
 
 
+def _dense_pair(a: np.ndarray, tol: float):
+    """Perron pair from a dense eigendecomposition: the eigenvector of the
+    eigenvalue with the largest real part (the Perron root of a
+    non-negative matrix), taken in absolute value and normalized to max
+    entry 1, with the Rayleigh quotient and residual `_power_iteration`
+    reports.  Returns (rayleigh, vector, residual, 0), or None when the
+    vector is not finite, is zero, or misses the tolerance."""
+    try:
+        values, vectors = np.linalg.eig(a)
+    except np.linalg.LinAlgError:
+        return None
+    v = np.abs(vectors[:, int(np.argmax(values.real))])
+    if not np.isfinite(v).all():
+        return None
+    top = v.max()
+    if top == 0.0:
+        return None
+    x = v / top
+    ax = a @ x
+    lam = float(x @ ax) / float(x @ x)
+    residual = float(np.abs(ax - lam * x).max())
+    if residual <= tol:
+        return lam, x, residual, 0
+    return None
+
+
 def matrix_radius(
     m, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> SpectralResult:
-    """Perron root of a non-negative square matrix, power-iterated with
-    the same residual certificate as graphs; 2x2 inputs are additionally
+    """Perron root of a non-negative square matrix with the same residual
+    certificate as graphs.  The dense eigenpair of the eigenvalue with the
+    largest real part is tried first and kept, with `iterations` 0, when
+    its residual ||A x - radius x||_inf meets `tol`; otherwise power
+    iteration runs as for graphs.  2x2 inputs are additionally
     cross-checked against the closed form."""
     a = _to_float_matrix(m)
     note = ""
     if not _pattern_irreducible(a):
-        note = "reducible pattern; dominant class located by iteration"
-    try:
-        lam, vec, residual, iters = _power_iteration(a, tol, max_iter)
-    except SpectralError as exc:
-        if note:
-            raise SpectralError(f"{exc} [{note}]") from exc
-        raise
+        note = (
+            "reducible pattern; the Perron vector may vanish off the "
+            "dominant class"
+        )
+    pair = _dense_pair(a, tol)
+    if pair is None:
+        try:
+            pair = _power_iteration(a, tol, max_iter)
+        except SpectralError as exc:
+            if note:
+                raise SpectralError(f"{exc} [{note}]") from exc
+            raise
+    lam, vec, residual, iters = pair
     if a.shape[0] == 2:
         closed = (a[0, 0] + a[1, 1]) / 2 + np.sqrt(
             ((a[0, 0] - a[1, 1]) / 2) ** 2 + a[0, 1] * a[1, 0]
@@ -248,10 +290,22 @@ class CharPoly:
         return len(self.coefficients) - 1
 
     def evaluate(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        """Exact value at a rational x = p/q: homogenised Horner over the
+        integers, sum of a_i p^i q^(d-i) with a_i the coefficients over
+        their common denominator L, divided by L q^d once at the end."""
+        x = Fraction(x)
+        p, q = x.numerator, x.denominator
+        common = math.lcm(*(c.denominator for c in self.coefficients))
+        ints = [
+            c.numerator * (common // c.denominator)
+            for c in reversed(self.coefficients)
+        ]
+        acc = ints[0]
+        q_pow = 1
+        for a in ints[1:]:
+            q_pow *= q
+            acc = acc * p + a * q_pow
+        return Fraction(acc, common * q_pow)
 
 
 MAX_CHARPOLY_DIM = 12
@@ -259,7 +313,10 @@ MAX_CHARPOLY_DIM = 12
 
 def char_poly(m) -> CharPoly:
     """Exact characteristic polynomial by the Faddeev-LeVerrier recurrence
-    over rationals (dimension capped at desk scale)."""
+    (dimension capped at desk scale).  The recurrence runs in integers on
+    D*M, D the least common denominator of the entries; every division of
+    a trace by k is checked to be exact, and the coefficient c_i of
+    det(xI - D*M) becomes c_i / D^(n-i) of det(xI - M)."""
     rows = [[Fraction(x) for x in row] for row in m]
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -268,30 +325,30 @@ def char_poly(m) -> CharPoly:
         raise ValueError(f"dimension {n} above cap {MAX_CHARPOLY_DIM}")
     if n == 0:
         return CharPoly((Fraction(1),))
-    ident = [
-        [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-        for i in range(n)
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    ints = [
+        [x.numerator * (scale // x.denominator) for x in row] for row in rows
     ]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    work = [row[:] for row in ident]
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    work = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        # work <- M @ work
-        prod = [
-            [
-                sum(rows[i][t] * work[t][j] for t in range(n))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        trace = sum(prod[i][i] for i in range(n))
-        c = -trace / k
+        # work <- (D*M) @ work
+        cols = list(zip(*work))
+        prod = [[sum(map(mul, row, col)) for col in cols] for row in ints]
+        c, rem = divmod(-sum(prod[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError(
+                f"trace of step {k} not divisible by {k}; integer "
+                "Faddeev-LeVerrier invariant broken"
+            )
         coeffs[n - k] = c
-        work = [
-            [prod[i][j] + (c if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-    return CharPoly(tuple(coeffs))
+        for i in range(n):
+            prod[i][i] += c
+        work = prod
+    return CharPoly(
+        tuple(Fraction(c, scale ** (n - i)) for i, c in enumerate(coeffs))
+    )
 
 
 def bracket_largest_root(

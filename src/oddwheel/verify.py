@@ -473,7 +473,9 @@ def fact1_bound(k: int, n: int) -> float:
 def verify_fact1(k: int, n: int, tol: float = 1e-10) -> VerificationReport:
     """Finite-n observation: the constructed candidate's radius exceeds
     the lower bound the asymptotic argument relies on.  An n whose side
-    |L| is smaller than the smallest U member (k vertices) is rejected."""
+    |L| is smaller than the smallest U member (k vertices) is rejected,
+    and so is one where no candidate exists (a (k-1)-regular filler or a
+    core component that cannot be built), with k and n named."""
     params = {"k": k, "n": n}
     left = auto_left_sizes(n, k)[0]
     if left < k:
@@ -481,11 +483,18 @@ def verify_fact1(k: int, n: int, tol: float = 1e-10) -> VerificationReport:
             f"fact-1 needs a side of at least k={k} vertices; n={n} gives "
             f"|L|={left}"
         )
-    if k % 2 == 0 and n % 4 == 2:
-        inner = standard_member(V_KIND, k, n // 2)
-        g = spex_candidate(CandidateSpec(n, k, 0, inner, True))
-    else:
-        g = bipartite_candidate(n, left, standard_member(U_KIND, k, left), True)
+    try:
+        if k % 2 == 0 and n % 4 == 2:
+            inner = standard_member(V_KIND, k, n // 2)
+            g = spex_candidate(CandidateSpec(n, k, 0, inner, True))
+        else:
+            g = bipartite_candidate(
+                n, left, standard_member(U_KIND, k, left), True
+            )
+    except ValueError as exc:
+        raise ValueError(
+            f"fact-1 has no candidate at k={k}, n={n}: {exc}"
+        ) from exc
     res = spectral_radius(g, tol)
     bound = fact1_bound(k, n)
     evidence = {

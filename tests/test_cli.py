@@ -266,6 +266,12 @@ def test_verify_too_small_n_is_usage_error(capsys, argv, named):
     assert code == 2 and out == "" and named in err
 
 
+def test_verify_fact1_without_a_candidate_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "fact-1", "--k", "3", "--n", "9")
+    assert code == 2 and out == ""
+    assert "k=3, n=9:" in err
+
+
 def test_info(capsys):
     code, out, _ = run_cli(capsys, "info")
     assert code == 0

@@ -267,3 +267,113 @@ def test_core_quotient_note_mentions_computed_entry():
 
     note = core_quotient_note(6)
     assert "2" in note and "k-4" in note
+
+
+@pytest.mark.parametrize("n", [22, 102, 402])
+def test_claim1_quotients_certified_by_dense_pair(n):
+    # both quotients certify without iteration, and each radius lies in
+    # the exact bracket of its characteristic polynomial widened by the
+    # radius bound sqrt(c * n) * tol of a c-class quotient
+    tol = 1e-10
+    res = claim1_comparison(4, n)
+    for m in (res.matrix1, res.matrix2):
+        got = matrix_radius(m, tol)
+        assert got.iterations == 0
+        assert got.residual <= tol
+        assert max(got.perron) == 1.0 and min(got.perron) > 0
+        lo, hi = bracket_largest_root(
+            char_poly(m), got.radius, Fraction(1, 10**14)
+        )
+        slack = Fraction(math.sqrt(len(m) * n) * tol)
+        assert lo - slack <= Fraction(got.radius) <= hi + slack
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_matrix_radius_cyclic_permutation(order):
+    # eigenvalues are the order-th roots of unity, complex from order 3
+    m = [[int(j == (i + 1) % order) for j in range(order)] for i in range(order)]
+    res = matrix_radius(m)
+    assert res.radius == pytest.approx(1.0, abs=1e-12)
+    assert res.residual <= 1e-10
+    assert res.perron == pytest.approx((1.0,) * order, abs=1e-12)
+
+
+def test_matrix_radius_falls_back_to_iteration():
+    # no dense pair meets tol=1e-300, so power iteration runs and its
+    # budget of 3 steps is exhausted
+    m = claim1_comparison(4, 22).matrix2
+    assert len(m) == 3
+    with pytest.raises(SpectralError, match="budget 3 exhausted"):
+        matrix_radius(m, tol=1e-300, max_iter=3)
+
+
+def reference_char_poly(m):
+    """The rational Faddeev-LeVerrier recurrence, entry by entry in
+    Fraction arithmetic."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    n = len(rows)
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    work = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        prod = [
+            [sum(rows[i][t] * work[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        c = -sum(prod[i][i] for i in range(n)) / k
+        coeffs[n - k] = c
+        work = [
+            [prod[i][j] + (c if i == j else 0) for j in range(n)]
+            for i in range(n)
+        ]
+    return tuple(coeffs)
+
+
+def reference_evaluate(coefficients, x):
+    acc = Fraction(0)
+    for c in reversed(coefficients):
+        acc = acc * x + c
+    return acc
+
+
+def random_rational_matrix(rng, n):
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        if rng.random() < 0.5:
+            return rng.randint(-6, 9)
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def test_char_poly_matches_sympy_and_rational_recurrence():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(41)
+    for n in range(1, 13):
+        for _ in range(3 if n <= 8 else 1):
+            m = random_rational_matrix(rng, n)
+            got = char_poly(m).coefficients
+            assert all(type(c) is Fraction for c in got)
+            assert got == reference_char_poly(m)
+            poly = sympy.Matrix(
+                [[sympy.Rational(x.numerator, x.denominator)
+                  for x in map(Fraction, row)] for row in m]
+            ).charpoly()
+            want = tuple(
+                Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())
+            )
+            assert got == want
+
+
+def test_evaluate_matches_rational_horner():
+    rng = random.Random(43)
+    for _ in range(60):
+        m = random_rational_matrix(rng, rng.randint(1, 7))
+        cp = char_poly(m)
+        for _ in range(5):
+            x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+            got = cp.evaluate(x)
+            assert type(got) is Fraction
+            assert got == reference_evaluate(cp.coefficients, x)
+        assert cp.evaluate(3) == reference_evaluate(cp.coefficients, Fraction(3))

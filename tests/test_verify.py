@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -156,6 +157,50 @@ def test_fact1_rejects_n_below_the_member_minimum():
         with pytest.raises(ValueError, match=f"n={n} "):
             verify_fact1(k, n)
     assert verify_fact1(3, 5).outcome == "PASS"
+
+
+@pytest.mark.parametrize(
+    "k, n",
+    [(2, 2), (2, 3)]
+    + [(2, n) for n in range(5, 31) if n % 4 in (1, 2)]
+    + [(3, 9), (3, 10), (4, 14), (5, 17), (5, 18), (6, 18), (6, 22)],
+)
+def test_fact1_without_a_candidate_names_k_and_n(k, n):
+    # |L| >= k holds here, but no candidate can be built at this (k, n)
+    with pytest.raises(ValueError, match=rf"k={k}, n={n}:"):
+        verify_fact1(k, n)
+
+
+# sha256 of the sorted-key JSON of the claim-1 report's outcome,
+# parameters, per-n exact signs and first violation at k=4 over
+# n = 22, 26, ..., 402; CLAIM1_K4_RADII holds each n's radius1 and
+# radius2 as recorded with power iteration.
+GOLDEN_CLAIM1_K4 = (
+    "4a53b956254989d16bcd5968b3b0df0966ef587555cb878540751e860f33aa57"
+)
+CLAIM1_K4_RADII = json.loads(
+    (Path(__file__).parent / "claim1_k4_radii.json").read_text()
+)
+
+
+def test_claim1_k4_golden():
+    report = verify_claim1(4, range(22, 403, 4)).to_dict()
+    rows = report["evidence"]["comparisons"]
+    exact = {
+        "outcome": report["outcome"],
+        "parameters": report["parameters"],
+        "sign_at_root": [[r["n"], r["sign_at_root"]] for r in rows],
+        "first_violation": report["evidence"].get("first_violation"),
+    }
+    text = json.dumps(exact, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CLAIM1_K4
+    assert [r["n"] for r in rows] == [int(n) for n in CLAIM1_K4_RADII]
+    for r in rows:
+        # the radius bounds of a 6- and a 3-class quotient at tol 1e-10
+        n = r["n"]
+        radius1, radius2 = CLAIM1_K4_RADII[str(n)]
+        assert abs(r["radius1"] - radius1) <= math.sqrt(6 * n) * 1e-10
+        assert abs(r["radius2"] - radius2) <= math.sqrt(3 * n) * 1e-10
 
 
 def test_claim1_report_contents():
