@@ -3,13 +3,16 @@
 from oddwheel.graphs import (
     Component,
     DegreeClassification,
+    EquitablePartition,
     Graph,
     GraphError,
     build_graph,
+    certify_equitable,
     classify_degrees,
     complement,
     components,
     disjoint_union,
+    equitable_partition,
     is_connected,
     join,
 )

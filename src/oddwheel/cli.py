@@ -254,7 +254,9 @@ def _cmd_spectral(args) -> int:
 
 def _cmd_walks(args) -> int:
     g = _read_graph(args.graph)
-    levels = args.max_walk or 2 * max(g.order, 1)
+    levels = args.max_walk
+    if levels is None:
+        levels = 2 * max(g.order, 1)
     profile = walk_profile(g, levels)
     if args.format == "json":
         text = json.dumps(

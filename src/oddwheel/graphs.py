@@ -241,3 +241,75 @@ def classify_degrees(g: Graph) -> DegreeClassification:
         is_nearly_regular=nearly,
         deficient_vertex=deficient[0] if nearly else None,
     )
+
+
+class EquitablePartition(NamedTuple):
+    """A vertex partition in which every vertex of cell i has exactly
+    quotient[i][j] neighbours in cell j (Godsil & Royle, Algebraic Graph
+    Theory, ch. 9)."""
+
+    cells: tuple[int, ...]  # vertex mask of each cell
+    cell_of: tuple[int, ...]  # cell index of each vertex
+    quotient: tuple[tuple[int, ...], ...]
+
+
+def equitable_partition(g: Graph) -> EquitablePartition:
+    """The coarsest equitable partition, by colour refinement.
+
+    Starting from the one-cell colouring, every round splits each cell by
+    its vertices' neighbour counts into the current cells, until no cell
+    splits.  New cells are ordered by (parent cell, count row), both
+    invariants, so the cell order and the quotient do not depend on the
+    vertex labelling.  Callers certify the result with `certify_equitable`
+    before they rely on it.
+    """
+    if g.order == 0:
+        return EquitablePartition((), (), ())
+    rows = g.rows
+    cells = [(1 << g.order) - 1]
+    cell_of = [0] * g.order
+    while True:
+        # Signature of v: (its cell, its neighbour count in each cell).
+        sigs = list(zip(
+            cell_of, *[[(r & c).bit_count() for r in rows] for c in cells]
+        ))
+        keys = sorted(set(sigs))
+        if len(keys) == len(cells):
+            break
+        index = {key: i for i, key in enumerate(keys)}
+        cell_of = [index[s] for s in sigs]
+        cells = [0] * len(keys)
+        for v, i in enumerate(cell_of):
+            cells[i] |= 1 << v
+    # No cell split, so keys[i] is the one signature of cell i.
+    return EquitablePartition(
+        tuple(cells), tuple(cell_of), tuple(key[1:] for key in keys)
+    )
+
+
+def certify_equitable(g: Graph, part: EquitablePartition) -> None:
+    """Check exactly that `part` partitions the vertices of g, with
+    cell_of and the cell masks in agreement and no cell empty, and that
+    every vertex has its cell's row of neighbour counts; raise GraphError
+    otherwise."""
+    cells, cell_of, q = part
+    c = len(cells)
+    if len(cell_of) != g.order or len(q) != c or any(len(r) != c for r in q):
+        raise GraphError("partition shape does not match the graph")
+    masks = [0] * c
+    for v, i in enumerate(cell_of):
+        if not 0 <= i < c:
+            raise GraphError(f"vertex {v} has no cell")
+        masks[i] |= 1 << v
+    if masks != list(cells) or not all(masks):
+        raise GraphError("cell masks disagree with cell_of or a cell is empty")
+    for j, mask in enumerate(cells):
+        want = [row[j] for row in q]
+        got = [(r & mask).bit_count() for r in g.rows]
+        if got != [want[i] for i in cell_of]:
+            v = next(v for v, i in enumerate(cell_of) if got[v] != want[i])
+            raise GraphError(
+                f"partition is not equitable: vertex {v} has {got[v]} "
+                f"neighbours in cell {j}, its cell's row says "
+                f"{want[cell_of[v]]}"
+            )

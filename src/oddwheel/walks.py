@@ -4,6 +4,13 @@ selection over finite families.
 All counts are exact Python integers: totals grow like radius**level and
 overflow any fixed width well inside desk scale, and the lexicographic
 order the selection rests on does not survive a single rounding.
+
+Counts run on the coarsest equitable partition of the graph
+(`graphs.equitable_partition`), certified exactly before use: the number
+of walks from a vertex is constant on each cell, so with c cells and
+integer quotient Q, level l costs the nonzero entries of Q (at most c**2)
+big-integer products, W^l = s^T Q^l 1 with s the cell sizes, instead of
+one addition per edge end (Godsil & Royle, Algebraic Graph Theory, ch. 9).
 """
 
 from __future__ import annotations
@@ -11,7 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from oddwheel.graphs import Graph, bits_of, classify_degrees, components
+from oddwheel.graphs import (
+    EquitablePartition,
+    Graph,
+    bits_of,
+    certify_equitable,
+    classify_degrees,
+    components,
+    equitable_partition,
+)
 
 
 @dataclass(frozen=True)
@@ -37,30 +52,53 @@ class OrderResult:
     witness_level: int | None
 
 
+def _cell_walks(
+    g: Graph, part: EquitablePartition, levels: int
+) -> list[list[int]]:
+    """Walk counts per cell: entry [l-1][i] is the number of walks of
+    length l starting at any vertex of cell i.
+
+    The partition is certified equitable first.  Then a vertex of cell i
+    has quotient[i][j] neighbours in each cell j, so by induction on l its
+    count is sum_j quotient[i][j] * (count of length l-1 from cell j):
+    the same for every vertex of the cell, and exact in Python ints."""
+    if levels < 1:
+        raise ValueError("levels >= 1 required")
+    certify_equitable(g, part)
+    rows = [[(j, q) for j, q in enumerate(row) if q] for row in part.quotient]
+    cur = [1] * len(rows)
+    out = []
+    for _ in range(levels):
+        cur = [sum([q * cur[j] for j, q in row]) for row in rows]
+        out.append(cur)
+    return out
+
+
 def vertex_walks(g: Graph, levels: int) -> list[tuple[int, ...]]:
     """Per-vertex walk counts: entry [l-1][u] is the number of walks of
     length l starting at u (length-1 counts are the degrees)."""
-    if levels < 1:
-        raise ValueError("levels >= 1 required")
-    nbrs = [tuple(bits_of(r)) for r in g.rows]
-    cur = [1] * g.order
-    out = []
-    for _ in range(levels):
-        cur = [sum([cur[v] for v in nb]) for nb in nbrs]
-        out.append(tuple(cur))
-    return out
+    part = equitable_partition(g)
+    return [
+        tuple([row[i] for i in part.cell_of])
+        for row in _cell_walks(g, part, levels)
+    ]
 
 
 def walk_profile(g: Graph, levels: int) -> WalkProfile:
     """Graph totals W^1..W^levels, cross-checked through the splitting
-    identity W^l = sum_u w^i(u) * w^(l-i)(u) at i = l // 2."""
-    table = vertex_walks(g, levels)
-    counts = tuple(sum(row) for row in table)
+    identity W^l = sum_u w^i(u) * w^(l-i)(u) at i = l // 2, both summed
+    over the cells of the coarsest equitable partition weighted by cell
+    size."""
+    part = equitable_partition(g)
+    table = _cell_walks(g, part, levels)
+    sizes = [cell.bit_count() for cell in part.cells]
+    counts = tuple(sum([s * w for s, w in zip(sizes, row)]) for row in table)
     for level in range(2, levels + 1):
         i = level // 2
-        split = sum(
-            table[i - 1][u] * table[level - i - 1][u] for u in range(g.order)
-        )
+        split = sum([
+            s * a * b
+            for s, a, b in zip(sizes, table[i - 1], table[level - i - 1])
+        ])
         if split != counts[level - 1]:
             raise RuntimeError(
                 f"walk count self-check failed at level {level}: "

@@ -84,6 +84,17 @@ def test_walks_csv(tmp_path, capsys):
     assert out.splitlines() == ["level,count", "1,6", "2,12", "3,24"]
 
 
+@pytest.mark.parametrize("command", ["walks", "compare"])
+@pytest.mark.parametrize("max_walk", ["0", "-1"])
+def test_max_walk_below_one_is_usage_error(tmp_path, capsys, command, max_walk):
+    # an explicit --max-walk 0 is rejected, not replaced by the default 2n
+    path = tmp_path / "c5.g6"
+    path.write_text(encode_graph6(primitive("cycle", 5)) + "\n")
+    graphs = [str(path)] * (2 if command == "compare" else 1)
+    code, out, err = run_cli(capsys, command, *graphs, "--max-walk", max_walk)
+    assert code == 2 and out == "" and "levels >= 1 required" in err
+
+
 def test_compare_equiv(tmp_path, capsys):
     a = tmp_path / "a.g6"
     b = tmp_path / "b.g6"

@@ -3,12 +3,15 @@ import random
 import pytest
 
 from oddwheel.graphs import (
+    EquitablePartition,
     GraphError,
     build_graph,
+    certify_equitable,
     classify_degrees,
     complement,
     components,
     disjoint_union,
+    equitable_partition,
     is_connected,
     join,
 )
@@ -157,3 +160,216 @@ def test_graph_immutability():
     assert g.edge_count == 4 and g2.edge_count == 5
     with pytest.raises(GraphError):
         g.add_edges([(0, 1)])
+
+
+def relabel(g, perm):
+    return build_graph(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def path_graph(n):
+    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star(m):
+    return build_graph(m + 1, [(0, i) for i in range(1, m + 1)])
+
+
+def complete_bipartite(a, b):
+    return build_graph(
+        a + b, [(u, a + v) for u in range(a) for v in range(b)]
+    )
+
+
+PETERSEN = build_graph(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
+
+
+def assert_equitable(g, part):
+    """Check equitability from neighbour lists, independently of
+    certify_equitable."""
+    cell_sets = [set(
+        v for v in range(g.order) if (mask >> v) & 1) for mask in part.cells
+    ]
+    assert sorted(v for cs in cell_sets for v in cs) == list(range(g.order))
+    for i, cs in enumerate(cell_sets):
+        assert cs, "empty cell"
+        for v in cs:
+            assert part.cell_of[v] == i
+            for j, other in enumerate(cell_sets):
+                count = sum(1 for w in g.neighbors(v) if w in other)
+                assert count == part.quotient[i][j]
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def is_equitable(g, blocks):
+    for block in blocks:
+        for other in blocks:
+            mask = sum(1 << w for w in other)
+            if len({(g.rows[v] & mask).bit_count() for v in block}) != 1:
+                return False
+    return True
+
+
+def test_equitable_partition_is_equitable():
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(0, 40)
+        g = random_graph(rng, n, rng.choice([0.05, 0.15, 0.5, 0.9]))
+        part = equitable_partition(g)
+        assert_equitable(g, part)
+        certify_equitable(g, part)
+
+
+@pytest.mark.parametrize(
+    "g, cells",
+    [
+        (build_graph(0, []), 0),
+        (build_graph(1, []), 1),
+        (primitive("empty", 5), 1),
+        (primitive("complete", 6), 1),
+        (primitive("cycle", 9), 1),
+        (primitive("matching", 8), 1),
+        (PETERSEN, 1),
+        (complete_bipartite(3, 3), 1),
+        (complete_bipartite(2, 5), 2),
+        (complete_bipartite(7, 1), 2),
+        (star(1), 1),
+        (star(2), 2),
+        (star(6), 2),
+        (path_graph(2), 1),
+        (path_graph(3), 2),
+        (path_graph(8), 4),
+        (path_graph(9), 5),
+    ],
+)
+def test_equitable_partition_cell_counts(g, cells):
+    part = equitable_partition(g)
+    assert len(part.cells) == cells
+    assert_equitable(g, part)
+
+
+def test_equitable_partition_quotients_of_known_graphs():
+    assert equitable_partition(build_graph(0, [])) == EquitablePartition(
+        (), (), ()
+    )
+    assert equitable_partition(PETERSEN).quotient == ((3,),)
+    assert equitable_partition(complete_bipartite(2, 5)).quotient == (
+        (0, 2),
+        (5, 0),
+    )
+    assert equitable_partition(star(4)).quotient == ((0, 1), (4, 0))
+    # P_n: the cells are the mirror pairs {i, n-1-i}
+    for n in range(2, 12):
+        part = equitable_partition(path_graph(n))
+        assert len(part.cells) == (n + 1) // 2
+        assert all(
+            part.cell_of[i] == part.cell_of[n - 1 - i] for i in range(n)
+        )
+
+
+def test_equitable_partition_is_the_coarsest():
+    # the coarsest equitable partition is the unique one with fewest cells
+    # among all set partitions (every equitable partition refines it)
+    rng = random.Random(12)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        g = random_graph(rng, n, rng.random())
+        fewest = None
+        best = []
+        for blocks in set_partitions(list(range(n))):
+            if not is_equitable(g, blocks):
+                continue
+            if fewest is None or len(blocks) < fewest:
+                fewest, best = len(blocks), []
+            if len(blocks) == fewest:
+                best.append({frozenset(b) for b in blocks})
+        assert len(best) == 1
+        part = equitable_partition(g)
+        got = {
+            frozenset(v for v in range(n) if (m >> v) & 1) for m in part.cells
+        }
+        assert got == best[0]
+
+
+def test_equitable_partition_is_labelling_invariant():
+    rng = random.Random(13)
+    for _ in range(30):
+        n = rng.randint(1, 90)
+        g = random_graph(rng, n, rng.choice([0.03, 0.1, 0.3]))
+        part = equitable_partition(g)
+        sizes = sorted(m.bit_count() for m in part.cells)
+        quotient_rows = sorted(part.quotient)
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            other = equitable_partition(relabel(g, perm))
+            assert sorted(m.bit_count() for m in other.cells) == sizes
+            assert sorted(other.quotient) == quotient_rows
+            # cells are ordered by invariants, so the quotient is identical
+            # and each vertex keeps its cell index
+            assert other.quotient == part.quotient
+            assert all(
+                other.cell_of[perm[v]] == part.cell_of[v] for v in range(n)
+            )
+
+
+def test_equitable_partition_above_64_vertices():
+    assert len(equitable_partition(primitive("cycle", 100)).cells) == 1
+    assert len(equitable_partition(path_graph(101)).cells) == 51
+    assert len(equitable_partition(complete_bipartite(40, 50)).cells) == 2
+    g = disjoint_union([PETERSEN] * 7 + [star(20)])
+    part = equitable_partition(g)
+    assert g.order == 91 and len(part.cells) == 3
+    assert_equitable(g, part)
+    rng = random.Random(14)
+    for n in (65, 100, 130):
+        g = random_graph(rng, n, 0.05)
+        assert_equitable(g, equitable_partition(g))
+
+
+def test_certify_equitable_rejects():
+    g = path_graph(4)  # cells {0, 3} and {1, 2}
+    good = equitable_partition(g)
+    certify_equitable(g, good)
+    bad = [
+        # a wrong quotient entry
+        good._replace(quotient=((0, 1), (1, 0))),
+        # the discrete partition of the wrong graph
+        EquitablePartition(
+            (1, 2, 4, 8), (0, 1, 2, 3),
+            ((0, 1, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 0, 1)),
+        ),
+        # one cell: not equitable, the degrees differ
+        EquitablePartition((15,), (0, 0, 0, 0), ((1,),)),
+        # cell_of disagrees with the masks
+        good._replace(cell_of=(0, 0, 1, 1)),
+        # overlapping cells
+        good._replace(cells=(0b1001, 0b0111)),
+        # an empty cell
+        EquitablePartition(
+            (good.cells[0], good.cells[1], 0), good.cell_of,
+            ((0, 1, 0), (1, 1, 0), (0, 0, 0)),
+        ),
+        # a vertex with no cell
+        good._replace(cell_of=(0, 1, 1, 2)),
+        # shapes that do not match
+        good._replace(cell_of=(0, 1, 1)),
+        good._replace(quotient=((0, 1),)),
+    ]
+    for part in bad:
+        with pytest.raises(GraphError):
+            certify_equitable(g, part)

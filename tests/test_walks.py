@@ -1,12 +1,31 @@
+import hashlib
 import random
 
 import pytest
 
 from oddwheel.enumerate import graph_code
-from oddwheel.families import FamilySpec, core_component, enumerate_family, primitive
-from oddwheel.graphs import build_graph, classify_degrees, disjoint_union
+from oddwheel.families import (
+    V_KIND,
+    CandidateSpec,
+    FamilySpec,
+    core_component,
+    enumerate_family,
+    primitive,
+    spex_candidate,
+    standard_member,
+)
+from oddwheel.graphs import (
+    EquitablePartition,
+    GraphError,
+    bits_of,
+    build_graph,
+    classify_degrees,
+    disjoint_union,
+    equitable_partition,
+)
 from oddwheel.walks import (
     Relation,
+    _cell_walks,
     closed_form_profile,
     default_horizon,
     ex_infinity,
@@ -38,6 +57,86 @@ def brute_walk_count(g, u, length):
     for v in g.neighbors(u):
         total += brute_walk_count(g, v, length - 1)
     return total
+
+
+def reference_vertex_walks(g, levels):
+    """Per-vertex walk counts by one addition per edge end and level."""
+    nbrs = [tuple(bits_of(r)) for r in g.rows]
+    cur = [1] * g.order
+    out = []
+    for _ in range(levels):
+        cur = [sum([cur[v] for v in nb]) for nb in nbrs]
+        out.append(tuple(cur))
+    return out
+
+
+def relabel(g, perm):
+    return build_graph(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_walks_match_the_per_vertex_reference():
+    rng = random.Random(21)
+    for trial in range(200):
+        # a few random pieces, some edgeless, in shuffled labels: the
+        # graphs are often disconnected and have isolated vertices
+        pieces = []
+        order = rng.randint(0, 130)
+        while order > 0:
+            m = rng.randint(1, order)
+            p = rng.choice([0.0, 2 / max(m, 1), 0.1, 0.5])
+            pieces.append(random_graph(rng, m, p))
+            order -= m
+        g = disjoint_union(pieces) if pieces else build_graph(0, [])
+        perm = list(range(g.order))
+        rng.shuffle(perm)
+        g = relabel(g, perm)
+        levels = rng.randint(1, 2 * g.order + 2 if trial % 10 == 0 else 12)
+        want = reference_vertex_walks(g, levels)
+        assert vertex_walks(g, levels) == want
+        assert walk_profile(g, levels).counts == tuple(sum(r) for r in want)
+
+
+# sha256 of the per-vertex counts and of the totals of the n=202, k=4
+# balanced candidate at L=404, recorded with the per-vertex loop.
+CANDIDATE_TABLE_SHA = (
+    "908284153f61fec1d17bcf5ba1a79edcc74cd6fb7cdd4325e08a0eaf1623ac84"
+)
+CANDIDATE_PROFILE_SHA = (
+    "5b4e1a1627c32aed4c699b80089b09f4ee32ab244bf906de852fd8cb9e2f962c"
+)
+
+
+def test_candidate_walks_are_unchanged_under_relabelling():
+    n, levels = 202, 404
+    g = spex_candidate(
+        CandidateSpec(n, 4, 0, standard_member(V_KIND, 4, n // 2), True)
+    )
+    rng = random.Random(22)
+    for _ in range(3):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        table = vertex_walks(relabel(g, perm), levels)
+        # back to the labels of g: vertex u of g is perm[u]
+        table = [[row[perm[u]] for u in range(n)] for row in table]
+        text = "\n".join(",".join(map(str, row)) for row in table)
+        assert hashlib.sha256(text.encode()).hexdigest() == CANDIDATE_TABLE_SHA
+        counts = walk_profile(relabel(g, perm), levels).counts
+        text = ",".join(map(str, counts))
+        assert hashlib.sha256(text.encode()).hexdigest() == CANDIDATE_PROFILE_SHA
+
+
+def test_walk_step_rejects_a_non_equitable_partition():
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    part = equitable_partition(g)
+    assert _cell_walks(g, part, 3) == [[1, 2], [2, 3], [3, 5]]
+    with pytest.raises(GraphError):
+        # one cell for P_4, whose degrees differ
+        _cell_walks(g, EquitablePartition((15,), (0, 0, 0, 0), ((2,),)), 3)
+    with pytest.raises(GraphError):
+        # the right cells with a wrong quotient
+        _cell_walks(g, part._replace(quotient=((1, 1), (1, 1))), 3)
+    with pytest.raises(ValueError):
+        _cell_walks(g, part, 0)
 
 
 def test_k3_profile():
