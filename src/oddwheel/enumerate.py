@@ -1,19 +1,35 @@
 """Isomorph-free exhaustive graph enumeration (canonical augmentation).
 
 Graphs are generated by adding one vertex at a time.  Each graph has one
-canonical deletion vertex: the highest-labelled vertex of maximum degree
-in its canonical copy.  A child built from a parent by attaching a new
-vertex v is kept only when deleting v leaves the same canonical form as
-deleting the canonical deletion vertex.  Children of one parent are
-deduped by canonical form; across parents the deletion rule guarantees
-each isomorphism class appears exactly once, because accepted parents
-are forced isomorphic to the child's canonical-deletion graph.
+canonical deletion vertex: in its canonical copy, the highest-labelled
+vertex among those whose key is maximal.  The key of a vertex v
+(`_vertex_key`) is
 
-A child whose new vertex has lower degree than some other vertex of the
-child is skipped before it is canonicalized: it can never pass the
-deletion test.  G-u and G-v isomorphic forces deg u = deg v (the two
-graphs have |E|-deg u and |E|-deg v edges), and the canonical deletion
-vertex has maximum degree.
+    (deg v, the degrees of v's neighbours in descending order,
+     the number of triangles through v).
+
+A child built from a parent by attaching a new vertex v is kept only when
+deleting v leaves the same canonical form as deleting the canonical
+deletion vertex.  Children of one parent are deduped by canonical form;
+across parents the deletion rule guarantees each isomorphism class
+appears exactly once, because accepted parents are forced isomorphic to
+the child's canonical-deletion graph.
+
+The key is deletion-invariant: G-u isomorphic to G-v forces equal keys,
+because each part is f(G) - f(G-v) for an isomorphism invariant f, the
+step behind Kelly's lemma (the copies of a subgraph through v are its
+copies in G less those in G-v):
+- deg v is |E(G)| - |E(G-v)|;
+- the neighbour degrees follow from the degree sequences of G and G-v:
+  deleting v drops deg v and lowers each neighbour's degree by one, so
+  the number of neighbours of each degree is solved for from the highest
+  degree down;
+- the triangles through v are the triangles of G less those of G-v.
+So a child can pass the deletion test only when its new vertex has the
+maximal key, and every other child is skipped before it is
+canonicalized.  When the new vertex is the only vertex of maximal key it
+is the canonical deletion vertex, deleting it gives back the parent, and
+the child is kept without the deletion test.
 
 Degree-constrained enumeration (regular and one-deficient-vertex targets)
 prunes partial graphs that cannot reach the target: the prune conditions
@@ -25,7 +41,7 @@ rule picks.  That is what completeness requires.
 from __future__ import annotations
 
 from oddwheel import kernels
-from oddwheel.graphs import Graph, components, is_connected
+from oddwheel.graphs import Graph, bits_of, components, is_connected
 
 
 class BudgetExceededError(RuntimeError):
@@ -73,16 +89,30 @@ def union_code(piece_codes: list[bytes]) -> bytes:
     return kernels.pack_code(offset, rows)
 
 
-def _deletion_code(child_code: bytes) -> bytes:
-    """Canonical form after deleting the canonical deletion vertex, the
-    highest-labelled vertex of maximum degree in the canonical copy.
+def _vertex_key(rows: list[int], v: int, degs: list[int]) -> tuple:
+    """Deletion-invariant key of v: its degree, its neighbours' degrees in
+    descending order and the number of triangles through it.  Vertices u
+    and v with G-u isomorphic to G-v have equal keys (module docstring)."""
+    nbrs = rows[v]
+    ws = list(bits_of(nbrs))
+    return (
+        degs[v],
+        sorted([degs[w] for w in ws], reverse=True),
+        sum([(rows[w] & nbrs).bit_count() for w in ws]) // 2,
+    )
 
-    The choice is isomorphism-invariant, so each class has exactly one
-    canonical parent class.  A child passes the deletion test only if its
-    new vertex v has G-v isomorphic to G-u for this vertex u, which forces
-    deg v = deg u, the maximum (G-v has |E|-deg v edges); so `_children`
-    skips, before canonicalizing, every child whose new vertex is not of
-    maximum degree.  Completeness still holds: a class is reached once its
+
+def _deletion_code(child_code: bytes) -> bytes:
+    """Canonical form after deleting the canonical deletion vertex: in the
+    canonical copy, the highest-labelled vertex among those of maximal
+    `_vertex_key`.
+
+    The key is an isomorphism invariant of the vertex, so the choice is
+    too, and each class has exactly one canonical parent class.  A child
+    passes the deletion test only if its new vertex v has G-v isomorphic
+    to G-u for this vertex u, which forces equal keys, so `_children`
+    skips, before canonicalizing, every child whose new vertex's key is
+    not maximal.  Completeness still holds: a class is reached once its
     canonical parent is, and the degree-constrained prune holds on every
     induced subgraph of a valid final graph, canonical parents included.
     Cached: the value depends on the class alone.
@@ -91,7 +121,11 @@ def _deletion_code(child_code: bytes) -> bytes:
     if k is None:
         n, rows = kernels.code_to_rows(child_code)
         degs = [r.bit_count() for r in rows]
-        u = n - 1 - degs[::-1].index(max(degs))
+        top = max(degs)
+        u = max(
+            (v for v in range(n) if degs[v] == top),
+            key=lambda v: (_vertex_key(rows, v, degs), v),
+        )
         low = (1 << u) - 1
         sub = [(r & low) | ((r >> 1) & ~low) for i, r in enumerate(rows) if i != u]
         k = kernels.canon_code(n - 1, sub)
@@ -122,9 +156,12 @@ def _children(
     n, rows = kernels.code_to_rows(parent_code)
     rows = list(rows)
     allowed = allowed_mask_fn(n, rows)
-    # The new vertex must end with maximum degree to be the canonical
-    # deletion vertex: above the parent's top degree, or equal to it
-    # while missing every top-degree vertex.
+    # The new vertex must end with the maximal key to be the canonical
+    # deletion vertex.  Its degree is the key's first part: above the
+    # parent's top degree, or equal to it while missing every top-degree
+    # vertex.  Then its key must be at least that of every other vertex
+    # of its degree; when it is strictly the largest, deleting the new
+    # vertex is the canonical deletion and gives back the parent.
     degs = [r.bit_count() for r in rows]
     top = max(degs)
     top_mask = sum(1 << v for v in range(n) if degs[v] == top)
@@ -141,11 +178,22 @@ def _children(
             budget.spend()
             deg = s.bit_count()
             if deg > top or (deg == top and not s & top_mask):
-                code = kernels.canon_code(n + 1, child)
-                if code not in seen:
-                    seen.add(code)
-                    if _deletion_code(code) == parent_code:
-                        out.append(code)
+                cdegs = [d + ((s >> v) & 1) for v, d in enumerate(degs)]
+                cdegs.append(deg)
+                ties = [v for v in range(n) if cdegs[v] == deg]
+                # 1: the new vertex alone has the maximal key; 0: it shares
+                # it; -1: it cannot be the canonical deletion vertex.
+                rank = 1
+                if ties:
+                    key = _vertex_key(child, n, cdegs)
+                    best = max([_vertex_key(child, v, cdegs) for v in ties])
+                    rank = (key > best) - (key < best)
+                if rank >= 0:
+                    code = kernels.canon_code(n + 1, child)
+                    if code not in seen:
+                        seen.add(code)
+                        if rank or _deletion_code(code) == parent_code:
+                            out.append(code)
         if sub == 0:
             break
         sub = (sub - 1) & allowed

@@ -167,7 +167,9 @@ def verify_walk_lemma(
     trace = ex_infinity_trace(family)
     got = {graph_code(g) for g in trace.survivors}
     want = {graph_code(g) for g in target}
-    profiles = [walk_profile(g, 6).counts for g in family]
+    profiles = trace.profiles
+    if len(profiles[0]) < 6:
+        profiles = [walk_profile(g, 6).counts for g in family]
     w5 = sorted(p[4] for p in profiles)
     w6 = sorted(p[5] for p in profiles)
     evidence = {

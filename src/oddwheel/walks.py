@@ -220,9 +220,14 @@ def walk_compare(g1: Graph, g2: Graph, levels: int | None = None) -> OrderResult
 
 @dataclass(frozen=True)
 class ExInfinityTrace:
+    """Survivors of the selection, the last level at which the survivor
+    set shrank, the survivor count after each level, and the walk totals
+    W^1..W^levels of every family member, in family order."""
+
     survivors: tuple[Graph, ...]
     stabilization_level: int
     survivor_counts: tuple[int, ...]
+    profiles: tuple[tuple[int, ...], ...]
 
 
 def ex_infinity_trace(
@@ -251,6 +256,7 @@ def ex_infinity_trace(
         survivors=tuple(family[i] for i in alive),
         stabilization_level=stabilized,
         survivor_counts=tuple(counts),
+        profiles=tuple(profiles),
     )
 
 

@@ -20,7 +20,7 @@ from oddwheel.enumerate import (
     connected_with_degrees,
     graph_code,
 )
-from oddwheel.graphs import is_connected
+from oddwheel.graphs import build_graph, is_connected
 
 KNOWN_CLASS_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346]
 KNOWN_CUBIC_CONNECTED = {4: 1, 6: 2, 8: 5, 10: 19}
@@ -183,3 +183,67 @@ def test_budget_counts_pruned_children(fresh_caches):
         connected_with_degrees(8, 3, False, budget=CUBIC_8_BUDGET - 1)
     got = connected_with_degrees(8, 3, False, budget=CUBIC_8_BUDGET)
     assert len(got) == KNOWN_CUBIC_CONNECTED[8]
+
+
+def test_vertex_key_is_deletion_invariant():
+    # Vertices u, v with G-u isomorphic to G-v must have equal keys, or
+    # the deletion rule is not a function of the class and the skip in
+    # _children drops children that would pass.
+    for n in range(2, 8):
+        for g in all_graphs(n):
+            rows = list(g.rows)
+            degs = [r.bit_count() for r in rows]
+            by_deck_card = {}
+            for v in range(n):
+                card = graph_code(g.subgraph(u for u in range(n) if u != v))
+                by_deck_card.setdefault(card, []).append(v)
+            for same in by_deck_card.values():
+                keys = [enum_mod._vertex_key(rows, v, degs) for v in same]
+                assert all(k == keys[0] for k in keys), (rows, same, keys)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda: all_graphs(7), lambda: connected_with_degrees(10, 3, False)],
+    ids=["all_graphs_7", "cubic_10"],
+)
+def test_unique_key_children_delete_to_their_parent(
+    fresh_caches, monkeypatch, run
+):
+    # A child whose new vertex alone has the maximal key is kept without
+    # the deletion test; deleting its canonical deletion vertex must still
+    # give back the parent.
+    deletion_code = enum_mod._deletion_code
+    children = enum_mod._children
+    asked = []
+    shortcut = []
+
+    def recording_deletion(code):
+        asked.append(code)
+        return deletion_code(code)
+
+    def recording_children(parent_code, *args):
+        start = len(asked)
+        out = children(parent_code, *args)
+        tested = set(asked[start:])
+        shortcut.extend((parent_code, c) for c in out if c not in tested)
+        return out
+
+    monkeypatch.setattr(enum_mod, "_deletion_code", recording_deletion)
+    monkeypatch.setattr(enum_mod, "_children", recording_children)
+    run()
+    assert shortcut and asked
+    for parent_code, code in shortcut:
+        assert deletion_code(code) == parent_code
+
+
+def test_all_graphs_match_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas = {}
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        atlas.setdefault(n, []).append(graph_code(build_graph(n, h.edges())))
+    for n in range(8):
+        ours = [graph_code(g) for g in all_graphs(n)]
+        assert len(atlas[n]) == len(ours) == KNOWN_CLASS_COUNTS[n]
+        assert set(atlas[n]) == set(ours)

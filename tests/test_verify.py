@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from oddwheel import verify as verify_mod
+from oddwheel import walks
 from oddwheel.families import primitive
 from oddwheel.graphs import build_graph, disjoint_union
 from oddwheel.verify import (
@@ -54,6 +56,37 @@ def test_walk_lemma_pass_and_error():
         verify_walk_lemma(3, 11)
     with pytest.raises(ValueError):
         verify_walk_lemma(4, 16)
+
+
+# sha256 of the report as `oddwheel verify lemma-3.3` prints it, recorded
+# with w5 and w6 from a separate level-6 profile of each member; reading
+# them from the selection's profiles must give the same bytes.
+GOLDEN_WALK_LEMMA = {
+    (3, 13): "a4d6bdc2d52227f535c5188ec5a963609b10c2253a26f5f8f7601e50e92e5040",
+    (3, 17): "f9386fa6b93c23a02be5b0b2bea8dfd747c230c494403d49714d45deb21c6b82",
+    (5, 19): "bf6ff6342cdb2f5ee7f078c2b5c7f070902eb2862e5042426ad6112f95b3b7e0",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_WALK_LEMMA))
+def test_walk_lemma_golden(key):
+    text = verify_walk_lemma(*key).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_WALK_LEMMA[key]
+
+
+def test_walk_lemma_profiles_each_member_once(monkeypatch):
+    calls = []
+    original = walks.walk_profile
+
+    def counting(g, levels):
+        calls.append(levels)
+        return original(g, levels)
+
+    monkeypatch.setattr(walks, "walk_profile", counting)
+    monkeypatch.setattr(verify_mod, "walk_profile", counting)
+    rep = verify_walk_lemma(3, 17)
+    # one profile per member, through the selection horizon 2n
+    assert calls == [34] * rep.evidence["family_size"]
 
 
 def test_one_set_relations():
