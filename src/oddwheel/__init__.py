@@ -43,7 +43,6 @@ from oddwheel.enumerate import (
 )
 from oddwheel.spectral import (
     CharPoly,
-    QuotientSystem,
     SpectralError,
     SpectralResult,
     char_poly,

@@ -344,7 +344,8 @@ def auto_left_sizes(n: int, k: int) -> list[int]:
 def regular_filler(total: int, d: int) -> list[Graph]:
     """Deterministic multiset of connected d-regular circulant components
     with orders in [d+1, 2d] covering `total` vertices (empty list for
-    total 0); raises when no decomposition exists."""
+    total 0); components of equal order are one shared graph.  Raises
+    when no decomposition exists."""
     if total == 0:
         return []
     orders = _regular_component_orders(d)
@@ -360,7 +361,8 @@ def regular_filler(total: int, d: int) -> list[Graph]:
         raise ValueError(
             f"{total} vertices cannot be covered by {d}-regular components"
         )
-    return [circulant(m, d) for m in reach[total]]
+    built = {m: circulant(m, d) for m in set(reach[total])}
+    return [built[m] for m in reach[total]]
 
 
 def standard_member(kind: str, k: int, order: int) -> Graph:

@@ -1,5 +1,5 @@
-"""Spectral radii, Perron vectors, equitable quotients, and exact
-characteristic polynomials.
+"""Spectral radii, Perron vectors, equitable quotients derived by colour
+refinement, and exact characteristic polynomials.
 
 Floating work runs on numpy: graphs are power-iterated; quotient matrices
 take the dense Perron pair of `np.linalg.eig` when its residual meets the
@@ -28,7 +28,14 @@ from oddwheel.families import (
     spex_candidate,
     standard_member,
 )
-from oddwheel.graphs import Graph, components
+from oddwheel.graphs import (
+    EquitablePartition,
+    Graph,
+    _component_mask,
+    certify_equitable,
+    components,
+    equitable_partition,
+)
 
 
 class SpectralError(RuntimeError):
@@ -147,23 +154,12 @@ def _to_float_matrix(m) -> np.ndarray:
 
 
 def _pattern_irreducible(a: np.ndarray) -> bool:
-    n = a.shape[0]
-    pattern = a > 0
-    for start in range(n):
-        seen = np.zeros(n, dtype=bool)
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in np.nonzero(pattern[v])[0]:
-                    if not seen[w]:
-                        seen[w] = True
-                        nxt.append(int(w))
-            frontier = nxt
-        if not seen.all():
-            return False
-    return True
+    """Whether the nonzero pattern of a is strongly connected: with row i
+    as the bitmask of the j where a[i, j] > 0, every start reaches every
+    row."""
+    rows = [sum(1 << int(j) for j in np.flatnonzero(r)) for r in a > 0]
+    full = (1 << len(rows)) - 1
+    return all(_component_mask(rows, s) == full for s in range(len(rows)))
 
 
 def _dense_pair(a: np.ndarray, tol: float):
@@ -230,52 +226,26 @@ def matrix_radius(
     return SpectralResult(lam, perron, residual, iters, note)
 
 
-@dataclass(frozen=True)
-class QuotientSystem:
-    """A vertex partition with its quotient matrix, derived from the graph.
-
-    Entry (i, j) is the number of neighbors in class j of a vertex in
-    class i; when the partition is not equitable the entry is the class
-    average as an exact rational and `equitable` is False.
-    """
-
-    partition: tuple[tuple[int, ...], ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
-    equitable: bool
-
-    def size(self) -> int:
-        return len(self.partition)
-
-
-def quotient(g: Graph, partition) -> QuotientSystem:
-    classes = [tuple(sorted(cls)) for cls in partition]
-    seen: set[int] = set()
-    for cls in classes:
-        if not cls:
-            raise ValueError("empty partition class")
-        for v in cls:
-            if not 0 <= v < g.order or v in seen:
-                raise ValueError("partition must be disjoint and in range")
-            seen.add(v)
-    if len(seen) != g.order:
-        raise ValueError("partition must cover every vertex")
-    masks = []
-    for cls in classes:
-        m = 0
-        for v in cls:
-            m |= 1 << v
-        masks.append(m)
-    matrix = []
-    equitable = True
-    for cls in classes:
-        row = []
-        for mask in masks:
-            counts = [(g.rows[v] & mask).bit_count() for v in cls]
-            if any(c != counts[0] for c in counts):
-                equitable = False
-            row.append(Fraction(sum(counts), len(counts)))
-        matrix.append(tuple(row))
-    return QuotientSystem(tuple(classes), tuple(matrix), equitable)
+def quotient(g: Graph) -> EquitablePartition:
+    """The coarsest equitable partition of g and its integer quotient
+    matrix, derived by colour refinement (`equitable_partition`) and
+    certified exactly.  Entry (i, j) is the number of neighbours in cell
+    j of every vertex of cell i.  Cells are ordered by their lowest
+    vertex, so a constructed candidate's matrix reads in construction
+    order; for the balanced candidate that is the core's single vertex,
+    its matching-complement block, its edge pair, the rest of L, the
+    embedded R edge and the rest of R."""
+    cells, cell_of, q = equitable_partition(g)
+    # a cell's lowest set bit is its lowest vertex
+    order = sorted(range(len(cells)), key=lambda i: cells[i] & -cells[i])
+    rank = {old: new for new, old in enumerate(order)}
+    part = EquitablePartition(
+        tuple(cells[i] for i in order),
+        tuple(rank[i] for i in cell_of),
+        tuple(tuple(q[i][j] for j in order) for i in order),
+    )
+    certify_equitable(g, part)
+    return part
 
 
 @dataclass(frozen=True)
@@ -386,43 +356,18 @@ class Claim1Result:
     n = 2 mod 4: the 6-class matrix of the balanced candidate (radius1)
     against the 3-class matrix of the unbalanced one (radius2), plus the
     exact sign of the first matrix's characteristic polynomial at the
-    second's Perron root.  graph1 and graph2 are the two candidates the
-    matrices were derived from."""
+    second's Perron root.  graph1 and graph2 are the two candidates, and
+    matrix1 and matrix2 their integer quotient matrices as `quotient`
+    derives them (cells in lowest-vertex order)."""
 
     radius1: float
     radius2: float
     sign_at_root: int
     bracket: tuple[Fraction, Fraction] = field(repr=False)
-    matrix1: tuple[tuple[Fraction, ...], ...] = field(repr=False)
-    matrix2: tuple[tuple[Fraction, ...], ...] = field(repr=False)
+    matrix1: tuple[tuple[int, ...], ...] = field(repr=False)
+    matrix2: tuple[tuple[int, ...], ...] = field(repr=False)
     graph1: Graph = field(repr=False)
     graph2: Graph = field(repr=False)
-
-
-def balanced_partition(k: int, n: int) -> list[list[int]]:
-    """Six classes of the balanced candidate with a V-family embedding:
-    the core's single vertex, its matching-complement block, its edge
-    pair, the rest of L, the embedded R edge, the rest of R."""
-    left = n // 2
-    return [
-        [0],
-        list(range(1, k - 1)),
-        [k - 1, k],
-        list(range(k + 1, left)),
-        [left, left + 1],
-        list(range(left + 2, n)),
-    ]
-
-
-def unbalanced_partition(n: int) -> list[list[int]]:
-    """Three classes of the |L| = n/2 + 1 candidate with a regular
-    embedding: L, the embedded R edge, the rest of R."""
-    left = n // 2 + 1
-    return [
-        list(range(left)),
-        [left, left + 1],
-        list(range(left + 2, n)),
-    ]
 
 
 def claim1_comparison(
@@ -441,20 +386,16 @@ def claim1_comparison(
     balanced = spex_candidate(
         CandidateSpec(n, k, 0, standard_member(V_KIND, k, n // 2), True)
     )
-    qs1 = quotient(balanced, balanced_partition(k, n))
-    if not qs1.equitable:
-        raise SpectralError("balanced candidate partition not equitable")
     unbalanced = bipartite_candidate(
         n, n // 2 + 1, standard_member(U_KIND, k, n // 2 + 1), True
     )
-    qs2 = quotient(unbalanced, unbalanced_partition(n))
-    if not qs2.equitable:
-        raise SpectralError("unbalanced candidate partition not equitable")
+    m1 = quotient(balanced).quotient
+    m2 = quotient(unbalanced).quotient
 
-    r1 = matrix_radius(qs1.matrix, tol)
-    r2 = matrix_radius(qs2.matrix, tol)
-    f1 = char_poly(qs1.matrix)
-    f2 = char_poly(qs2.matrix)
+    r1 = matrix_radius(m1, tol)
+    r2 = matrix_radius(m2, tol)
+    f1 = char_poly(m1)
+    f2 = char_poly(m2)
     lo, hi = bracket_largest_root(f2, r2.radius, width)
     v_lo = f1.evaluate(lo)
     v_hi = f1.evaluate(hi)
@@ -469,8 +410,8 @@ def claim1_comparison(
         radius2=r2.radius,
         sign_at_root=sign,
         bracket=(lo, hi),
-        matrix1=qs1.matrix,
-        matrix2=qs2.matrix,
+        matrix1=m1,
+        matrix2=m2,
         graph1=balanced,
         graph2=unbalanced,
     )
@@ -484,8 +425,9 @@ def core_quotient_note(k: int) -> str:
     of k-3 fails the row-sum check against the vertex degrees, so the
     matrix is always derived from the graph.
     """
-    core = core_component(k)
-    inner = (core.rows[1] & sum(1 << i for i in range(1, k - 1))).bit_count()
+    part = quotient(core_component(k))
+    block = part.cell_of[1]
+    inner = part.quotient[block][block]
     return (
         f"matching-complement diagonal entry computed as {inner} (= k-4); "
         "a k-3 entry would contradict the degree row sums"

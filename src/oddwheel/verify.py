@@ -44,7 +44,6 @@ from oddwheel.families import (
 from oddwheel.formats import encode_graph6
 from oddwheel.graphs import Graph, build_graph, join
 from oddwheel.spectral import (
-    balanced_partition,
     claim1_comparison,
     core_quotient_note,
     matrix_radius,
@@ -339,17 +338,13 @@ def verify_spex_structure(
         qmats = set()
         for inner in vfam:
             g = spex_candidate(CandidateSpec(n, k, 0, inner, True))
-            qs = quotient(g, balanced_partition(k, n))
-            qmats.add(qs.matrix)
+            qmats.add(quotient(g).quotient)
             vradii.append(spectral_radius(g, tol).radius)
-            if not qs.equitable:
-                tie_ok = False
-        if vradii and max(vradii) - min(vradii) > 10 * tol:
-            tie_ok = False
-        if len(qmats) > 1:
-            tie_ok = False
+        # The candidates are connected, so each radius is the Perron root
+        # of its equitable quotient: one derived quotient proves the tie.
+        tie_ok = len(qmats) <= 1
         evidence["v_embedded_radii"] = vradii
-        evidence["v_quotients_identical"] = len(qmats) <= 1
+        evidence["v_quotients_identical"] = tie_ok
         notes.append(core_quotient_note(k))
 
     predicted_wins = bool(predicted) and any(

@@ -6,7 +6,7 @@ overflow any fixed width well inside desk scale, and the lexicographic
 order the selection rests on does not survive a single rounding.
 
 Counts run on the coarsest equitable partition of the graph
-(`graphs.equitable_partition`), certified exactly before use: the number
+(`equitable_partition` in graphs.py), certified exactly before use: the number
 of walks from a vertex is constant on each cell, so with c cells and
 integer quotient Q, level l costs the nonzero entries of Q (at most c**2)
 big-integer products, W^l = s^T Q^l 1 with s the cell sizes, instead of

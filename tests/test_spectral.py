@@ -7,6 +7,7 @@ import pytest
 
 from oddwheel.families import (
     CandidateSpec,
+    bipartite_candidate,
     primitive,
     spex_candidate,
     standard_member,
@@ -14,14 +15,12 @@ from oddwheel.families import (
 from oddwheel.graphs import build_graph, disjoint_union, join
 from oddwheel.spectral import (
     SpectralError,
-    balanced_partition,
     bracket_largest_root,
     char_poly,
     claim1_comparison,
     matrix_radius,
     quotient,
     spectral_radius,
-    unbalanced_partition,
 )
 
 
@@ -99,6 +98,10 @@ def test_matrix_radius_diagonal_and_identity():
     res = matrix_radius([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
     assert res.radius == pytest.approx(5.0, abs=1e-8)
     assert "reducible" in res.note
+    # upper triangular: row 0 reaches every row, row 2 only itself
+    res = matrix_radius([[1, 1, 1], [0, 2, 1], [0, 0, 3]])
+    assert res.radius == pytest.approx(3.0, abs=1e-8)
+    assert "reducible" in res.note
 
 
 def test_matrix_radius_rejects_negative():
@@ -106,11 +109,10 @@ def test_matrix_radius_rejects_negative():
         matrix_radius([[1, -1], [0, 1]])
 
 
-def test_quotient_six_classes_of_balanced_candidate():
-    k, n = 4, 22
+@pytest.mark.parametrize("k, n", [(4, 22), (6, 30)])
+def test_quotient_six_classes_of_balanced_candidate(k, n):
     g = spex_candidate(CandidateSpec(n, k, 0, standard_member("V", k, n // 2), True))
-    qs = quotient(g, balanced_partition(k, n))
-    assert qs.equitable
+    qs = quotient(g)
     h = n // 2
     want = [
         [0, k - 2, 0, 0, 2, h - 2],
@@ -120,43 +122,40 @@ def test_quotient_six_classes_of_balanced_candidate():
         [1, k - 2, 2, h - k - 1, 1, 0],
         [1, k - 2, 2, h - k - 1, 0, 0],
     ]
-    assert [[int(x) for x in row] for row in qs.matrix] == want
+    assert [list(row) for row in qs.quotient] == want
     # row sums equal the vertex degrees of each class
-    sums = [sum(row) for row in qs.matrix]
+    sums = [sum(row) for row in qs.quotient]
     assert sums == [k - 2 + h, k - 1 + h, k - 1 + h, k - 1 + h, h + 1, h]
 
 
-def test_quotient_three_classes_of_unbalanced_candidate():
-    k, n = 4, 22
-    from oddwheel.families import bipartite_candidate
-
+@pytest.mark.parametrize("k, n", [(4, 22), (6, 30)])
+def test_quotient_three_classes_of_unbalanced_candidate(k, n):
     g = bipartite_candidate(n, n // 2 + 1, standard_member("U", k, n // 2 + 1), True)
-    qs = quotient(g, unbalanced_partition(n))
-    assert qs.equitable
+    qs = quotient(g)
     h = n // 2
-    assert [[int(x) for x in row] for row in qs.matrix] == [
+    assert [list(row) for row in qs.quotient] == [
         [k - 1, 2, h - 3],
         [h + 1, 1, 0],
         [h + 1, 0, 0],
     ]
 
 
-def test_quotient_detects_inequitable():
-    c5 = primitive("cycle", 5)
-    qs = quotient(c5, [[0], [1, 2, 3, 4]])
-    assert not qs.equitable
-    assert qs.matrix[1][0] == Fraction(2, 4)
-    with pytest.raises(ValueError):
-        quotient(c5, [[0, 1], [1, 2, 3, 4]])
-    with pytest.raises(ValueError):
-        quotient(c5, [[0], [1, 2]])
+def test_quotient_is_labelling_invariant():
+    k, n = 4, 22
+    g = spex_candidate(CandidateSpec(n, k, 0, standard_member("V", k, n // 2), True))
+    perm = list(range(n))
+    random.Random(47).shuffle(perm)
+    relabelled = build_graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+    want, got = quotient(g), quotient(relabelled)
+    sizes = [sorted(c.bit_count() for c in p.cells) for p in (want, got)]
+    assert sizes[0] == sizes[1] == [1, 2, 2, 2, 6, 9]
+    assert char_poly(got.quotient) == char_poly(want.quotient)
 
 
 def test_equitable_quotient_shares_radius():
     k, n = 4, 22
     g = spex_candidate(CandidateSpec(n, k, 0, standard_member("V", k, n // 2), True))
-    qs = quotient(g, balanced_partition(k, n))
-    rq = matrix_radius(qs.matrix, tol=1e-11)
+    rq = matrix_radius(quotient(g).quotient, tol=1e-11)
     rg = spectral_radius(g, tol=1e-11)
     assert abs(rq.radius - rg.radius) <= 1e-9
 
@@ -203,13 +202,11 @@ def test_bracket_largest_root():
 
 def test_matrix_radius_agrees_with_exact_root():
     # same comparison route the sign test uses, at one desk-scale point
-    from oddwheel.families import bipartite_candidate
-
     n, k = 102, 4
     g = bipartite_candidate(n, n // 2 + 1, standard_member("U", k, n // 2 + 1), True)
-    qs = quotient(g, unbalanced_partition(n))
-    res = matrix_radius(qs.matrix, tol=1e-11)
-    cp = char_poly(qs.matrix)
+    m = quotient(g).quotient
+    res = matrix_radius(m, tol=1e-11)
+    cp = char_poly(m)
     lo, hi = bracket_largest_root(cp, res.radius, Fraction(1, 10**14))
     assert Fraction(res.radius) - Fraction(1, 10**8) < hi
     assert lo < Fraction(res.radius) + Fraction(1, 10**8)
@@ -296,6 +293,8 @@ def test_matrix_radius_cyclic_permutation(order):
     assert res.radius == pytest.approx(1.0, abs=1e-12)
     assert res.residual <= 1e-10
     assert res.perron == pytest.approx((1.0,) * order, abs=1e-12)
+    # irreducible but not symmetric
+    assert res.note == ""
 
 
 def test_matrix_radius_falls_back_to_iteration():
