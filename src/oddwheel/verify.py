@@ -50,7 +50,7 @@ from oddwheel.spectral import (
     quotient,
     spectral_radius,
 )
-from oddwheel.walks import Relation, ex_infinity_trace, walk_compare, walk_profile
+from oddwheel.walks import Relation, ex_infinity_trace, walk_compare
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -168,7 +168,7 @@ def verify_walk_lemma(
     want = {graph_code(g) for g in target}
     profiles = trace.profiles
     if len(profiles[0]) < 6:
-        profiles = [walk_profile(g, 6).counts for g in family]
+        profiles = ex_infinity_trace(family, 6).profiles
     w5 = sorted(p[4] for p in profiles)
     w6 = sorted(p[5] for p in profiles)
     evidence = {
@@ -290,8 +290,14 @@ def verify_spex_structure(
     rows = []
     by_name = {}
     best = None
-    for name, left, g in candidates:
-        free = not contains_odd_wheel(g, k)
+    for checked, (name, left, g) in enumerate(candidates):
+        try:
+            free = not contains_odd_wheel(g, k)
+        except BudgetExceededError as exc:
+            return VerificationReport(
+                "spex-structure", params, BUDGET,
+                {"overran": name, "graph": g, "checked": checked}, str(exc),
+            )
         if not free:
             wheel_hits.append(name)
         res = spectral_radius(g, tol)
@@ -374,7 +380,16 @@ def brute_spex(n: int, k: int, tol: float = 1e-10) -> VerificationReport:
     if n > 8:
         raise ValueError("brute_spex capped at order 8")
     params = {"n": n, "k": k}
-    free = [g for g in all_graphs(n) if not contains_odd_wheel(g, k)]
+    free = []
+    for checked, g in enumerate(all_graphs(n)):
+        try:
+            if not contains_odd_wheel(g, k):
+                free.append(g)
+        except BudgetExceededError as exc:
+            return VerificationReport(
+                "brute-spex", params, BUDGET,
+                {"overran": g, "checked": checked}, str(exc),
+            )
     best_r = -1.0
     best_resid = 0.0
     radii = []

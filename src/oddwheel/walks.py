@@ -11,6 +11,8 @@ of walks from a vertex is constant on each cell, so with c cells and
 integer quotient Q, level l costs the nonzero entries of Q (at most c**2)
 big-integer products, W^l = s^T Q^l 1 with s the cell sizes, instead of
 one addition per edge end (Godsil & Royle, Algebraic Graph Theory, ch. 9).
+The totals are a function of (s, Q) alone, so the maximizer selection
+counts walks once per distinct certified quotient of its family.
 """
 
 from __future__ import annotations
@@ -84,12 +86,13 @@ def vertex_walks(g: Graph, levels: int) -> list[tuple[int, ...]]:
     ]
 
 
-def walk_profile(g: Graph, levels: int) -> WalkProfile:
-    """Graph totals W^1..W^levels, cross-checked through the splitting
-    identity W^l = sum_u w^i(u) * w^(l-i)(u) at i = l // 2, both summed
-    over the cells of the coarsest equitable partition weighted by cell
-    size."""
-    part = equitable_partition(g)
+def _profile_counts(
+    g: Graph, part: EquitablePartition, levels: int
+) -> tuple[int, ...]:
+    """Totals W^1..W^levels from the cell walk counts of `part` (certified
+    in `_cell_walks`), cross-checked through the splitting identity
+    W^l = sum_u w^i(u) * w^(l-i)(u) at i = l // 2, both summed over the
+    cells weighted by cell size."""
     table = _cell_walks(g, part, levels)
     sizes = [cell.bit_count() for cell in part.cells]
     counts = tuple(sum([s * w for s, w in zip(sizes, row)]) for row in table)
@@ -104,7 +107,13 @@ def walk_profile(g: Graph, levels: int) -> WalkProfile:
                 f"walk count self-check failed at level {level}: "
                 f"{split} != {counts[level - 1]}"
             )
-    return WalkProfile(counts)
+    return counts
+
+
+def walk_profile(g: Graph, levels: int) -> WalkProfile:
+    """Graph totals W^1..W^levels, counted on the coarsest equitable
+    partition and cross-checked through the splitting identity."""
+    return WalkProfile(_profile_counts(g, equitable_partition(g), levels))
 
 
 def closed_form_profile(
@@ -236,12 +245,30 @@ def ex_infinity_trace(
     """Iterated walk-total maximizer selection: at each level keep the
     members maximizing W^level among the current survivors, through
     `levels` (default horizon 2 * max order).  Records the last level at
-    which the survivor set shrank."""
+    which the survivor set shrank.
+
+    Profiles are counted once per certified quotient.  Every member's
+    coarsest equitable partition is certified exactly once, and members
+    share a profile when their cell sizes and quotient agree: with w^0 = 1
+    and w^l = Q w^(l-1) on the cells, W^l = sum_i |C_i| w^l_i is a
+    function of that pair alone, so the shared totals are exact for
+    every member, isomorphic or not.  Refinement orders cells
+    invariantly, so isomorphic members always share."""
     if not family:
         raise ValueError("family must be non-empty")
     if levels is None:
         levels = default_horizon(*family)
-    profiles = [walk_profile(g, levels).counts for g in family]
+    by_quotient: dict[tuple, tuple[int, ...]] = {}
+    profiles = []
+    for g in family:
+        part = equitable_partition(g)
+        key = (tuple([cell.bit_count() for cell in part.cells]), part.quotient)
+        profile = by_quotient.get(key)
+        if profile is None:
+            profile = by_quotient[key] = _profile_counts(g, part, levels)
+        else:
+            certify_equitable(g, part)
+        profiles.append(profile)
     alive = list(range(len(family)))
     stabilized = 0
     counts = []

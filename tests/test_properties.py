@@ -1,0 +1,82 @@
+"""Property tests: format round trips and labelling invariance of the
+canonical code on generated graphs."""
+
+import random
+import tempfile
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
+
+from oddwheel.enumerate import graph_code  # noqa: E402
+from oddwheel.formats import (  # noqa: E402
+    decode_edge_list,
+    decode_graph6,
+    encode_edge_list,
+    encode_graph6,
+    read_graph_text,
+)
+from oddwheel.graphs import build_graph  # noqa: E402
+
+# Derandomized, so every run draws the same examples, and no example
+# database.
+FIXED = settings(
+    max_examples=150, deadline=None, database=None, derandomize=True
+)
+
+# Hypothesis also caches the constants it reads from the sources under its
+# home directory, by default .hypothesis/ in the working directory, and its
+# pytest plugin fills that cache while collecting; set the home directory at
+# import, before collection ends, to one removed when the session exits.
+_HOME = tempfile.TemporaryDirectory(prefix="oddwheel-hypothesis-")
+set_hypothesis_home_dir(_HOME.name)
+
+
+@st.composite
+def graphs(draw, max_order):
+    """A graph of order 0..max_order at one of a spread of densities; the
+    graph6 header boundary (orders 62, 63, 64) is drawn on purpose."""
+    boundary = [n for n in (62, 63, 64) if n <= max_order]
+    orders = st.integers(0, max_order)
+    if boundary:
+        orders = st.one_of(orders, st.sampled_from(boundary))
+    n = draw(orders)
+    p = draw(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return build_graph(
+        n,
+        [(u, v) for v in range(n) for u in range(v) if rng.random() < p],
+    )
+
+
+@FIXED
+@given(graphs(130))
+def test_graph6_round_trip(g):
+    text = encode_graph6(g)
+    header = 1 if g.order <= 62 else 4
+    assert len(text) == header + (g.order * (g.order - 1) // 2 + 5) // 6
+    assert (text[0] == "~") == (g.order > 62)
+    assert decode_graph6(text) == g
+    assert read_graph_text(text + "\n") == g
+
+
+@FIXED
+@given(graphs(130))
+def test_edge_list_round_trip(g):
+    text = encode_edge_list(g)
+    assert decode_edge_list(text) == g
+    assert read_graph_text(text) == g
+
+
+@FIXED
+@given(st.data())
+def test_graph_code_ignores_labelling(data):
+    g = data.draw(graphs(9))
+    perm = data.draw(st.permutations(range(g.order)))
+    relabelled = build_graph(
+        g.order, [(perm[u], perm[v]) for u, v in g.edges()]
+    )
+    assert graph_code(relabelled) == graph_code(g)

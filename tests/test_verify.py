@@ -8,8 +8,11 @@ import pytest
 
 from oddwheel import verify as verify_mod
 from oddwheel import walks
-from oddwheel.families import primitive
-from oddwheel.graphs import build_graph, disjoint_union
+from oddwheel.cli import main
+from oddwheel.enumerate import BudgetExceededError, graph_code
+from oddwheel.families import FamilySpec, enumerate_family, primitive
+from oddwheel.formats import encode_graph6
+from oddwheel.graphs import build_graph, disjoint_union, equitable_partition
 from oddwheel.verify import (
     CLAIMS,
     VerificationReport,
@@ -74,19 +77,80 @@ def test_walk_lemma_golden(key):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_WALK_LEMMA[key]
 
 
+def _quotient_key(part):
+    return tuple(cell.bit_count() for cell in part.cells), part.quotient
+
+
 def test_walk_lemma_profiles_each_member_once(monkeypatch):
-    calls = []
-    original = walks.walk_profile
+    tables, certified = [], []
+    cell_walks, certify = walks._cell_walks, walks.certify_equitable
 
-    def counting(g, levels):
-        calls.append(levels)
-        return original(g, levels)
+    def counting_table(g, part, levels):
+        tables.append((_quotient_key(part), levels))
+        return cell_walks(g, part, levels)
 
-    monkeypatch.setattr(walks, "walk_profile", counting)
-    monkeypatch.setattr(verify_mod, "walk_profile", counting)
+    def counting_certify(g, part):
+        certified.append(graph_code(g))
+        return certify(g, part)
+
+    monkeypatch.setattr(walks, "_cell_walks", counting_table)
+    monkeypatch.setattr(walks, "certify_equitable", counting_certify)
     rep = verify_walk_lemma(3, 17)
-    # one profile per member, through the selection horizon 2n
-    assert calls == [34] * rep.evidence["family_size"]
+    family = enumerate_family(FamilySpec("GFAM", 3, 17))
+    keys = {_quotient_key(equitable_partition(g)) for g in family}
+    # one walk table per distinct (cell sizes, quotient), at horizon 2n
+    assert sorted(key for key, _ in tables) == sorted(keys)
+    assert {levels for _, levels in tables} == {34}
+    assert len(keys) < len(family)
+    # every member certified exactly once (members are non-isomorphic)
+    assert rep.evidence["family_size"] == len(family)
+    assert sorted(certified) == sorted(graph_code(g) for g in family)
+
+
+def _overrun_on_second_call(monkeypatch):
+    """Make the detector as seen from verify.py overrun its budget on the
+    second graph it is given; return the graphs it was given."""
+    seen = []
+    detector = verify_mod.contains_odd_wheel
+
+    def overrunning(g, k, *args):
+        seen.append(g)
+        if len(seen) == 2:
+            raise BudgetExceededError("odd-wheel search budget 1 exhausted")
+        return detector(g, k, *args)
+
+    monkeypatch.setattr(verify_mod, "contains_odd_wheel", overrunning)
+    return seen
+
+
+def test_spex_structure_detector_overrun_is_a_budget_report(monkeypatch):
+    seen = _overrun_on_second_call(monkeypatch)
+    rep = verify_spex_structure(20, 3)
+    assert rep.outcome == "BUDGET"
+    assert set(rep.to_dict()) == {
+        "claim_id", "parameters", "outcome", "evidence", "notes"
+    }
+    assert rep.evidence["checked"] == 1
+    assert rep.evidence["overran"].startswith("L=")
+    assert rep.evidence["graph"] is seen[1]
+    assert "budget" in rep.notes
+
+
+def test_brute_spex_detector_overrun_is_a_budget_report(monkeypatch):
+    seen = _overrun_on_second_call(monkeypatch)
+    rep = brute_spex(5, 2)
+    assert rep.outcome == "BUDGET"
+    assert rep.evidence == {"overran": seen[1], "checked": 1}
+    assert rep.to_dict()["evidence"]["overran"] == encode_graph6(seen[1])
+
+
+def test_cli_prints_the_budget_report_on_detector_overrun(monkeypatch, capsys):
+    _overrun_on_second_call(monkeypatch)
+    code = main(["verify", "spex-structure", "--n", "20", "--k", "3"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert payload["outcome"] == "BUDGET"
+    assert payload["evidence"]["checked"] == 1
 
 
 def test_one_set_relations():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oddwheel import walks
 from oddwheel.enumerate import graph_code
 from oddwheel.families import (
     V_KIND,
@@ -332,3 +333,83 @@ def test_levels_one_to_four_constant_and_level_five_tracks_e12():
     for p, e in zip(profiles, e12s):
         assert (p[4] == w5_max) == (e == e12_min)
     assert e12_min == 2 * (5 - 1)
+
+
+def _random_family(rng, cubic10):
+    """Members that share quotients in every way the selection meets:
+    relabelled copies, disjoint unions, isolated vertices, and
+    non-isomorphic graphs with one key (the cubic graphs of order 10)."""
+    family = []
+    for _ in range(rng.randint(1, 8)):
+        pick = rng.randrange(5)
+        if pick == 0 or not family:
+            # order 0 only next to others: horizon 2 * max order >= 2
+            g = random_graph(rng, rng.randint(0 if family else 1, 9),
+                             rng.random())
+        elif pick == 1:
+            g = rng.choice(family)
+            g = relabel(g, rng.sample(range(g.order), g.order))
+        elif pick == 2:
+            g = disjoint_union([rng.choice(family), rng.choice(family)])
+        elif pick == 3:
+            g = disjoint_union(
+                [rng.choice(family), primitive("empty", rng.randint(1, 3))]
+            )
+        else:
+            g = relabel(rng.choice(cubic10), rng.sample(range(10), 10))
+        family.append(g)
+    return family
+
+
+def test_ex_infinity_profiles_match_walk_profile_per_member():
+    from oddwheel.enumerate import connected_with_degrees
+
+    cubic10 = connected_with_degrees(10, 3, False)
+    assert len(cubic10) > 1
+    rng = random.Random(11)
+    families = [
+        enumerate_family(FamilySpec("GFAM", delta, n))
+        for delta, n in [(5, 19), (3, 13), (3, 17)]
+    ]
+    families += [_random_family(rng, cubic10) for _ in range(200)]
+    for fam in families:
+        horizon = default_horizon(*fam)
+        assert ex_infinity_trace(fam).profiles == tuple(
+            walk_profile(g, horizon).counts for g in fam
+        )
+
+
+def test_ex_infinity_counts_walks_once_per_quotient(monkeypatch):
+    tables, certified = [], []
+    cell_walks, certify = walks._cell_walks, walks.certify_equitable
+
+    def counting_table(g, part, levels):
+        tables.append(levels)
+        return cell_walks(g, part, levels)
+
+    def counting_certify(g, part):
+        certified.append(g)
+        return certify(g, part)
+
+    monkeypatch.setattr(walks, "_cell_walks", counting_table)
+    monkeypatch.setattr(walks, "certify_equitable", counting_certify)
+    fam = enumerate_family(FamilySpec("GFAM", 5, 19))
+    ex_infinity_trace(fam)
+    assert tables == [38] * 24
+    assert len(fam) == 1681
+    assert [id(g) for g in certified] == [id(g) for g in fam]
+
+
+def test_ex_infinity_certifies_members_that_share_a_profile(monkeypatch):
+    # P_4 and a relabelled copy share a key; hand the copy the first
+    # member's partition, which is not equitable for it
+    p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    copy = build_graph(4, [(1, 0), (0, 2), (2, 3)])
+    part = equitable_partition(p4)
+    assert equitable_partition(copy).quotient == part.quotient
+    monkeypatch.setattr(walks, "equitable_partition", lambda g: part)
+    assert ex_infinity_trace([p4, p4], 4).profiles[1] == (6, 10, 16, 26)
+    with pytest.raises(GraphError):
+        ex_infinity_trace([p4, copy])
+    with pytest.raises(GraphError):
+        ex_infinity_trace([copy, p4])
