@@ -31,6 +31,26 @@ canonicalized.  When the new vertex is the only vertex of maximal key it
 is the canonical deletion vertex, deleting it gives back the parent, and
 the child is kept without the deletion test.
 
+Siblings that are isomorphic through the parent are canonicalized once
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 26 (1998)).
+If pi is an automorphism of the parent, attaching the new vertex to pi(s)
+gives a child isomorphic to attaching it to s: pi, extended by fixing the
+new vertex, maps one child onto the other.  So both children have one
+canonical form, one key rank and one outcome of the deletion test, and
+once s is canonicalized every other set in its orbit is skipped.  The
+generators of Aut(parent) come from `graphs.automorphism_generators`, and
+each is certified exactly as a row permutation (`graphs.is_automorphism`)
+before it is used, so every permutation composed from them is an
+automorphism, and a skipped set always has the code of a set already
+canonicalized.  The generators need not generate the whole group: orbits
+under a subgroup are smaller and skip fewer sets, which costs time and
+never a class.  The `seen` set of codes stays, because sets in different
+orbits can still give isomorphic children (through an isomorphism that
+moves the new vertex).  The generators are computed only once a second
+set of a parent reaches canonicalization.  The skip comes after the
+budget is spent and after the key test, so the budget still counts every
+child that passes `child_ok`, skipped or not.
+
 Degree-constrained enumeration (regular and one-deficient-vertex targets)
 prunes partial graphs that cannot reach the target: the prune conditions
 are isomorphism-invariant and hold on every induced subgraph of a valid
@@ -41,7 +61,14 @@ rule picks.  That is what completeness requires.
 from __future__ import annotations
 
 from oddwheel import kernels
-from oddwheel.graphs import Graph, bits_of, components, is_connected
+from oddwheel.graphs import (
+    Graph,
+    automorphism_generators,
+    bits_of,
+    components,
+    is_connected,
+    set_orbit,
+)
 
 
 class BudgetExceededError(RuntimeError):
@@ -166,6 +193,11 @@ def _children(
     top = max(degs)
     top_mask = sum(1 << v for v in range(n) if degs[v] == top)
     seen: set[bytes] = set()
+    # Attachment sets in the orbit, under the parent's certified
+    # automorphisms, of a set already canonicalized; the generators are
+    # computed once a second set reaches canonicalization.
+    done: set[int] = set()
+    gens = None
     out: list[bytes] = []
     sub = allowed
     while True:
@@ -188,7 +220,13 @@ def _children(
                     key = _vertex_key(child, n, cdegs)
                     best = max([_vertex_key(child, v, cdegs) for v in ties])
                     rank = (key > best) - (key < best)
-                if rank >= 0:
+                if rank >= 0 and gens is None and done:
+                    gens = automorphism_generators(Graph(n, tuple(rows)))
+                    done = set_orbit(done.pop(), gens)
+                # A set in the orbit of one canonicalized before gives an
+                # isomorphic child: same code, same rank (module docstring).
+                if rank >= 0 and s not in done:
+                    done |= set_orbit(s, gens or [])
                     code = kernels.canon_code(n + 1, child)
                     if code not in seen:
                         seen.add(code)

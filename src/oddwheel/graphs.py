@@ -10,7 +10,7 @@ many variants side by side without defensive copies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
@@ -253,21 +253,30 @@ class EquitablePartition(NamedTuple):
     quotient: tuple[tuple[int, ...], ...]
 
 
-def equitable_partition(g: Graph) -> EquitablePartition:
-    """The coarsest equitable partition, by colour refinement.
+def equitable_partition(
+    g: Graph, colours: Sequence[int] | None = None
+) -> EquitablePartition:
+    """The coarsest equitable partition finer than a colouring, by colour
+    refinement.
 
-    Starting from the one-cell colouring, every round splits each cell by
-    its vertices' neighbour counts into the current cells, until no cell
-    splits.  New cells are ordered by (parent cell, count row), both
-    invariants, so the cell order and the quotient do not depend on the
-    vertex labelling.  Callers certify the result with `certify_equitable`
+    The start is `colours`, one integer per vertex (the one-cell colouring
+    when omitted), with the cells in increasing colour order.  Every round
+    splits each cell by its vertices' neighbour counts into the current
+    cells, until no cell splits.  New cells are ordered by (parent cell,
+    count row), both invariants, so the cell order and the quotient do not
+    depend on the vertex labelling, and a cell's refinements take its place
+    in the order.  Callers certify the result with `certify_equitable`
     before they rely on it.
     """
     if g.order == 0:
         return EquitablePartition((), (), ())
     rows = g.rows
-    cells = [(1 << g.order) - 1]
-    cell_of = [0] * g.order
+    if colours is None:
+        cells, cell_of = [(1 << g.order) - 1], [0] * g.order
+    else:
+        # The first round has no cells to count against: it only orders
+        # the colours into cells.
+        cells, cell_of = [], list(colours)
     while True:
         # Signature of v: (its cell, its neighbour count in each cell).
         sigs = list(zip(
@@ -285,6 +294,144 @@ def equitable_partition(g: Graph) -> EquitablePartition:
     return EquitablePartition(
         tuple(cells), tuple(cell_of), tuple(key[1:] for key in keys)
     )
+
+
+def permute_mask(mask: int, perm: Sequence[int]) -> int:
+    """The image of the vertex set `mask` under the map v -> perm[v]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
+    """Exact certificate: perm is a permutation of the vertices of g with
+    rows[perm[u]] == perm(rows[u]) for every u."""
+    rows = g.rows
+    return (
+        len(perm) == g.order
+        and sorted(perm) == list(range(g.order))
+        and all(
+            rows[perm[u]] == permute_mask(r, perm) for u, r in enumerate(rows)
+        )
+    )
+
+
+def _individualize(part: EquitablePartition, v: int) -> list[int]:
+    """Colouring that splits v off its cell, as a cell just ahead of the
+    rest of it."""
+    return [2 * i + (u != v) for u, i in enumerate(part.cell_of)]
+
+
+def _target_cell(part: EquitablePartition) -> int:
+    """The first cell of more than one vertex, or 0 when the partition is
+    discrete."""
+    return next((c for c in part.cells if c & (c - 1)), 0)
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _shape(part: EquitablePartition) -> tuple:
+    return part.quotient, tuple(c.bit_count() for c in part.cells)
+
+
+def set_orbit(s: int, gens: Sequence[Sequence[int]]) -> set[int]:
+    """The orbit of the vertex set s under the group generated by gens."""
+    orbit = {s}
+    frontier = [s]
+    while frontier:
+        t = frontier.pop()
+        for p in gens:
+            u = permute_mask(t, p)
+            if u not in orbit:
+                orbit.add(u)
+                frontier.append(u)
+    return orbit
+
+
+def _leaf_below(
+    g: Graph,
+    node: EquitablePartition,
+    level: int,
+    w: int,
+    shapes: list[tuple],
+    first_leaf: tuple[int, ...],
+) -> tuple[int, ...] | None:
+    """Depth-first search of the subtree below `node` (at `level` of the
+    first path) with w split off, for a leaf that read position by
+    position against the first leaf gives a certified automorphism."""
+    stack = [(level + 1, node, w)]
+    while stack:
+        depth, above, x = stack.pop()
+        part = equitable_partition(g, _individualize(above, x))
+        if _shape(part) != shapes[depth]:
+            continue
+        below = _target_cell(part)
+        if below:
+            ys = list(bits_of(below))
+            stack.extend((depth + 1, part, y) for y in reversed(ys))
+            continue
+        at = [c.bit_length() - 1 for c in part.cells]
+        perm = tuple(at[i] for i in first_leaf)
+        if is_automorphism(g, perm):
+            return perm
+    return None
+
+
+def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of the automorphism group of g, each a tuple perm with
+    perm[v] the image of v, each certified by `is_automorphism`.
+
+    Individualization-refinement (McKay, "Practical graph isomorphism",
+    Congr. Numer. 30 (1981)).  A node of the search tree is the coarsest
+    equitable partition finer than its parent's with one vertex of the
+    parent's first non-singleton cell split off; a leaf is discrete, and
+    orders the vertices.  The first path always splits off the lowest
+    vertex.  An automorphism fixing the vertices split off above a node
+    maps it to a node of equal quotient and cell sizes, and the first leaf
+    to a leaf below that node; reading the two leaves position by position
+    gives the permutation back.  From the deepest level up, each vertex w
+    of the node's target cell outside the orbit of the first path's
+    vertex v, under the generators found so far, needs one automorphism
+    that fixes the vertices split off above the node and maps v to w.
+    The transposition of v and w is tried first (it fixes them, and twins
+    are common in small graphs); otherwise w's subtree is searched depth
+    first for a leaf whose permutation is certified.  Subtrees whose
+    quotient or cell sizes differ from the first path's at the same depth
+    are cut.  The orbits then grow level by level to the orbits of the
+    pointwise stabilizers, so the generators found generate the whole
+    group (Schreier's lemma).  Iterative: no recursion, no closures.
+    """
+    part = equitable_partition(g)
+    path = [part]
+    while cell := _target_cell(part):
+        part = equitable_partition(g, _individualize(part, _lowest(cell)))
+        path.append(part)
+    first_leaf = part.cell_of
+    shapes = [_shape(p) for p in path]
+    gens: list[tuple[int, ...]] = []
+    for level in range(len(path) - 2, -1, -1):
+        node = path[level]
+        cell = _target_cell(node)
+        v = _lowest(cell)
+        orbit = sum(set_orbit(1 << v, gens))
+        for w in bits_of(cell & ~orbit):
+            if (orbit >> w) & 1:
+                continue
+            swap = list(range(g.order))
+            swap[v], swap[w] = w, v
+            if is_automorphism(g, swap):
+                perm = tuple(swap)
+            else:
+                perm = _leaf_below(g, node, level, w, shapes, first_leaf)
+            if perm is not None:
+                gens.append(perm)
+                orbit = sum(set_orbit(1 << v, gens))
+    return gens
 
 
 def certify_equitable(g: Graph, part: EquitablePartition) -> None:

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from oddwheel import _kernels_py
+from oddwheel import _kernels_py, kernels
 from oddwheel import enumerate as enum_mod
 from oddwheel.enumerate import (
     BudgetExceededError,
@@ -20,7 +20,13 @@ from oddwheel.enumerate import (
     connected_with_degrees,
     graph_code,
 )
-from oddwheel.graphs import build_graph, is_connected
+from oddwheel.graphs import (
+    Graph,
+    build_graph,
+    is_automorphism,
+    is_connected,
+    permute_mask,
+)
 
 KNOWN_CLASS_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346]
 KNOWN_CUBIC_CONNECTED = {4: 1, 6: 2, 8: 5, 10: 19}
@@ -183,6 +189,80 @@ def test_budget_counts_pruned_children(fresh_caches):
         connected_with_degrees(8, 3, False, budget=CUBIC_8_BUDGET - 1)
     got = connected_with_degrees(8, 3, False, budget=CUBIC_8_BUDGET)
     assert len(got) == KNOWN_CUBIC_CONNECTED[8]
+
+
+# canon_code calls made directly by _children, not through _deletion_code,
+# on all_graphs(7) from empty caches: one per orbit, under the parent's
+# automorphism group, of the attachment sets that pass the key test (2,411
+# when every such set was canonicalized).
+ALL_7_CHILD_CANON = 1267
+
+
+def test_children_canonicalize_one_set_per_parent_orbit(
+    fresh_caches, monkeypatch
+):
+    canon = kernels.canon_code
+    deletion_code = enum_mod._deletion_code
+    children = enum_mod._children
+    generators = enum_mod.automorphism_generators
+    parents = []
+    canonicalized = {}
+    in_deletion = []
+
+    def recording_children(parent_code, *args):
+        parents.append(parent_code)
+        canonicalized[parent_code] = []
+        return children(parent_code, *args)
+
+    def recording_deletion(code):
+        in_deletion.append(code)
+        try:
+            return deletion_code(code)
+        finally:
+            in_deletion.pop()
+
+    def recording_canon(n, rows):
+        if parents and not in_deletion:
+            canonicalized[parents[-1]].append(rows[n - 1])
+        return canon(n, rows)
+
+    def checked_generators(g):
+        gens = generators(g)
+        assert all(is_automorphism(g, p) for p in gens)
+        return gens
+
+    monkeypatch.setattr(enum_mod, "_children", recording_children)
+    monkeypatch.setattr(enum_mod, "_deletion_code", recording_deletion)
+    monkeypatch.setattr(kernels, "canon_code", recording_canon)
+    monkeypatch.setattr(
+        enum_mod, "automorphism_generators", checked_generators
+    )
+    assert len(all_graphs(7)) == KNOWN_CLASS_COUNTS[7]
+    assert sum(map(len, canonicalized.values())) == ALL_7_CHILD_CANON
+    for parent_code, sets in canonicalized.items():
+        n, rows = _kernels_py.code_to_rows(parent_code)
+        parent = Graph(n, rows)
+        auts = [
+            p for p in itertools.permutations(range(n))
+            if is_automorphism(parent, p)
+        ]
+        covered = set()
+        for s in sets:
+            assert s not in covered, (parent_code, s)
+            covered.update(permute_mask(s, p) for p in auts)
+
+
+def test_children_need_only_a_subgroup(fresh_caches, monkeypatch):
+    # Orbits under a subgroup of Aut(parent), the trivial one or the group
+    # of the first generator alone, skip fewer children and keep the
+    # same classes.
+    want = [graph_code(g) for g in all_graphs(7)]
+    generators = enum_mod.automorphism_generators
+    for subgroup in (lambda g: [], lambda g: generators(g)[:1]):
+        for name in ("_deletion_cache", "_all_cache"):
+            monkeypatch.setattr(enum_mod, name, {})
+        monkeypatch.setattr(enum_mod, "automorphism_generators", subgroup)
+        assert [graph_code(g) for g in all_graphs(7)] == want
 
 
 def test_vertex_key_is_deletion_invariant():

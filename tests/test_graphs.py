@@ -1,10 +1,13 @@
+import itertools
 import random
 
 import pytest
 
+from oddwheel.enumerate import all_graphs
 from oddwheel.graphs import (
     EquitablePartition,
     GraphError,
+    automorphism_generators,
     build_graph,
     certify_equitable,
     classify_degrees,
@@ -12,8 +15,10 @@ from oddwheel.graphs import (
     components,
     disjoint_union,
     equitable_partition,
+    is_automorphism,
     is_connected,
     join,
+    permute_mask,
 )
 from oddwheel.families import primitive
 
@@ -373,3 +378,113 @@ def test_certify_equitable_rejects():
     for part in bad:
         with pytest.raises(GraphError):
             certify_equitable(g, part)
+
+
+def test_equitable_partition_from_a_colouring():
+    rng = random.Random(15)
+    for _ in range(40):
+        n = rng.randint(1, 30)
+        g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.6]))
+        assert equitable_partition(g, [7] * n) == equitable_partition(g)
+        colours = [rng.choice([-3, 0, 5]) for _ in range(n)]
+        part = equitable_partition(g, colours)
+        assert_equitable(g, part)
+        certify_equitable(g, part)
+        # finer than the colouring, with the colour classes in colour order
+        assert all(
+            (colours[u] < colours[v]) == (part.cell_of[u] < part.cell_of[v])
+            for u in range(n) for v in range(n)
+            if colours[u] != colours[v]
+        )
+        assert all(
+            colours[u] == colours[v]
+            for u in range(n) for v in range(n)
+            if part.cell_of[u] == part.cell_of[v]
+        )
+        # the same colouring of a relabelled graph gives the relabelled cells
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moved = [0] * n
+        for v in range(n):
+            moved[perm[v]] = colours[v]
+        other = equitable_partition(relabel(g, perm), moved)
+        assert other.quotient == part.quotient
+        assert all(other.cell_of[perm[v]] == part.cell_of[v] for v in range(n))
+    # an end of a path split off makes the partition discrete
+    part = equitable_partition(path_graph(6), [0, 1, 1, 1, 1, 1])
+    assert sorted(part.cell_of) == [0, 1, 2, 3, 4, 5]
+
+
+def test_is_automorphism():
+    c5 = primitive("cycle", 5)
+    assert is_automorphism(c5, (1, 2, 3, 4, 0))
+    assert is_automorphism(c5, (0, 4, 3, 2, 1))
+    assert not is_automorphism(c5, (1, 0, 2, 3, 4))
+    assert not is_automorphism(c5, (0, 0, 2, 3, 4))  # not a permutation
+    assert not is_automorphism(c5, (0, 1, 2, 3))
+    assert permute_mask(0b10011, (1, 2, 3, 4, 0)) == 0b00111
+
+
+def generated_group(gens, n):
+    """Every element of the group generated by gens, by closure."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        a = frontier.pop()
+        for p in gens:
+            b = tuple(p[x] for x in a)
+            if b not in group:
+                group.add(b)
+                frontier.append(b)
+    return group
+
+
+def vertex_orbits(perms, n):
+    return {frozenset(p[v] for p in perms) for v in range(n)}
+
+
+def test_automorphism_generators_match_brute_force():
+    # On every graph of order <= 6: each generator is certified, and the
+    # generated group is the whole automorphism group, found by trying all
+    # n! permutations.
+    for n in range(7):
+        for g in all_graphs(n):
+            gens = automorphism_generators(g)
+            assert all(is_automorphism(g, p) for p in gens)
+            auts = [
+                p for p in itertools.permutations(range(n))
+                if is_automorphism(g, p)
+            ]
+            group = generated_group(gens, n)
+            assert vertex_orbits(group, n) == vertex_orbits(auts, n), g.rows
+            assert group == set(auts), g.rows
+
+
+@pytest.mark.parametrize(
+    "g, order",
+    [
+        (build_graph(0, []), 1),
+        (primitive("empty", 6), 720),
+        (primitive("complete", 5), 120),
+        (primitive("cycle", 9), 18),
+        (path_graph(7), 2),
+        (star(5), 120),
+        (complete_bipartite(3, 3), 72),
+        (complete_bipartite(2, 4), 48),
+        (PETERSEN, 120),
+        (disjoint_union([PETERSEN, primitive("cycle", 5)]), 1200),
+    ],
+)
+def test_automorphism_group_orders(g, order):
+    gens = automorphism_generators(g)
+    assert all(is_automorphism(g, p) for p in gens)
+    assert len(generated_group(gens, g.order)) == order
+
+
+def test_automorphism_generators_of_a_rigid_graph():
+    # the smallest asymmetric graphs have 6 vertices
+    rigid = build_graph(6, [(0, 5), (1, 4), (2, 3), (2, 5), (3, 4), (3, 5)])
+    assert automorphism_generators(rigid) == []
+    rigid_6 = [g for g in all_graphs(6) if not automorphism_generators(g)]
+    assert len(rigid_6) == 8

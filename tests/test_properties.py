@@ -1,5 +1,5 @@
-"""Property tests: format round trips and labelling invariance of the
-canonical code on generated graphs."""
+"""Property tests: format round trips, labelling invariance of the
+canonical code and the automorphism generators on generated graphs."""
 
 import random
 import tempfile
@@ -19,7 +19,11 @@ from oddwheel.formats import (  # noqa: E402
     encode_graph6,
     read_graph_text,
 )
-from oddwheel.graphs import build_graph  # noqa: E402
+from oddwheel.graphs import (  # noqa: E402
+    automorphism_generators,
+    build_graph,
+    is_automorphism,
+)
 
 # Derandomized, so every run draws the same examples, and no example
 # database.
@@ -80,3 +84,54 @@ def test_graph_code_ignores_labelling(data):
         g.order, [(perm[u], perm[v]) for u, v in g.edges()]
     )
     assert graph_code(relabelled) == graph_code(g)
+
+
+def maps_to(g, u, v):
+    """Whether some automorphism of g maps u to v: backtracking over
+    partial maps that keep adjacency to the vertices already mapped."""
+    n = g.order
+    order = [u] + [w for w in range(n) if w != u]
+    image = [v]
+    tried = [0]
+    while image:
+        if len(image) == n:
+            return True
+        a = order[len(image)]
+        b = next(
+            (
+                b for b in range(tried[-1], n)
+                if b not in image
+                and all(
+                    g.has_edge(a, order[i]) == g.has_edge(b, image[i])
+                    for i in range(len(image))
+                )
+            ),
+            None,
+        )
+        if b is None:
+            image.pop()
+            tried.pop()
+            if tried:
+                tried[-1] += 1
+            continue
+        tried[-1] = b
+        image.append(b)
+        tried.append(0)
+    return False
+
+
+@FIXED
+@given(graphs(8))
+def test_automorphism_generators_give_the_orbits(g):
+    gens = automorphism_generators(g)
+    assert all(is_automorphism(g, p) for p in gens)
+    for u in range(g.order):
+        orbit = {u}
+        frontier = [u]
+        while frontier:
+            x = frontier.pop()
+            for p in gens:
+                if p[x] not in orbit:
+                    orbit.add(p[x])
+                    frontier.append(p[x])
+        assert orbit == {v for v in range(g.order) if maps_to(g, u, v)}
