@@ -298,12 +298,7 @@ def equitable_partition(
 
 def permute_mask(mask: int, perm: Sequence[int]) -> int:
     """The image of the vertex set `mask` under the map v -> perm[v]."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
+    return sum(1 << perm[v] for v in bits_of(mask))
 
 
 def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
@@ -332,11 +327,7 @@ def _target_cell(part: EquitablePartition) -> int:
 
 
 def _lowest(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
-def _shape(part: EquitablePartition) -> tuple:
-    return part.quotient, tuple(c.bit_count() for c in part.cells)
+    return next(bits_of(mask))
 
 
 def set_orbit(s: int, gens: Sequence[Sequence[int]]) -> set[int]:
@@ -356,26 +347,21 @@ def set_orbit(s: int, gens: Sequence[Sequence[int]]) -> set[int]:
 def _leaf_below(
     g: Graph,
     node: EquitablePartition,
-    level: int,
     w: int,
-    shapes: list[tuple],
     first_leaf: tuple[int, ...],
 ) -> tuple[int, ...] | None:
-    """Depth-first search of the subtree below `node` (at `level` of the
-    first path) with w split off, for a leaf that read position by
-    position against the first leaf gives a certified automorphism."""
-    stack = [(level + 1, node, w)]
+    """Depth-first search of the subtree below `node` with w split off,
+    for a leaf that read position by position against the first leaf
+    gives a certified automorphism."""
+    stack = [(node, w)]
     while stack:
-        depth, above, x = stack.pop()
+        above, x = stack.pop()
         part = equitable_partition(g, _individualize(above, x))
-        if _shape(part) != shapes[depth]:
-            continue
         below = _target_cell(part)
         if below:
-            ys = list(bits_of(below))
-            stack.extend((depth + 1, part, y) for y in reversed(ys))
+            stack.extend((part, y) for y in reversed(list(bits_of(below))))
             continue
-        at = [c.bit_length() - 1 for c in part.cells]
+        at = [_lowest(c) for c in part.cells]
         perm = tuple(at[i] for i in first_leaf)
         if is_automorphism(g, perm):
             return perm
@@ -391,20 +377,19 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     equitable partition finer than its parent's with one vertex of the
     parent's first non-singleton cell split off; a leaf is discrete, and
     orders the vertices.  The first path always splits off the lowest
-    vertex.  An automorphism fixing the vertices split off above a node
-    maps it to a node of equal quotient and cell sizes, and the first leaf
-    to a leaf below that node; reading the two leaves position by position
-    gives the permutation back.  From the deepest level up, each vertex w
-    of the node's target cell outside the orbit of the first path's
-    vertex v, under the generators found so far, needs one automorphism
-    that fixes the vertices split off above the node and maps v to w.
-    The transposition of v and w is tried first (it fixes them, and twins
-    are common in small graphs); otherwise w's subtree is searched depth
-    first for a leaf whose permutation is certified.  Subtrees whose
-    quotient or cell sizes differ from the first path's at the same depth
-    are cut.  The orbits then grow level by level to the orbits of the
-    pointwise stabilizers, so the generators found generate the whole
-    group (Schreier's lemma).  Iterative: no recursion, no closures.
+    vertex.  Refinement keeps every cell in its place in the order, and a
+    vertex split off goes just ahead of the rest of its cell, so a leaf
+    below a node, read position by position against the first leaf,
+    fixes the vertices split off above the node and maps the first path's
+    vertex v there to the vertex split off below it.  An automorphism
+    that fixes those vertices and maps v to w maps the first leaf to a
+    leaf below w, whose reading gives it back.  From the deepest level up,
+    each vertex w of the node's target cell outside the orbit of v under
+    the generators found so far has its subtree searched depth first for
+    a leaf whose permutation is certified.  The orbits then grow level by
+    level to the orbits of the pointwise stabilizers, so the generators
+    found generate the whole group (Schreier's lemma).  Iterative: no
+    recursion, no closures.
     """
     part = equitable_partition(g)
     path = [part]
@@ -412,22 +397,15 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
         part = equitable_partition(g, _individualize(part, _lowest(cell)))
         path.append(part)
     first_leaf = part.cell_of
-    shapes = [_shape(p) for p in path]
     gens: list[tuple[int, ...]] = []
-    for level in range(len(path) - 2, -1, -1):
-        node = path[level]
+    for node in reversed(path[:-1]):
         cell = _target_cell(node)
         v = _lowest(cell)
         orbit = sum(set_orbit(1 << v, gens))
         for w in bits_of(cell & ~orbit):
             if (orbit >> w) & 1:
                 continue
-            swap = list(range(g.order))
-            swap[v], swap[w] = w, v
-            if is_automorphism(g, swap):
-                perm = tuple(swap)
-            else:
-                perm = _leaf_below(g, node, level, w, shapes, first_leaf)
+            perm = _leaf_below(g, node, w, first_leaf)
             if perm is not None:
                 gens.append(perm)
                 orbit = sum(set_orbit(1 << v, gens))
