@@ -48,6 +48,7 @@ from oddwheel.spectral import (
     core_quotient_note,
     matrix_radius,
     quotient,
+    radius_upper_bounds,
     spectral_radius,
 )
 from oddwheel.walks import Relation, ex_infinity_trace, walk_compare
@@ -376,12 +377,22 @@ def verify_spex_structure(
 def brute_spex(n: int, k: int, tol: float = 1e-10) -> VerificationReport:
     """Exhaustive finite-n maximizer of the radius among W_{2k+1}-free
     graphs; ground truth for the detectors and constructions, explicitly
-    not a check of any asymptotic statement."""
+    not a check of any asymptotic statement.
+
+    Only the graphs whose certified radius upper bound reaches the
+    maximizer window are power-iterated: they are visited in descending
+    bound order until a bound falls more than twice the widest window
+    (100 * tol) below the best radius so far.  Every graph left out has a
+    radius below the best by more than the window, so it could be neither
+    the best nor a maximizer."""
+    if n < 1:
+        raise ValueError(f"brute_spex needs n >= 1, got n={n}")
     if n > 8:
         raise ValueError("brute_spex capped at order 8")
     params = {"n": n, "k": k}
+    graphs = all_graphs(n)
     free = []
-    for checked, g in enumerate(all_graphs(n)):
+    for checked, g in enumerate(graphs):
         try:
             if not contains_odd_wheel(g, k):
                 free.append(g)
@@ -390,27 +401,30 @@ def brute_spex(n: int, k: int, tol: float = 1e-10) -> VerificationReport:
                 "brute-spex", params, BUDGET,
                 {"overran": g, "checked": checked}, str(exc),
             )
-    best_r = -1.0
-    best_resid = 0.0
-    radii = []
-    for g in free:
-        res = spectral_radius(g, tol)
-        radii.append(res.radius)
-        if res.radius > best_r:
-            best_r, best_resid = res.radius, res.residual
+    bounds = radius_upper_bounds(free).tolist()
+    margin = 2 * 100 * tol
+    results = {}
+    running = -1.0
+    for i in sorted(range(len(free)), key=lambda i: -bounds[i]):
+        if bounds[i] < running - margin:
+            break
+        results[i] = spectral_radius(free[i], tol)
+        running = max(running, results[i].radius)
+    iterated = sorted(results)
+    best = results[max(iterated, key=lambda i: results[i].radius)]
     maximizers = [
-        g
-        for g, r in zip(free, radii)
-        if best_r - r <= 100 * max(best_resid, tol)
+        free[i]
+        for i in iterated
+        if best.radius - results[i].radius <= 100 * max(best.residual, tol)
     ]
     return VerificationReport(
         "brute-spex",
         params,
         PASS,
         {
-            "classes": len(all_graphs(n)),
+            "classes": len(graphs),
             "wheel_free": len(free),
-            "max_radius": best_r,
+            "max_radius": best.radius,
             "maximizers": maximizers,
             "maximizer_codes": [graph_code(g).hex() for g in maximizers],
         },

@@ -146,6 +146,13 @@ def test_brute_spex_cli(capsys):
     assert payload["evidence"]["classes"] == 34
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_brute_spex_cli_rejects_order_below_one(capsys, n):
+    code, out, err = run_cli(capsys, "brute-spex", "--n", n, "--k", "2")
+    assert code == 2 and out == ""
+    assert f"n={n}" in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "w5.g6"
     code, out, _ = run_cli(

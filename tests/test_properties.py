@@ -1,5 +1,6 @@
 """Property tests: format round trips, labelling invariance of the
-canonical code and the automorphism generators on generated graphs."""
+canonical code, the automorphism generators and the certified radius
+upper bounds on generated graphs."""
 
 import random
 import tempfile
@@ -24,6 +25,10 @@ from oddwheel.graphs import (  # noqa: E402
     build_graph,
     is_automorphism,
 )
+from oddwheel.spectral import (  # noqa: E402
+    radius_upper_bounds,
+    spectral_radius,
+)
 
 # Derandomized, so every run draws the same examples, and no example
 # database.
@@ -40,11 +45,12 @@ set_hypothesis_home_dir(_HOME.name)
 
 
 @st.composite
-def graphs(draw, max_order):
-    """A graph of order 0..max_order at one of a spread of densities; the
-    graph6 header boundary (orders 62, 63, 64) is drawn on purpose."""
+def graphs(draw, max_order, min_order=0):
+    """A graph of order min_order..max_order at one of a spread of
+    densities; the graph6 header boundary (orders 62, 63, 64) is drawn on
+    purpose."""
     boundary = [n for n in (62, 63, 64) if n <= max_order]
-    orders = st.integers(0, max_order)
+    orders = st.integers(min_order, max_order)
     if boundary:
         orders = st.one_of(orders, st.sampled_from(boundary))
     n = draw(orders)
@@ -135,3 +141,10 @@ def test_automorphism_generators_give_the_orbits(g):
                     orbit.add(p[x])
                     frontier.append(p[x])
         assert orbit == {v for v in range(g.order) if maps_to(g, u, v)}
+
+
+@FIXED
+@given(st.lists(graphs(8, min_order=1), min_size=1, max_size=6))
+def test_radius_upper_bounds_cover_the_radius(batch):
+    for g, bound in zip(batch, radius_upper_bounds(batch)):
+        assert bound >= spectral_radius(g).radius

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oddwheel.enumerate import all_graphs
 from oddwheel.families import (
     CandidateSpec,
     bipartite_candidate,
@@ -20,6 +21,7 @@ from oddwheel.spectral import (
     claim1_comparison,
     matrix_radius,
     quotient,
+    radius_upper_bounds,
     spectral_radius,
 )
 
@@ -83,6 +85,43 @@ def test_iteration_budget_error():
     path = build_graph(12, [(i, i + 1) for i in range(11)])
     with pytest.raises(SpectralError):
         spectral_radius(path, tol=1e-13, max_iter=3)
+
+
+def test_radius_upper_bounds_cover_every_small_graph():
+    for n in range(1, 8):
+        graphs = all_graphs(n)
+        bounds = radius_upper_bounds(graphs)
+        assert bounds.shape == (len(graphs),)
+        for g, bound in zip(graphs, bounds):
+            assert bound >= spectral_radius(g).radius
+
+
+def test_radius_upper_bounds_with_isolated_vertices_and_components():
+    k4, c5 = primitive("complete", 4), primitive("cycle", 5)
+    path = build_graph(12, [(i, i + 1) for i in range(11)])
+    graphs = [
+        primitive("empty", 1),
+        primitive("empty", 6),
+        disjoint_union([k4, primitive("empty", 3)]),
+        disjoint_union([primitive("empty", 2), c5]),
+        disjoint_union([k4, c5]),
+        disjoint_union([c5, path, k4]),
+        disjoint_union([path, primitive("complete", 2)]),
+    ]
+    # mixed orders share a zero-padded batch; each graph alone as well
+    together = radius_upper_bounds(graphs)
+    for g, bound in zip(graphs, together):
+        (alone,) = radius_upper_bounds([g])
+        assert min(bound, alone) >= spectral_radius(g).radius
+        assert min(bound, alone) >= dense_radius(g)
+    assert together[0] == together[1] == 0.0
+    assert together[2] == pytest.approx(3.0, abs=1e-8)
+
+
+def test_radius_upper_bounds_edge_cases():
+    assert radius_upper_bounds([]).shape == (0,)
+    with pytest.raises(ValueError):
+        radius_upper_bounds([primitive("cycle", 3), build_graph(0, [])])
 
 
 def test_matrix_radius_closed_form_2x2():

@@ -4,6 +4,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oddwheel import verify as verify_mod
@@ -13,6 +14,7 @@ from oddwheel.enumerate import BudgetExceededError, graph_code
 from oddwheel.families import FamilySpec, enumerate_family, primitive
 from oddwheel.formats import encode_graph6
 from oddwheel.graphs import build_graph, disjoint_union, equitable_partition
+from oddwheel.spectral import SpectralResult
 from oddwheel.verify import (
     CLAIMS,
     VerificationReport,
@@ -234,6 +236,136 @@ def test_brute_spex_order_seven():
     assert rep.evidence["classes"] == 1044
     # W7 spans 7 vertices, so only graphs containing it whole are excluded
     assert rep.evidence["wheel_free"] < 1044
+
+
+# sha256 of the sorted-key JSON of brute_spex(n, k, tol).to_dict(), recorded
+# while every wheel-free class was power-iterated; the bound that rules
+# graphs out must leave each report byte for byte as it was.
+BRUTE_SPEX_SHA256 = {
+    (1, 2, 1e-10):
+        "dcd4ff2ffc76b8e24cc8cba3d07b1f2ae9cd12a64e3c310f98719ddb80915c65",
+    (1, 3, 1e-10):
+        "6a45b4ddda6f6933d3ca61edb24170e6e8acbe70ecffac8f96df13b7a144e073",
+    (1, 4, 1e-10):
+        "8d245d9a3c91f3771c7fc0d3782e50b8c1e4bc167bf7868bf8012a9b7af75e0c",
+    (2, 2, 1e-10):
+        "438da08352f56065f43ca9b9444330de938a96f61d24663a1efc1fdcf1c64930",
+    (2, 3, 1e-10):
+        "3fa3061129a2ffff756c329bcfe0a2cd799387135a5743f201d9d11e79d24cb4",
+    (2, 4, 1e-10):
+        "a6524f424dfd5ffa76d7c4be7d87754dd3fb059a9cc5896d06dc41b6654c524d",
+    (3, 2, 1e-10):
+        "34cd63e1c818b6f30165ac2db87e94dc15e0f52d6972062059f985271b11aabf",
+    (3, 3, 1e-10):
+        "a4a21a5dbe719968b81d50fa31d9a6cd338fb8b81242813a07810b92e799d15a",
+    (3, 4, 1e-10):
+        "e8ee7a6bc0e24806270bf909a5df2686213b7da791c3f31509f96877b8d46470",
+    (4, 2, 1e-10):
+        "b7b20c2c4064c5870d3ec60408913d939d184b8e58effb13c274322a50a2cecf",
+    (4, 3, 1e-10):
+        "ba28d265b6add45e05359d83b84ae28568d53030d1f7442b5cbc98b583ae88e4",
+    (4, 4, 1e-10):
+        "887b8811d0483207a333769f51cb9ea533874a2b6f42a9ce7c9a1c6fb3c2bafa",
+    (5, 2, 1e-10):
+        "e7d82706eb7eaf270b0ab8cf31e5efed34040ec6de79494593f473c97fecfc3a",
+    (5, 3, 1e-10):
+        "6208c653996491c61703f7f369475dab9a76624a44bbcb466b00542eceada284",
+    (5, 4, 1e-10):
+        "0b33f6e5959a3be16f57f1a3214d23b28a0f9cfe7300952869950c23827c9961",
+    (6, 2, 1e-10):
+        "f05fd14d93831bc22eaaeaa6dc12cc69c88708c82026df4f54a2f892051573d4",
+    (6, 3, 1e-10):
+        "0c37e0d2b30d8bda38081389ad4b09c6a776865a83035b077d02c9cce094ebaa",
+    (6, 4, 1e-10):
+        "12a145b35b208680764b97b173c25514d276b76b596dcd4076d6afd27e715a84",
+    (7, 2, 1e-10):
+        "c6253a216ff3f44834bb837e525c7f815cbf1d6c470960a49102571fec54a30e",
+    (7, 3, 1e-10):
+        "07b1321bac6c04e0ce66b62591ed9c119a67d435abde356cb763f53466e7c933",
+    (7, 4, 1e-10):
+        "cabaea9f6b6e8cc3c78d947e0ec0e030c0b30d7b004428864726828344d8f617",
+    (5, 2, 1e-4):
+        "e163ac94c837fcf0a0273428d8fbfc2f432cf45fec36756f2da93bfc77789ae8",
+    (5, 3, 1e-4):
+        "6208c653996491c61703f7f369475dab9a76624a44bbcb466b00542eceada284",
+    (6, 2, 1e-4):
+        "43ad8ce832cdccae3bb55ab57543e1ff4f1a1ee4992a50413545e748542036aa",
+    (6, 3, 1e-4):
+        "0c37e0d2b30d8bda38081389ad4b09c6a776865a83035b077d02c9cce094ebaa",
+    (7, 2, 1e-4):
+        "078c0d11513c458e660fbfa649a54c100dd3b61de20654f901e7fd208bdc25ff",
+    (7, 3, 1e-4):
+        "0b4e8452c98f71811991a5ad13da81ed94a1e769fad5fbe032dea7e967bd4504",
+}
+
+
+@pytest.mark.parametrize("n, k, tol", sorted(BRUTE_SPEX_SHA256))
+def test_brute_spex_reports_are_pinned(n, k, tol):
+    text = json.dumps(brute_spex(n, k, tol).to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BRUTE_SPEX_SHA256[
+        (n, k, tol)
+    ]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_brute_spex_rejects_order_below_one(n):
+    with pytest.raises(ValueError, match=f"n={n}"):
+        brute_spex(n, 2)
+
+
+def _count_radius_calls(monkeypatch):
+    seen = []
+    radius = verify_mod.spectral_radius
+
+    def counting(g, *args):
+        seen.append(g)
+        return radius(g, *args)
+
+    monkeypatch.setattr(verify_mod, "spectral_radius", counting)
+    return seen
+
+
+@pytest.mark.parametrize("k, wheel_free", [(2, 723), (3, 996)])
+def test_brute_spex_iterates_only_graphs_that_can_win(monkeypatch, k, wheel_free):
+    seen = _count_radius_calls(monkeypatch)
+    rep = brute_spex(7, k)
+    assert rep.evidence["wheel_free"] == wheel_free
+    # the certified bounds leave only the maximizer within the margin
+    assert seen == rep.evidence["maximizers"]
+    assert len(seen) == 1
+
+
+def test_brute_spex_margin_exceeds_the_window(monkeypatch):
+    """Fake bounds and radii (each radius equal to its bound, each residual
+    equal to tol, the worst cases allowed) placed around the maximizer
+    window w = 100 * tol: a graph within 2w of the best is iterated, one
+    further below is not, and the report is taken in the original order."""
+    tol = 1e-10
+    w = 100 * tol
+    graphs = verify_mod.all_graphs(4)
+    radius = [1.0] * len(graphs)
+    radius[5] = radius[7] = 3.0
+    radius[2] = 3.0 - 0.5 * w
+    radius[9] = 3.0 - 1.5 * w
+    radius[0] = 3.0 - 2.5 * w
+    fake = dict(zip(graphs, radius))
+    seen = []
+
+    def fake_radius(g, tol):
+        seen.append(g)
+        return SpectralResult(fake[g], (), tol, 0)
+
+    monkeypatch.setattr(
+        verify_mod,
+        "radius_upper_bounds",
+        lambda free: np.array([fake[g] for g in free]),
+    )
+    monkeypatch.setattr(verify_mod, "spectral_radius", fake_radius)
+    rep = brute_spex(4, 2, tol)
+    assert rep.evidence["wheel_free"] == len(graphs)
+    assert sorted(graphs.index(g) for g in seen) == [2, 5, 7, 9]
+    assert rep.evidence["max_radius"] == 3.0
+    assert rep.evidence["maximizers"] == [graphs[2], graphs[5], graphs[7]]
 
 
 def test_join_bound_sample():
