@@ -353,6 +353,11 @@ def main(argv: list[str] | None = None) -> int:
         "info": _cmd_info,
     }
     try:
+        # Negative budgets would mean "exhausted at once" to the enumerator
+        # and "unlimited" to the kernels; neither is asked for.
+        budget = getattr(args, "budget", None)
+        if budget is not None and budget < 0:
+            raise SystemExit2(f"--budget must be non-negative, got {budget}")
         return handlers[args.command](args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,13 +49,31 @@ orbits can still give isomorphic children (through an isomorphism that
 moves the new vertex).  The generators are computed only once a second
 set of a parent reaches canonicalization.  The skip comes after the
 budget is spent and after the key test, so the budget still counts every
-child that passes `child_ok`, skipped or not.
+child that passes the degree prune, skipped or not.
 
-Degree-constrained enumeration (regular and one-deficient-vertex targets)
-prunes partial graphs that cannot reach the target: the prune conditions
-are isomorphism-invariant and hold on every induced subgraph of a valid
-final graph, so along every deletion path, whichever vertex the deletion
-rule picks.  That is what completeness requires.
+Degree-constrained enumeration (regular and one-deficient-vertex targets
+of order N and degree d) prunes partial graphs that cannot reach the
+target (`_prune`).  `_children` attaches the new vertex only to the sets
+that can pass: every vertex whose gap d - deg exceeds what the vertices
+still to come can fill is forced into the set, the set's size must leave
+the new vertex a fillable gap, and the prune runs on the child's degree
+list before any child rows are built.
+
+The prune is monotone: if G passes it at order m, then every G-v passes
+it at order m-1.  Every gap rises by at most one and one more vertex is
+still to come; the gap sum changes by 2 deg v - d <= d, which the extra
+vertex can fill; and the one gap the deficient vertex may leave open
+carries over.  Canonical parents are some G-v, so by induction level m of
+the pruned tree is exactly the set of order-m graphs that pass the prune.
+That set only grows with N, and at equal N the deficient prune is the
+weaker one.  So one stored tree per degree bound d, the largest built so
+far (`_tree_cache`), answers every target (order, d, deficient) with
+order < N, or order = N when the tree is at least as weak, by its level
+`order` and the exact degree and connectivity filter; a larger target
+builds a new tree, which replaces the stored one once it is complete.
+For the same reason level m of any pruned tree is the cached
+`all_graphs(m)` filtered by the prune, so a new tree starts from the
+highest cached `all_graphs` level instead of from order 1.
 """
 
 from __future__ import annotations
@@ -78,6 +96,9 @@ class BudgetExceededError(RuntimeError):
 _deletion_cache: dict[bytes, bytes] = {}
 _all_cache: dict[int, list[bytes]] = {}
 _degree_cache: dict[tuple[int, int, bool], list[Graph]] = {}
+# Per degree bound d, the (order, deficient, levels) of the largest pruned
+# tree built so far; it answers every target it covers (module docstring).
+_tree_cache: dict[int, tuple[int, bool, list[list[bytes]]]] = {}
 
 
 def _canon_graph(code: bytes) -> Graph:
@@ -164,6 +185,8 @@ class _Budget:
     __slots__ = ("left",)
 
     def __init__(self, limit: int | None):
+        if limit is not None and limit < 0:
+            raise ValueError(f"budget must be non-negative, got {limit}")
         self.left = limit
 
     def spend(self, amount: int = 1) -> None:
@@ -174,22 +197,65 @@ class _Budget:
             raise BudgetExceededError("enumeration budget exhausted")
 
 
+def _prune(degs: list[int], order: int, d: int, deficient: bool) -> bool:
+    """Whether a graph with degree list `degs` can still grow into a
+    target of `order` vertices, every degree d except (when deficient) one
+    d-1: no degree is above d, every gap d - deg is at most the number r
+    of vertices still to come (one gap may be r+1 when deficient), and the
+    gap sum, less the deficient vertex's missing edge, is at most r*d.
+
+    Monotone (module docstring): if G passes at order m, every G-v passes
+    at order m-1."""
+    r = order - len(degs)
+    slack = deficient
+    total = 0
+    for deg in degs:
+        gap = d - deg
+        if gap < 0:
+            return False
+        if gap > r:
+            if not slack or gap > r + 1:
+                return False
+            slack = False
+        total += gap
+    return total - deficient <= r * d
+
+
 def _children(
     parent_code: bytes,
-    allowed_mask_fn,
-    child_ok,
+    target: tuple[int, int, bool] | None,
     budget: _Budget,
 ) -> list[bytes]:
+    """Canonical children of a parent: every graph, or with a degree
+    target (order, d, deficient) the children that pass `_prune`."""
     n, rows = kernels.code_to_rows(parent_code)
     rows = list(rows)
-    allowed = allowed_mask_fn(n, rows)
+    degs = [r.bit_count() for r in rows]
+    # Only sets that can pass the prune are tried, in descending order:
+    # s = forced | sub for sub over the subsets of free.  A vertex whose
+    # gap exceeds r + deficient (r: vertices still to come after the
+    # child) must gain an edge now, and the new vertex's own gap d - |s|
+    # may exceed r only by the deficient slack.
+    forced = 0
+    free = (1 << n) - 1
+    low, high = 0, n
+    if target is not None:
+        order, d, deficient = target
+        r = order - n - 1
+        free = 0
+        for v, deg in enumerate(degs):
+            if deg < d:
+                if d - deg > r + deficient:
+                    forced |= 1 << v
+                else:
+                    free |= 1 << v
+        low, high = d - r - deficient, d
     # The new vertex must end with the maximal key to be the canonical
     # deletion vertex.  Its degree is the key's first part: above the
     # parent's top degree, or equal to it while missing every top-degree
     # vertex.  Then its key must be at least that of every other vertex
     # of its degree; when it is strictly the largest, deleting the new
     # vertex is the canonical deletion and gives back the parent.
-    degs = [r.bit_count() for r in rows]
     top = max(degs)
     top_mask = sum(1 << v for v in range(n) if degs[v] == top)
     seen: set[bytes] = set()
@@ -199,43 +265,60 @@ def _children(
     done: set[int] = set()
     gens = None
     out: list[bytes] = []
-    sub = allowed
-    while True:
-        s = sub
+    for s in _subsets_descending(forced, free):
+        deg = s.bit_count()
+        if not low <= deg <= high:
+            continue
+        cdegs = None
+        if target is not None:
+            cdegs = _child_degrees(degs, s)
+            if not _prune(cdegs, *target):
+                continue
+        budget.spend()
+        if deg < top or (deg == top and s & top_mask):
+            continue
+        cdegs = cdegs or _child_degrees(degs, s)
         child = rows + [s]
-        for v in range(n):
-            if (s >> v) & 1:
-                child[v] |= 1 << n
-        if child_ok(n + 1, child):
-            budget.spend()
-            deg = s.bit_count()
-            if deg > top or (deg == top and not s & top_mask):
-                cdegs = [d + ((s >> v) & 1) for v, d in enumerate(degs)]
-                cdegs.append(deg)
-                ties = [v for v in range(n) if cdegs[v] == deg]
-                # 1: the new vertex alone has the maximal key; 0: it shares
-                # it; -1: it cannot be the canonical deletion vertex.
-                rank = 1
-                if ties:
-                    key = _vertex_key(child, n, cdegs)
-                    best = max([_vertex_key(child, v, cdegs) for v in ties])
-                    rank = (key > best) - (key < best)
-                if rank >= 0 and gens is None and done:
-                    gens = automorphism_generators(Graph(n, tuple(rows)))
-                    done = set_orbit(done.pop(), gens)
-                # A set in the orbit of one canonicalized before gives an
-                # isomorphic child: same code, same rank (module docstring).
-                if rank >= 0 and s not in done:
-                    done |= set_orbit(s, gens or [])
-                    code = kernels.canon_code(n + 1, child)
-                    if code not in seen:
-                        seen.add(code)
-                        if rank or _deletion_code(code) == parent_code:
-                            out.append(code)
-        if sub == 0:
-            break
-        sub = (sub - 1) & allowed
+        for v in bits_of(s):
+            child[v] |= 1 << n
+        ties = [v for v in range(n) if cdegs[v] == deg]
+        # 1: the new vertex alone has the maximal key; 0: it shares it;
+        # -1: it cannot be the canonical deletion vertex.
+        rank = 1
+        if ties:
+            key = _vertex_key(child, n, cdegs)
+            best = max([_vertex_key(child, v, cdegs) for v in ties])
+            rank = (key > best) - (key < best)
+        if rank >= 0 and gens is None and done:
+            gens = automorphism_generators(Graph(n, tuple(rows)))
+            done = set_orbit(done.pop(), gens)
+        # A set in the orbit of one canonicalized before gives an
+        # isomorphic child: same code, same rank (module docstring).
+        if rank >= 0 and s not in done:
+            done |= set_orbit(s, gens or [])
+            code = kernels.canon_code(n + 1, child)
+            if code not in seen:
+                seen.add(code)
+                if rank or _deletion_code(code) == parent_code:
+                    out.append(code)
     return out
+
+
+def _child_degrees(degs: list[int], s: int) -> list[int]:
+    """Degree list of the child that attaches a new vertex to the set s."""
+    out = [x + ((s >> v) & 1) for v, x in enumerate(degs)]
+    out.append(s.bit_count())
+    return out
+
+
+def _subsets_descending(forced: int, free: int):
+    """forced | sub for every subset sub of free, in descending order."""
+    sub = free
+    while True:
+        yield forced | sub
+        if not sub:
+            return
+        sub = (sub - 1) & free
 
 
 def all_graphs(n: int, budget: int | None = None) -> list[Graph]:
@@ -243,9 +326,9 @@ def all_graphs(n: int, budget: int | None = None) -> list[Graph]:
     ordered by canonical form."""
     if n < 0:
         raise ValueError("order must be non-negative")
+    b = _Budget(budget)
     if n == 0:
         return [Graph(0, ())]
-    b = _Budget(budget)
     top = max(k for k in _all_cache) if _all_cache else 0
     if not _all_cache:
         _all_cache[1] = [kernels.canon_code(1, [0])]
@@ -253,14 +336,7 @@ def all_graphs(n: int, budget: int | None = None) -> list[Graph]:
     for m in range(top, n):
         codes: list[bytes] = []
         for pcode in _all_cache[m]:
-            codes.extend(
-                _children(
-                    pcode,
-                    lambda k, rows: (1 << k) - 1,
-                    lambda k, rows: True,
-                    b,
-                )
-            )
+            codes.extend(_children(pcode, None, b))
         _all_cache[m + 1] = sorted(codes)
     return [_canon_graph(c) for c in _all_cache[n]]
 
@@ -276,9 +352,15 @@ def connected_with_degrees(
     degree d, except (when deficient) exactly one vertex of degree d-1.
 
     Ordered by canonical form.  Infeasible parameters give an empty list.
+    The budget counts the children that pass the degree prune in the
+    levels this call generates; a target read from a stored tree (module
+    docstring) or from the result cache generates none and spends
+    nothing, and a tree started from a cached `all_graphs` level spends
+    nothing on the levels up to it.
     """
     if order < 0 or d < 0:
         raise ValueError("order and degree must be non-negative")
+    b = _Budget(budget)
     key = (order, d, deficient)
     cached = _degree_cache.get(key)
     if cached is not None:
@@ -292,51 +374,14 @@ def connected_with_degrees(
         _degree_cache[key] = []
         return []
 
-    def prune(m: int, rows: list[int]) -> bool:
-        r = order - m
-        over = 0
-        slack_used = 0
-        deficit_sum = 0
-        for row in rows:
-            deg = row.bit_count()
-            if deg > d:
-                return False
-            gap = d - deg
-            deficit_sum += gap
-            if gap > r:
-                if deficient and gap == r + 1 and not slack_used:
-                    slack_used = 1
-                else:
-                    return False
-        if deficit_sum - (1 if deficient else 0) > r * d:
-            return False
-        return True
-
-    def allowed_mask(m: int, rows: list[int]) -> int:
-        mask = 0
-        for v in range(m):
-            if rows[v].bit_count() < d:
-                mask |= 1 << v
-        return mask
-
-    def child_ok(m: int, rows: list[int]) -> bool:
-        if rows[m - 1].bit_count() > d:
-            return False
-        return prune(m, rows)
-
-    b = _Budget(budget)
-    level = [kernels.canon_code(1, [0])]
-    for m in range(1, order):
-        nxt: list[bytes] = []
-        for pcode in level:
-            nxt.extend(_children(pcode, allowed_mask, child_ok, b))
-        level = sorted(set(nxt))
-        if not level:
-            break
+    top, weak, levels = _tree_cache.get(d, (0, False, []))
+    if not (order < top or (order == top and weak >= deficient)):
+        levels = _pruned_levels(order, d, deficient, b)
+        _tree_cache[d] = (order, deficient, levels)
 
     out = []
     want_deficient = 1 if deficient else 0
-    for code in level:
+    for code in levels[order]:
         g = _canon_graph(code)
         degs = g.degrees()
         if sum(1 for x in degs if x == d - 1) != want_deficient:
@@ -348,3 +393,30 @@ def connected_with_degrees(
         out.append(g)
     _degree_cache[key] = out
     return list(out)
+
+
+def _pruned_levels(
+    order: int, d: int, deficient: bool, budget: _Budget
+) -> list[list[bytes]]:
+    """Levels 0..order of the augmentation tree pruned for the target
+    (order, d, deficient): level m holds, in code order, every graph on m
+    vertices that passes `_prune` (module docstring).  Levels up to the
+    highest cached `all_graphs` level are read off it; the rest are
+    generated.  Nothing is stored here, so an exhausted budget leaves no
+    partial tree behind."""
+    target = (order, d, deficient)
+    seed = _all_cache or {1: [kernels.canon_code(1, [0])]}
+    start = min(max(seed), order)
+    levels: list[list[bytes]] = [[]]
+    for m in range(1, start + 1):
+        levels.append([
+            code for code in seed[m]
+            if _prune([r.bit_count() for r in kernels.code_to_rows(code)[1]],
+                      *target)
+        ])
+    for m in range(start, order):
+        nxt: list[bytes] = []
+        for pcode in levels[m]:
+            nxt.extend(_children(pcode, target, budget))
+        levels.append(sorted(nxt))
+    return levels

@@ -94,9 +94,16 @@ def verify_bounded_order(
     delta: int, order_cap: int, budget: int | None = None
 ) -> VerificationReport:
     """Exhaustively check the long-path guarantee on every connected
-    regular / one-deficient graph up to order_cap."""
+    regular / one-deficient graph up to order_cap.
+
+    The graphs are enumerated before any is checked, the deficient target
+    at order_cap first: its pruned tree answers every smaller target, so
+    the enumeration is one tree.  A BUDGET report from the enumeration
+    budget therefore says `checked: 0`."""
     if delta < 2:
         raise ValueError("delta >= 2 required")
+    if order_cap < 0:
+        raise ValueError(f"order_cap={order_cap} must be non-negative")
     if order_cap > 12:
         raise ValueError("order_cap above desk scale (12)")
     params = {"delta": delta, "order_cap": order_cap}
@@ -105,9 +112,13 @@ def verify_bounded_order(
     counts: dict[int, int] = {}
     min_path = None
     try:
-        for order in range(1, order_cap + 1):
-            graphs = connected_with_degrees(order, delta, False, budget)
-            graphs += connected_with_degrees(order, delta, True, budget)
+        pools = {}
+        for order in range(order_cap, 0, -1):
+            deficient = connected_with_degrees(order, delta, True, budget)
+            pools[order] = (
+                connected_with_degrees(order, delta, False, budget) + deficient
+            )
+        for order, graphs in sorted(pools.items()):
             counts[order] = len(graphs)
             if order < target:
                 continue

@@ -153,6 +153,41 @@ def test_brute_spex_cli_rejects_order_below_one(capsys, n):
     assert f"n={n}" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--kind", "U", "--degree", "3", "--order", "4"),
+        ("check", "odd-wheel", "W5", "--k", "2"),
+        ("check", "path", "W5"),
+        ("construct", "candidate", "--n", "22", "--k", "4"),
+        ("verify", "lemma-3.2", "--delta", "3", "--cap", "8"),
+        ("brute-spex", "--n", "5", "--k", "2"),
+    ],
+)
+def test_negative_budget_is_usage_error(tmp_path, capsys, argv):
+    # -1 meant "exhausted at once" to the enumerator and "unlimited" to
+    # the detectors; every command now rejects it
+    w5 = tmp_path / "w5.g6"
+    w5.write_text(encode_graph6(odd_wheel(2)) + "\n")
+    argv = [str(w5) if a == "W5" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--budget", "-1")
+    assert code == 2 and out == ""
+    assert "--budget must be non-negative, got -1" in err
+
+
+def test_zero_budget_is_kept(fresh_caches, capsys):
+    code, out, err = run_cli(
+        capsys, "enumerate", "--kind", "U", "--degree", "3", "--order", "4",
+        "--budget", "0",
+    )
+    assert code == 3 and out == "" and "budget exhausted" in err
+
+
+def test_verify_negative_cap_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "lemma-3.2", "--cap", "-1")
+    assert code == 2 and out == "" and "order_cap=-1" in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "w5.g6"
     code, out, _ = run_cli(

@@ -138,14 +138,6 @@ def test_budget_raises():
         connected_with_degrees(11, 4, False, budget=5)
 
 
-@pytest.fixture
-def fresh_caches(monkeypatch):
-    """Empty enumeration caches for one test; the shared ones come back
-    afterwards untouched."""
-    for name in ("_deletion_cache", "_all_cache", "_degree_cache"):
-        monkeypatch.setattr(enum_mod, name, {})
-
-
 @pytest.mark.parametrize(
     "run, counts",
     [
@@ -327,3 +319,102 @@ def test_all_graphs_match_networkx_atlas():
         ours = [graph_code(g) for g in all_graphs(n)]
         assert len(atlas[n]) == len(ours) == KNOWN_CLASS_COUNTS[n]
         assert set(atlas[n]) == set(ours)
+
+
+def test_degree_prune_is_monotone():
+    # The lemma the shared trees rest on: if G passes the prune for a
+    # target of order N at its own order m, every G-v passes it at m-1.
+    # So each level of a pruned tree is every graph of its order that
+    # passes the prune, and a tree answers every smaller target.
+    passed = failed = 0
+    for m in range(1, 8):
+        for g in all_graphs(m):
+            degs = list(g.degrees())
+            cards = [
+                [degs[u] - ((g.rows[v] >> u) & 1) for u in range(m) if u != v]
+                for v in range(m)
+            ]
+            for d in range(2, 6):
+                for order in range(m, m + 4):
+                    for deficient in (False, True):
+                        if not enum_mod._prune(degs, order, d, deficient):
+                            failed += 1
+                            continue
+                        passed += 1
+                        for card in cards:
+                            assert enum_mod._prune(card, order, d, deficient), (
+                                g, d, order, deficient, card
+                            )
+    assert passed and failed
+
+
+DIFFERENTIAL_TARGETS = [
+    (order, d, deficient)
+    for d in range(2, 5)
+    for order in range(10)
+    for deficient in (False, True)
+]
+
+
+def test_shared_trees_match_single_target_enumeration(fresh_caches):
+    # Whatever was asked before and whatever all_graphs levels are cached,
+    # each target gives the list that enumerating it alone from empty
+    # caches gives, graph for graph and in the same order.
+    want = {}
+    for target in DIFFERENTIAL_TARGETS:
+        fresh_caches()
+        want[target] = connected_with_degrees(*target)
+    assert len(want[(8, 3, False)]) == KNOWN_CUBIC_CONNECTED[8]
+    assert len(want[(9, 4, False)]) == KNOWN_QUARTIC_CONNECTED[9]
+    fresh_caches()
+    all_graphs(7)
+    levels = dict(enum_mod._all_cache)
+    rng = random.Random(14)
+    for top in (None, 5, 6, 7):
+        cached = {m: levels[m] for m in range(1, (top or 0) + 1)}
+        for _ in range(2):
+            order = list(DIFFERENTIAL_TARGETS)
+            rng.shuffle(order)
+            fresh_caches(cached)
+            for target in order:
+                assert connected_with_degrees(*target) == want[target], (
+                    top, target
+                )
+
+
+def test_target_read_from_a_stored_tree_spends_nothing(fresh_caches):
+    connected_with_degrees(9, 3, True)
+    assert enum_mod._tree_cache[3][:2] == (9, True)
+    for order, deficient in [(8, False), (7, True), (6, False), (4, False)]:
+        got = connected_with_degrees(order, 3, deficient, budget=0)
+        if not deficient:
+            assert len(got) == KNOWN_CUBIC_CONNECTED[order]
+    assert enum_mod._tree_cache[3][:2] == (9, True)
+
+
+def test_interrupted_tree_stores_no_levels(fresh_caches):
+    with pytest.raises(BudgetExceededError):
+        connected_with_degrees(10, 4, False, budget=5)
+    assert enum_mod._tree_cache == {}
+    connected_with_degrees(8, 3, False)
+    stored = enum_mod._tree_cache[3]
+    # a larger target needs a new tree; exhausting its budget keeps the
+    # stored one, which still answers what it answered
+    with pytest.raises(BudgetExceededError):
+        connected_with_degrees(10, 3, False, budget=CUBIC_8_BUDGET)
+    assert enum_mod._tree_cache[3] is stored
+    assert len(connected_with_degrees(6, 3, False, budget=0)) == 2
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: enum_mod._Budget(-1),
+        lambda: connected_with_degrees(8, 3, False, budget=-1),
+        lambda: all_graphs(5, budget=-1),
+    ],
+    ids=["budget", "connected_with_degrees", "all_graphs"],
+)
+def test_negative_budget_is_rejected(run):
+    with pytest.raises(ValueError, match="budget must be non-negative, got -1"):
+        run()

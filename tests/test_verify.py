@@ -53,6 +53,57 @@ def test_bounded_order_budget():
     assert rep.outcome == "BUDGET"
 
 
+# sha256 of the sorted-key JSON of verify_bounded_order(delta, cap).to_dict(),
+# recorded while every order was enumerated from order 1 on its own; the
+# shared tree must leave the PASS and FAIL reports byte for byte as they were.
+BOUNDED_ORDER_SHA256 = {
+    (2, 9, "PASS"): "3a0bfda1d6d514b1e6b951e0f40dd6ed7b69bb99a83ba5cf2b7e7fb5b0001b7e",
+    (2, 9, "FAIL"): "9e7ab69d1d6373ac3dccbcd9e5a964d2dc66ee6ae0e7bd768b85a05a5067cdcc",
+    (3, 10, "PASS"): "661c4c1a65fc973ca4bd70366da8a519e659da7799aa2721ade8eb2e3e2111af",
+    (3, 10, "FAIL"): "3c4c4338ae0146f7f8a00fcb04faddfca0167e81eee4ed58a71e92b770316e3e",
+    (4, 10, "PASS"): "7b91d9f4066ac0c4a19981f7e74616e86e2c94f4dd1df0f56c892861e558ba2d",
+    (4, 10, "FAIL"): "3c81c6b8f4cde9990cd734e3370c1054f96ef4a8cb798a6de01b59aee6064cb2",
+}
+
+
+@pytest.mark.parametrize("delta, cap", [(2, 9), (3, 10), (4, 10)])
+def test_bounded_order_reports_are_pinned(monkeypatch, delta, cap):
+    def digest(outcome):
+        rep = verify_bounded_order(delta, cap)
+        assert rep.outcome == outcome
+        text = json.dumps(rep.to_dict(), sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert digest("PASS") == BOUNDED_ORDER_SHA256[(delta, cap, "PASS")]
+    # From the third graph checked on, the path search reports three
+    # vertices short: the FAIL report names the third graph in checking
+    # order (ascending order, regular before deficient, code order).
+    path_order = verify_mod.longest_path_order
+    calls = []
+
+    def short(g, *args):
+        calls.append(g)
+        found = path_order(g, *args)
+        return found - 3 if len(calls) >= 3 else found
+
+    monkeypatch.setattr(verify_mod, "longest_path_order", short)
+    assert digest("FAIL") == BOUNDED_ORDER_SHA256[(delta, cap, "FAIL")]
+
+
+def test_bounded_order_budget_report_checks_nothing(fresh_caches):
+    # The whole enumeration comes before the first check.  At this budget
+    # the trees up to order 9 fit and the order-10 tree does not; when each
+    # order was enumerated and checked in turn the report said checked: 28.
+    rep = verify_bounded_order(3, 10, budget=3000)
+    assert rep.outcome == "BUDGET" and rep.evidence == {"checked": 0}
+
+
+@pytest.mark.parametrize("cap", [-1, -5])
+def test_bounded_order_rejects_a_negative_cap(cap):
+    with pytest.raises(ValueError, match=f"order_cap={cap}"):
+        verify_bounded_order(3, cap)
+
+
 def test_walk_lemma_pass_and_error():
     rep = verify_walk_lemma(3, 13)
     assert rep.outcome == "PASS"
