@@ -7,14 +7,13 @@ to 64-bit masks and the dispatcher routes accordingly.
 
 Canonical form
 --------------
-The canonical code of a graph is the lexicographically minimal adjacency
-bit-string over all vertex orderings, reading the upper triangle in
-column-major order: bits (0,1), (0,2), (1,2), (0,3), ... (the same bit
-order graph6 uses).  Column-major reading makes the string decomposable
-into per-position contributions: placing a vertex w at position j fixes
-exactly the bits (i,j) for i<j, and those bits are w's adjacencies to the
-vertices already placed, first-placed most significant.  So the minimum
-can be found level by level.
+The canonical code of a graph is the lexicographically minimal
+`graphs.triangle_bits` over all vertex orderings, framed by `frame_code`;
+`graphs.rows_from_triangle` reads it back.  The string is column by
+column, so it splits into per-position contributions: placing a vertex w
+at position j fixes exactly column j, which is w's adjacencies to the
+vertices already placed, first-placed first.  So the minimum can be
+found level by level.
 
 At each level the search keeps every partial placement achieving the
 minimal prefix (a frontier), because prefix-tied placements may differ
@@ -38,17 +37,13 @@ on vertex-transitive graphs.
 
 from __future__ import annotations
 
-from oddwheel.graphs import bits_of
+from oddwheel.graphs import bits_of, rows_from_triangle, triangle_bits
 
 
 def canon_code(n: int, rows) -> bytes:
-    """Canonical form as bytes: order byte, then the packed minimal
-    upper-triangle bit-string (big-endian, zero-padded)."""
+    """The minimal triangle bit string over all orderings, framed."""
     if n > 255:
         raise ValueError("canonical form limited to order <= 255")
-    if n <= 1:
-        return bytes([n])
-    total_bits = n * (n - 1) // 2
     full = (1 << n) - 1
 
     frontier = dict.fromkeys(
@@ -90,40 +85,34 @@ def canon_code(n: int, rows) -> bytes:
                 "canonical-form frontier explosion; canonicalize per "
                 "component instead of the whole graph"
             )
-    return bytes([n]) + code.to_bytes((total_bits + 7) // 8, "big")
+    return frame_code(n, code)
+
+
+def frame_code(n: int, value: int) -> bytes:
+    """The order byte, then `value`, the triangle bit string read as a
+    binary number, big-endian and zero-padded at the front to whole
+    bytes."""
+    if n > 255:
+        raise ValueError("code format limited to order <= 255")
+    return bytes([n]) + value.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
+
+
+def code_bits(code: bytes) -> tuple[int, str]:
+    """The order and the triangle bit string of a code (`frame_code`)."""
+    n = code[0]
+    total = n * (n - 1) // 2
+    # The leading 1 keeps the front zeros of the string; it is cut off.
+    return n, format(int.from_bytes(code[1:], "big") | 1 << total, "b")[1:]
 
 
 def pack_code(n: int, rows) -> bytes:
-    """Pack a labeled graph into the code format without re-minimizing:
-    order byte + column-major upper-triangle bits, big-endian."""
-    if n > 255:
-        raise ValueError("code format limited to order <= 255")
-    if n <= 1:
-        return bytes([n])
-    total_bits = n * (n - 1) // 2
-    code = 0
-    for j in range(1, n):
-        for i in range(j):
-            code = (code << 1) | ((rows[i] >> j) & 1)
-    return bytes([n]) + code.to_bytes((total_bits + 7) // 8, "big")
+    """The code of a labelled graph as it stands, without minimizing."""
+    return frame_code(n, int(triangle_bits(n, rows) or "0", 2))
 
 
 def code_to_rows(code: bytes) -> tuple[int, tuple[int, ...]]:
-    """Rebuild the canonically labeled adjacency rows from a code."""
-    n = code[0]
-    rows = [0] * n
-    if n <= 1:
-        return n, tuple(rows)
-    total_bits = n * (n - 1) // 2
-    val = int.from_bytes(code[1:], "big")
-    shift = total_bits
-    for j in range(1, n):
-        for i in range(j):
-            shift -= 1
-            if (val >> shift) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return n, tuple(rows)
+    """The order and the adjacency rows of the graph a code labels."""
+    return code[0], rows_from_triangle(*code_bits(code))
 
 
 def has_cycle_of_length(n: int, rows, length: int, budget: int) -> int:

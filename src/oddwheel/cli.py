@@ -18,6 +18,7 @@ import sys
 
 from oddwheel import __version__, kernels
 from oddwheel.detect import (
+    DEFAULT_BUDGET,
     contains_cycle_of_length,
     contains_odd_wheel,
     is_star_free,
@@ -215,7 +216,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_check(args) -> int:
     g = _read_graph(args.graph)
-    budget = args.budget if args.budget is not None else 10_000_000
+    budget = args.budget if args.budget is not None else DEFAULT_BUDGET
     if args.kind == "odd-wheel":
         if args.k is None:
             raise SystemExit2("--k required")
@@ -353,8 +354,8 @@ def main(argv: list[str] | None = None) -> int:
         "info": _cmd_info,
     }
     try:
-        # Negative budgets would mean "exhausted at once" to the enumerator
-        # and "unlimited" to the kernels; neither is asked for.
+        # The enumerators and the detectors reject a negative budget with a
+        # ValueError; the command line rejects it first, naming the option.
         budget = getattr(args, "budget", None)
         if budget is not None and budget < 0:
             raise SystemExit2(f"--budget must be non-negative, got {budget}")

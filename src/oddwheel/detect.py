@@ -23,7 +23,7 @@ removed instead of widening every later anchor's paths.
 from __future__ import annotations
 
 from oddwheel import kernels
-from oddwheel.enumerate import BudgetExceededError
+from oddwheel.enumerate import BudgetExceededError, check_budget
 from oddwheel.graphs import Graph, bits_of
 
 DEFAULT_BUDGET = 10_000_000
@@ -80,6 +80,7 @@ def contains_cycle_of_length(
     `length` vertices."""
     if length < 3:
         raise ValueError("cycles have at least 3 vertices")
+    check_budget(budget)
     reduced = _twin_reduce(g, length)
     result = kernels.has_cycle_of_length(
         reduced.order, list(reduced.rows), length, budget
@@ -108,6 +109,7 @@ def contains_odd_wheel(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     """
     if k < 2:
         raise ValueError("odd wheels need k >= 2")
+    check_budget(budget)
     length = 2 * k
     hubs = sorted(range(g.order), key=g.degree, reverse=True)
     exhausted = False
@@ -137,6 +139,7 @@ def longest_path_order(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Maximum number of vertices on a simple path of g."""
     if g.order < 1:
         raise ValueError("longest path needs at least one vertex")
+    check_budget(budget)
     result = kernels.longest_path_order(g.order, list(g.rows), budget)
     if result < 0:
         raise BudgetExceededError(f"path search budget {budget} exhausted")

@@ -101,40 +101,37 @@ _degree_cache: dict[tuple[int, int, bool], list[Graph]] = {}
 _tree_cache: dict[int, tuple[int, bool, list[list[bytes]]]] = {}
 
 
-def _canon_graph(code: bytes) -> Graph:
-    n, rows = kernels.code_to_rows(code)
-    return Graph(n, tuple(rows))
-
-
 def graph_code(g: Graph) -> bytes:
     """Canonical form: order byte + packed canonical bit-string.
 
-    Connected graphs get the lexicographically minimal bit-string over all
-    vertex orderings.  Disconnected graphs are canonicalized per component
-    and reassembled by `union_code`; minimizing over all orderings at once
-    would interleave components through their independent sets and blow
-    up combinatorially, and the per-component form is the same complete
+    Each component gets the lexicographically minimal bit-string over its
+    vertex orderings, and `union_code` reassembles them; a connected graph
+    is its own one piece.  Minimizing over all orderings at once would
+    interleave components through their independent sets and blow up
+    combinatorially, and the per-component form is the same complete
     isomorphism invariant either way.
     """
-    comps = components(g)
-    if len(comps) <= 1:
-        return kernels.canon_code(g.order, list(g.rows))
-    return union_code(
-        [kernels.canon_code(c.graph.order, list(c.graph.rows)) for c in comps]
-    )
+    return union_code([
+        kernels.canon_code(c.graph.order, list(c.graph.rows))
+        for c in components(g)
+    ])
 
 
 def union_code(piece_codes: list[bytes]) -> bytes:
     """`graph_code` of a disjoint union, from the canonical codes of its
     connected pieces: the pieces in sorted code order, each labelled after
-    the ones before it."""
-    rows: list[int] = []
+    the ones before it.  Column offset + j of the union's triangle bits
+    is offset zeros, then column j of the piece at that offset."""
+    cols: list[str] = []
     offset = 0
     for piece in sorted(piece_codes):
-        m, sub = kernels.code_to_rows(piece)
-        rows.extend(r << offset for r in sub)
+        m, bits = kernels.code_bits(piece)
+        cols.extend(
+            "0" * offset + bits[j * (j - 1) // 2 : j * (j + 1) // 2]
+            for j in range(m)
+        )
         offset += m
-    return kernels.pack_code(offset, rows)
+    return kernels.frame_code(offset, int("".join(cols) or "0", 2))
 
 
 def _vertex_key(rows: list[int], v: int, degs: list[int]) -> tuple:
@@ -181,12 +178,17 @@ def _deletion_code(child_code: bytes) -> bytes:
     return k
 
 
+def check_budget(limit: int | None) -> None:
+    """Reject a negative budget; None means no limit."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"budget must be non-negative, got {limit}")
+
+
 class _Budget:
     __slots__ = ("left",)
 
     def __init__(self, limit: int | None):
-        if limit is not None and limit < 0:
-            raise ValueError(f"budget must be non-negative, got {limit}")
+        check_budget(limit)
         self.left = limit
 
     def spend(self, amount: int = 1) -> None:
@@ -338,11 +340,7 @@ def all_graphs(n: int, budget: int | None = None) -> list[Graph]:
         for pcode in _all_cache[m]:
             codes.extend(_children(pcode, None, b))
         _all_cache[m + 1] = sorted(codes)
-    return [_canon_graph(c) for c in _all_cache[n]]
-
-
-def graph_class_count(n: int) -> int:
-    return len(all_graphs(n))
+    return [Graph(*kernels.code_to_rows(c)) for c in _all_cache[n]]
 
 
 def connected_with_degrees(
@@ -382,7 +380,7 @@ def connected_with_degrees(
     out = []
     want_deficient = 1 if deficient else 0
     for code in levels[order]:
-        g = _canon_graph(code)
+        g = Graph(*kernels.code_to_rows(code))
         degs = g.degrees()
         if sum(1 for x in degs if x == d - 1) != want_deficient:
             continue

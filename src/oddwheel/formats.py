@@ -1,8 +1,9 @@
 """graph6 and edge-list encodings.
 
-graph6 packs the column-major upper triangle of the adjacency matrix into
-6-bit printable chunks (offset 63).  Orders up to 62 use the one-byte
-header; 63..258047 use the '~' + 3 byte extended header.
+A graph6 line is a header for the order, then `graphs.triangle_bits`
+zero-padded to 6-bit chunks, each printed as one character (offset 63);
+`graphs.rows_from_triangle` reads the bits back.  Orders up to 62 use the
+one-byte header; 63..258047 use the '~' + 3 byte extended header.
 
 The edge-list text format is: first line "n m", then m lines "u v" with
 0-based endpoints, u < v, ascending.
@@ -11,6 +12,7 @@ The edge-list text format is: first line "n m", then m lines "u v" with
 from __future__ import annotations
 
 from oddwheel.graphs import Graph, GraphError, build_graph
+from oddwheel.graphs import rows_from_triangle, triangle_bits
 
 _HEADER = ">>graph6<<"
 MAX_GRAPH6_ORDER = 258047
@@ -20,30 +22,25 @@ class FormatError(ValueError):
     """Malformed graph6 or edge-list input."""
 
 
+def _printable(bits: str) -> str:
+    """Zero-pad to 6-bit chunks; one character (offset 63) per chunk."""
+    bits += "0" * (-len(bits) % 6)
+    return "".join(
+        [chr(int(bits[p : p + 6], 2) + 63) for p in range(0, len(bits), 6)]
+    )
+
+
+def _chunk_bits(text: str) -> str:
+    """The 6-bit chunks of graph6 characters, as one bit string."""
+    return "".join([format(ord(ch) - 63, "06b") for ch in text])
+
+
 def encode_graph6(g: Graph) -> str:
     n = g.order
     if n > MAX_GRAPH6_ORDER:
         raise FormatError(f"graph6 supports order <= {MAX_GRAPH6_ORDER}")
-    if n <= 62:
-        head = chr(n + 63)
-    else:
-        head = "~" + "".join(
-            chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0)
-        )
-    bits = []
-    for j in range(1, n):
-        col = g.rows[j]
-        for i in range(j):
-            bits.append((col >> i) & 1)
-    chunks = []
-    for pos in range(0, len(bits), 6):
-        group = bits[pos : pos + 6]
-        group += [0] * (6 - len(group))
-        value = 0
-        for b in group:
-            value = (value << 1) | b
-        chunks.append(chr(value + 63))
-    return head + "".join(chunks)
+    head = chr(n + 63) if n <= 62 else "~" + _printable(format(n, "018b"))
+    return head + _printable(triangle_bits(n, g.rows))
 
 
 def decode_graph6(text: str) -> Graph:
@@ -60,33 +57,18 @@ def decode_graph6(text: str) -> Graph:
             raise FormatError("graph6 orders above 258047 not supported")
         if len(s) < 4:
             raise FormatError("truncated graph6 order field")
-        n = 0
-        for ch in s[1:4]:
-            n = (n << 6) | (ord(ch) - 63)
+        n = int(_chunk_bits(s[1:4]), 2)
         body = s[4:]
     else:
         n = ord(s[0]) - 63
         body = s[1:]
-    nbits = n * (n - 1) // 2
-    expected = (nbits + 5) // 6
+    expected = (n * (n - 1) // 2 + 5) // 6
     if len(body) != expected:
         raise FormatError(
             f"graph6 body has {len(body)} chunks, expected {expected} "
             f"for order {n}"
         )
-    bits = []
-    for ch in body:
-        value = ord(ch) - 63
-        bits.extend((value >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
-    rows = [0] * n
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
-    return Graph(n, tuple(rows))
+    return Graph(n, rows_from_triangle(n, _chunk_bits(body)))
 
 
 def encode_edge_list(g: Graph) -> str:

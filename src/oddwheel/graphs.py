@@ -114,6 +114,33 @@ def bits_of(mask: int):
         mask ^= low
 
 
+def triangle_bits(n: int, rows: Sequence[int]) -> str:
+    """The upper triangle of the adjacency matrix as a '0'/'1' string,
+    column by column: bits (0,1), (0,2), (1,2), (0,3), ...  Column j holds
+    the adjacencies of vertex j to vertices 0..j-1, lowest first.
+
+    This one string is the body of a graph6 line (`formats`) and of a
+    code (`_kernels_py`); the two differ only in header and padding."""
+    return "".join(
+        [format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)]
+    )
+
+
+def rows_from_triangle(n: int, bits: str) -> tuple[int, ...]:
+    """The adjacency rows of the order-n graph whose `triangle_bits` are
+    the first n(n-1)/2 characters of `bits`."""
+    rows = [0] * n
+    pending = int(bits[::-1] or "0", 2)  # bit p is character p
+    for j in range(1, n):
+        rows[j] = low = pending & ((1 << j) - 1)
+        pending >>= j
+        while low:  # column j's edges, added to the lower ends' rows
+            b = low & -low
+            rows[b.bit_length() - 1] |= 1 << j
+            low ^= b
+    return tuple(rows)
+
+
 def _check_endpoint(u: int, order: int) -> None:
     if not 0 <= u < order:
         raise GraphError(f"vertex {u} out of range for order {order}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 
 from oddwheel import _kernels_py
+from oddwheel._kernels_py import code_bits, code_to_rows, frame_code, pack_code
 
 if os.environ.get("ODDWHEEL_PURE") == "1":
     _impl = _kernels_py
@@ -23,9 +24,6 @@ else:
     except ImportError:
         _impl = _kernels_py
         HAVE_COMPILED = False
-
-code_to_rows = _kernels_py.code_to_rows
-pack_code = _kernels_py.pack_code
 
 
 def canon_code(n: int, rows) -> bytes:

@@ -169,6 +169,23 @@ def test_budget_exhaustion_raises():
         longest_path_order(k12, budget=2)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: longest_path_order(primitive("complete", 9), budget=-1),
+        lambda: contains_cycle_of_length(
+            primitive("complete", 9), 9, budget=-1
+        ),
+        lambda: contains_odd_wheel(odd_wheel(2), 2, budget=-1),
+    ],
+    ids=["path", "cycle", "odd_wheel"],
+)
+def test_negative_budget_is_rejected(run):
+    # -1 is the kernels' "no limit"; the detectors do not pass it through
+    with pytest.raises(ValueError, match="budget must be non-negative, got -1"):
+        run()
+
+
 def test_lemma_path_guarantee_small():
     # connected, all degrees D except at most one D-1, order >= 2D+1
     # implies a path on 2D+1 vertices; exhaustive at D=2

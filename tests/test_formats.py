@@ -49,10 +49,11 @@ def test_roundtrip_random_and_label_exact():
 
 def test_roundtrip_extended_form():
     rng = random.Random(78)
-    g = random_graph(rng, 100, 0.1)
-    s = encode_graph6(g)
-    assert s.startswith("~")
-    assert decode_graph6(s) == g
+    for n in (100, 1002):
+        g = random_graph(rng, n, 0.1)
+        s = encode_graph6(g)
+        assert s.startswith("~")
+        assert decode_graph6(s) == g
 
 
 def test_family_members_roundtrip():

@@ -12,7 +12,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
-from oddwheel.enumerate import graph_code  # noqa: E402
+from oddwheel.enumerate import graph_code, union_code  # noqa: E402
 from oddwheel.formats import (  # noqa: E402
     decode_edge_list,
     decode_graph6,
@@ -21,10 +21,15 @@ from oddwheel.formats import (  # noqa: E402
     read_graph_text,
 )
 from oddwheel.graphs import (  # noqa: E402
+    Graph,
     automorphism_generators,
     build_graph,
+    components,
+    disjoint_union,
     is_automorphism,
+    triangle_bits,
 )
+from oddwheel.kernels import code_to_rows, pack_code  # noqa: E402
 from oddwheel.spectral import (  # noqa: E402
     radius_upper_bounds,
     spectral_radius,
@@ -71,6 +76,16 @@ def test_graph6_round_trip(g):
     assert (text[0] == "~") == (g.order > 62)
     assert decode_graph6(text) == g
     assert read_graph_text(text + "\n") == g
+    code = pack_code(g.order, g.rows)
+    assert code_to_rows(code) == (g.order, g.rows)
+    # One bit string under two framings: graph6 pads it at the back to
+    # 6-bit chunks, the code at the front to whole bytes.
+    nbits = g.order * (g.order - 1) // 2
+    g6 = "".join(format(ord(ch) - 63, "06b") for ch in text[header:])
+    packed = "".join(format(b, "08b") for b in code[1:])
+    pad = len(packed) - nbits
+    assert g6[:nbits] == packed[pad:] == triangle_bits(g.order, g.rows)
+    assert set(g6[nbits:] + packed[:pad]) <= {"0"}
 
 
 @FIXED
@@ -90,6 +105,12 @@ def test_graph_code_ignores_labelling(data):
         g.order, [(perm[u], perm[v]) for u, v in g.edges()]
     )
     assert graph_code(relabelled) == graph_code(g)
+    if g.order:
+        # The union code is the packed disjoint union of the canonically
+        # labelled pieces, in code order, single vertices included.
+        codes = sorted(graph_code(c.graph) for c in components(g))
+        union = disjoint_union([Graph(*code_to_rows(c)) for c in codes])
+        assert union_code(codes) == pack_code(union.order, union.rows)
 
 
 def maps_to(g, u, v):
