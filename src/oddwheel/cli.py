@@ -26,7 +26,6 @@ from oddwheel.detect import (
 )
 from oddwheel.enumerate import BudgetExceededError
 from oddwheel.families import (
-    CandidateSpec,
     FamilySpec,
     auto_left_sizes,
     bipartite_candidate,
@@ -35,7 +34,6 @@ from oddwheel.families import (
     matching_embedded_candidate,
     odd_wheel,
     primitive,
-    spex_candidate,
 )
 from oddwheel.formats import (
     FormatError,
@@ -205,11 +203,7 @@ def _cmd_construct(args) -> int:
                 f"--member out of range (family has {len(pool)} members)"
             )
         inner = pool[args.member]
-        r_edge = not args.no_r_edge
-        if args.s is not None and args.n % 2 == 0:
-            g = spex_candidate(CandidateSpec(n, k, args.s, inner, r_edge))
-        else:
-            g = bipartite_candidate(n, left, inner, r_edge)
+        g = bipartite_candidate(n, left, inner, not args.no_r_edge)
     _emit(_graph_text(g, args.format), args.out)
     return EXIT_OK
 

@@ -14,10 +14,11 @@ hundreds of vertices to a handful.
 
 The odd-wheel scan reduces each hub's neighbourhood on the hub's
 neighbour mask, before any subgraph is built, and builds only the kept
-vertices' subgraph.  Reduced graphs are labelled by decreasing degree:
-the cycle search anchors each cycle at its lowest label and then drops
-that anchor, so a vertex joined to everything is searched first and then
-removed instead of widening every later anchor's paths.
+vertices' subgraph, through `Graph.subgraph`.  Reduced graphs are
+labelled by decreasing degree: the cycle search anchors each cycle at its
+lowest label and then drops that anchor, so a vertex joined to everything
+is searched first and then removed instead of widening every later
+anchor's paths.
 """
 
 from __future__ import annotations
@@ -59,14 +60,7 @@ def _reduced(rows, alive: int, cap: int) -> Graph:
     kept = sorted(
         bits_of(alive), key=lambda v: (-(rows[v] & alive).bit_count(), v)
     )
-    pos = {v: i for i, v in enumerate(kept)}
-    new_rows = []
-    for v in kept:
-        r = 0
-        for w in bits_of(rows[v] & alive):
-            r |= 1 << pos[w]
-        new_rows.append(r)
-    return Graph(len(kept), tuple(new_rows))
+    return Graph(len(rows), tuple(rows)).subgraph(kept)
 
 
 def _twin_reduce(g: Graph, cap: int) -> Graph:

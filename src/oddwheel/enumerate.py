@@ -74,6 +74,11 @@ builds a new tree, which replaces the stored one once it is complete.
 For the same reason level m of any pruned tree is the cached
 `all_graphs(m)` filtered by the prune, so a new tree starts from the
 highest cached `all_graphs` level instead of from order 1.
+
+`all_graphs` reads the unpruned tree, which `_pruned_levels` builds
+without a target by the same level loop.  Levels are stored only once the
+whole tree is built, so an exhausted budget stores no partial levels,
+pruned or not.
 """
 
 from __future__ import annotations
@@ -325,21 +330,19 @@ def _subsets_descending(forced: int, free: int):
 
 def all_graphs(n: int, budget: int | None = None) -> list[Graph]:
     """Every isomorphism class of simple graphs on exactly n vertices,
-    ordered by canonical form."""
+    ordered by canonical form.
+
+    The levels are those of the unpruned augmentation tree, generated from
+    the highest cached level up and cached once all are complete; an
+    exhausted budget caches none of the new ones."""
     if n < 0:
         raise ValueError("order must be non-negative")
     b = _Budget(budget)
     if n == 0:
         return [Graph(0, ())]
-    top = max(k for k in _all_cache) if _all_cache else 0
-    if not _all_cache:
-        _all_cache[1] = [kernels.canon_code(1, [0])]
-        top = 1
-    for m in range(top, n):
-        codes: list[bytes] = []
-        for pcode in _all_cache[m]:
-            codes.extend(_children(pcode, None, b))
-        _all_cache[m + 1] = sorted(codes)
+    if n not in _all_cache:
+        levels = _pruned_levels(n, None, b)
+        _all_cache.update((m, levels[m]) for m in range(1, n + 1))
     return [Graph(*kernels.code_to_rows(c)) for c in _all_cache[n]]
 
 
@@ -374,7 +377,7 @@ def connected_with_degrees(
 
     top, weak, levels = _tree_cache.get(d, (0, False, []))
     if not (order < top or (order == top and weak >= deficient)):
-        levels = _pruned_levels(order, d, deficient, b)
+        levels = _pruned_levels(order, key, b)
         _tree_cache[d] = (order, deficient, levels)
 
     out = []
@@ -394,20 +397,19 @@ def connected_with_degrees(
 
 
 def _pruned_levels(
-    order: int, d: int, deficient: bool, budget: _Budget
+    order: int, target: tuple[int, int, bool] | None, budget: _Budget
 ) -> list[list[bytes]]:
-    """Levels 0..order of the augmentation tree pruned for the target
-    (order, d, deficient): level m holds, in code order, every graph on m
-    vertices that passes `_prune` (module docstring).  Levels up to the
-    highest cached `all_graphs` level are read off it; the rest are
-    generated.  Nothing is stored here, so an exhausted budget leaves no
-    partial tree behind."""
-    target = (order, d, deficient)
+    """Levels 0..order of the augmentation tree, unpruned when target is
+    None and otherwise pruned for the target (order, d, deficient): level m
+    holds, in code order, every graph on m vertices, or every one that
+    passes `_prune` (module docstring).  Levels up to the highest cached
+    `all_graphs` level are read off it; the rest are generated.  Nothing
+    is stored here, so an exhausted budget leaves no partial tree behind."""
     seed = _all_cache or {1: [kernels.canon_code(1, [0])]}
     start = min(max(seed), order)
     levels: list[list[bytes]] = [[]]
     for m in range(1, start + 1):
-        levels.append([
+        levels.append(seed[m] if target is None else [
             code for code in seed[m]
             if _prune([r.bit_count() for r in kernels.code_to_rows(code)[1]],
                       *target)

@@ -180,7 +180,8 @@ def _regular_multisets(
             counts[m] = counts.get(m, 0) + 1
         per_order = []
         feasible = True
-        for m, c in sorted(counts.items()):
+        # Largest order first: its pruned tree answers the smaller ones.
+        for m, c in sorted(counts.items(), reverse=True):
             pool = connected_with_degrees(m, d, False, budget=budget)
             if not pool:
                 feasible = False
@@ -236,9 +237,20 @@ def enumerate_family(spec: FamilySpec, budget: int | None = None) -> list[Graph]
             for regs in _regular_multisets(n, d, budget):
                 members.append(_assemble(None, regs))
         else:
-            for q in _deficient_component_orders(d):
-                if q > min(n, cap):
-                    continue
+            qs = [q for q in _deficient_component_orders(d) if q <= min(n, cap)]
+            # Ask for the largest degree target first: its pruned tree
+            # answers every smaller one (`enumerate` module docstring).  At
+            # equal order the deficient target, whose tree is weaker, wins.
+            orders = _regular_component_orders(d)
+            largest = max(
+                [(q, True) for q in qs]
+                + [(m, False) for q in qs
+                   for part in _order_partitions(n - q, orders) for m in part],
+                default=None,
+            )
+            if largest is not None:
+                connected_with_degrees(largest[0], d, largest[1], budget=budget)
+            for q in qs:
                 fillers = _regular_multisets(n - q, d, budget)
                 for dg in connected_with_degrees(q, d, True, budget=budget):
                     coded_dg = _coded(dg)
@@ -271,7 +283,9 @@ class CandidateSpec:
 def bipartite_candidate(
     n: int, left: int, inner: Graph, r_edge: bool
 ) -> Graph:
-    """Low-level builder used by spex_candidate and the odd-n sweeps."""
+    """K_{left,n-left} with `inner` embedded in L (vertices 0..left-1)
+    and, when r_edge, one edge joining the first two R vertices.  Every
+    candidate with a family member embedded is built here."""
     right = n - left
     if left <= 0 or right <= 0:
         raise ValueError("both sides must be non-empty")
@@ -367,24 +381,23 @@ def regular_filler(total: int, d: int) -> list[Graph]:
 
 def standard_member(kind: str, k: int, order: int) -> Graph:
     """One deterministic family member without full enumeration; used for
-    large candidate constructions where any member serves."""
-    core: Graph | None = None
-    if kind == V_KIND:
-        core = core_component(k)
-        if order % 2 == 0 or order < core.order:
-            raise ValueError("V member needs odd order >= k+1")
-        filler = regular_filler(order - core.order, k - 1)
-    elif kind == U_KIND:
-        d = k - 1
-        if (d * order) % 2 == 0:
-            filler = regular_filler(order, d)
-        else:
-            core = core_component(k)
-            if order < core.order:
-                raise ValueError("no nearly-regular member this small")
-            filler = regular_filler(order - core.order, d)
-    else:
+    large candidate constructions where any member serves.
+
+    A U member at even degree sum is the (k-1)-regular circulant filler
+    alone; at odd degree sum it is `core_component(k)` and the filler on
+    the rest.  A V member is that same graph: V asks for an odd order and
+    an even k, which make the degree sum odd, and it validates that."""
+    if kind not in (U_KIND, V_KIND):
         raise ValueError("standard_member supports kinds U and V")
+    d = k - 1
+    core: Graph | None = None
+    if kind == V_KIND or (d * order) % 2:
+        core = core_component(k)
+        if kind == V_KIND and (order % 2 == 0 or order < core.order):
+            raise ValueError("V member needs odd order >= k+1")
+        if order < core.order:
+            raise ValueError("no nearly-regular member this small")
+    filler = regular_filler(order - (0 if core is None else core.order), d)
     # The core first, then the fillers by code, as `_assemble` orders them.
     # The circulant fillers are not canonically labelled, so each distinct
     # one is canonicalized once.  No member code is formed: orders above

@@ -93,9 +93,11 @@ def decode_edge_list(text: str) -> Graph:
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, parts)
+        except ValueError as exc:
+            raise FormatError(f"bad edge line {ln!r}") from exc
+        edges.append((u, v))
     try:
         return build_graph(n, edges)
     except GraphError as exc:

@@ -64,13 +64,14 @@ class Graph:
         pos = {v: i for i, v in enumerate(verts)}
         if len(pos) != len(verts):
             raise GraphError("duplicate vertex in subgraph selection")
-        rows = [0] * len(verts)
-        for i, v in enumerate(verts):
-            r = self.rows[v]
-            for w in bits_of(r):
-                j = pos.get(w)
-                if j is not None:
-                    rows[i] |= 1 << j
+        # Rows are masked to the selection, so only kept neighbours are walked.
+        mask = sum(1 << v for v in pos)
+        rows = []
+        for v in verts:
+            r = 0
+            for w in bits_of(self.rows[v] & mask):
+                r |= 1 << pos[w]
+            rows.append(r)
         return Graph(len(verts), tuple(rows))
 
     def add_edges(self, pairs: Iterable[tuple[int, int]]) -> "Graph":

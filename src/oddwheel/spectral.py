@@ -23,12 +23,9 @@ from operator import mul
 import numpy as np
 
 from oddwheel.families import (
-    CandidateSpec,
     U_KIND,
-    V_KIND,
     bipartite_candidate,
     core_component,
-    spex_candidate,
     standard_member,
 )
 from oddwheel.graphs import (
@@ -426,11 +423,9 @@ def claim1_comparison(
         raise ValueError("k must be even and >= 4")
     if n % 4 != 2 or n < 4 * k:
         raise ValueError("n must be 2 mod 4 and >= 4k")
-    balanced = spex_candidate(
-        CandidateSpec(n, k, 0, standard_member(V_KIND, k, n // 2), True)
-    )
-    unbalanced = bipartite_candidate(
-        n, n // 2 + 1, standard_member(U_KIND, k, n // 2 + 1), True
+    balanced, unbalanced = (
+        bipartite_candidate(n, left, standard_member(U_KIND, k, left), True)
+        for left in (n // 2, n // 2 + 1)
     )
     m1 = quotient(balanced).quotient
     m2 = quotient(unbalanced).quotient

@@ -28,7 +28,6 @@ from oddwheel.enumerate import (
     graph_code,
 )
 from oddwheel.families import (
-    CandidateSpec,
     FamilySpec,
     G_KIND,
     U_KIND,
@@ -38,7 +37,6 @@ from oddwheel.families import (
     enumerate_family,
     matching_embedded_candidate,
     primitive,
-    spex_candidate,
     standard_member,
 )
 from oddwheel.formats import encode_graph6
@@ -257,11 +255,6 @@ def verify_one_set(
     )
 
 
-def _embedding_pool(k: int, left: int, budget: int | None):
-    """U-family members on `left` vertices (enumerated at desk scale)."""
-    return enumerate_family(FamilySpec(U_KIND, k, left), budget)
-
-
 def verify_spex_structure(
     n: int, k: int, tol: float = 1e-10, budget: int | None = None
 ) -> VerificationReport:
@@ -288,7 +281,8 @@ def verify_spex_structure(
                 candidates.append((f"L={left} matching", left, g))
         else:
             for left in sweep:
-                for idx, inner in enumerate(_embedding_pool(k, left, budget)):
+                pool = enumerate_family(FamilySpec(U_KIND, k, left), budget)
+                for idx, inner in enumerate(pool):
                     g = bipartite_candidate(n, left, inner, True)
                     candidates.append((f"L={left} member{idx}", left, g))
     except BudgetExceededError as exc:
@@ -355,7 +349,7 @@ def verify_spex_structure(
         vradii = []
         qmats = set()
         for inner in vfam:
-            g = spex_candidate(CandidateSpec(n, k, 0, inner, True))
+            g = bipartite_candidate(n, n // 2, inner, True)
             qmats.add(quotient(g).quotient)
             vradii.append(spectral_radius(g, tol).radius)
         # The candidates are connected, so each radius is the Perron root
@@ -520,14 +514,12 @@ def verify_fact1(k: int, n: int, tol: float = 1e-10) -> VerificationReport:
             f"fact-1 needs a side of at least k={k} vertices; n={n} gives "
             f"|L|={left}"
         )
+    if k % 2 == 0 and n % 4 == 2:
+        # The balanced side, carrying the V member, which is the U member
+        # at this odd order; at k = 2 there is none, so no candidate.
+        left = n // 2
     try:
-        if k % 2 == 0 and n % 4 == 2:
-            inner = standard_member(V_KIND, k, n // 2)
-            g = spex_candidate(CandidateSpec(n, k, 0, inner, True))
-        else:
-            g = bipartite_candidate(
-                n, left, standard_member(U_KIND, k, left), True
-            )
+        g = bipartite_candidate(n, left, standard_member(U_KIND, k, left), True)
     except ValueError as exc:
         raise ValueError(
             f"fact-1 has no candidate at k={k}, n={n}: {exc}"

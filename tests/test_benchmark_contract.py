@@ -1,0 +1,108 @@
+"""The library names the benchmark harness under perfbench/ reaches.
+
+The harness imports, wraps and rebinds these names from outside the
+library; a rename or a removal would fail every benchmark pass or every
+traced run, so each one is checked here.  perfbench/ is only read.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+import oddwheel
+from oddwheel import detect
+from oddwheel import enumerate as enum_mod
+from oddwheel import kernels
+from oddwheel.families import odd_wheel, primitive
+from oddwheel.formats import read_graph_text
+from oddwheel.graphs import disjoint_union
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    """A perfbench module, loaded under a prefixed name."""
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module
+        spec.loader.exec_module(module)
+    return sys.modules[key]
+
+
+def resolve(module_name, attr):
+    module = importlib.import_module(module_name)
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        return getattr(module, cls_name).__dict__[meth]
+    return getattr(module, attr)
+
+
+def positional(fn):
+    return [
+        p.name for p in inspect.signature(fn).parameters.values()
+        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+    ]
+
+
+@pytest.mark.parametrize(
+    "module_name, attr",
+    [(m, a) for _, m, a in load("tracer").TIMED],
+    ids=[f"{m}.{a}" for _, m, a in load("tracer").TIMED],
+)
+def test_timed_targets_resolve(module_name, attr):
+    assert callable(resolve(module_name, attr))
+
+
+def test_counting_wraps_keep_their_parameters():
+    # the counting wrappers call these positionally: wrapper(code),
+    # wrapper(a, tol, max_iter) and wrapper(poly, x)
+    assert len(positional(resolve("oddwheel.enumerate", "_deletion_code"))) == 1
+    assert positional(resolve("oddwheel.spectral", "_power_iteration")) == [
+        "a", "tol", "max_iter"
+    ]
+    assert len(positional(resolve("oddwheel.spectral", "CharPoly.evaluate"))) == 2
+
+
+def test_cold_check_reads_the_enumeration_caches(fresh_caches):
+    require_cold = load("cold_pass")._require_cold
+    for name in ("_all_cache", "_deletion_cache", "_degree_cache"):
+        assert isinstance(getattr(enum_mod, name), dict)
+    require_cold(enum_mod)
+    enum_mod.all_graphs(4)
+    with pytest.raises(RuntimeError, match="_all_cache"):
+        require_cold(enum_mod)
+
+
+def test_run_metadata_names():
+    assert isinstance(kernels.HAVE_COMPILED, bool)
+    assert isinstance(oddwheel.__version__, str)
+
+
+def test_candidate_input_is_written(tmp_path):
+    workloads = load("workloads")
+    path = workloads.write_inputs("candidates", 0, tmp_path)
+    g = read_graph_text(Path(path).read_text(encoding="ascii"))
+    assert g.order == workloads.CANDIDATE_N
+    assert workloads.write_inputs("exhaustive", 0, tmp_path) is None
+
+
+def test_traced_hub_scan_counts_subgraphs():
+    # detect.hubs_scanned counts the Graph.subgraph calls made under
+    # contains_odd_wheel: one per hub of degree at least 2k.  In W_5 plus
+    # a C_5 only the wheel's hub qualifies.
+    original = detect.contains_odd_wheel
+    tracer = load("tracer").Tracer()
+    tracer.install()
+    try:
+        g = disjoint_union([odd_wheel(2), primitive("cycle", 5)])
+        assert detect.contains_odd_wheel(g, 2)
+    finally:
+        tracer.uninstall()
+    assert detect.contains_odd_wheel is original
+    assert tracer.metrics()["detect.hubs_scanned"] == 1

@@ -392,6 +392,16 @@ def test_target_read_from_a_stored_tree_spends_nothing(fresh_caches):
     assert enum_mod._tree_cache[3][:2] == (9, True)
 
 
+def test_interrupted_all_graphs_stores_no_levels(fresh_caches):
+    # all_graphs is the unpruned tree: like a pruned one, it is cached
+    # only once every level is built
+    with pytest.raises(BudgetExceededError):
+        all_graphs(7, budget=200)
+    assert enum_mod._all_cache == {}
+    assert [len(all_graphs(n)) for n in range(8)] == KNOWN_CLASS_COUNTS[:8]
+    assert sorted(enum_mod._all_cache) == list(range(1, 8))
+
+
 def test_interrupted_tree_stores_no_levels(fresh_caches):
     with pytest.raises(BudgetExceededError):
         connected_with_degrees(10, 4, False, budget=5)

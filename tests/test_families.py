@@ -2,9 +2,12 @@ import hashlib
 
 import pytest
 
+from oddwheel import enumerate as enum_mod
 from oddwheel.enumerate import graph_code
 from oddwheel.formats import encode_graph6
 from oddwheel.families import (
+    U_KIND,
+    V_KIND,
     CandidateSpec,
     FamilySpec,
     auto_left_sizes,
@@ -204,6 +207,62 @@ def test_standard_members():
     big = standard_member("V", 4, 301)
     cls = classify_degrees(big)
     assert big.order == 301 and cls.is_nearly_regular and cls.max_degree == 3
+
+
+def test_family_builds_one_tree_per_degree(fresh_caches, monkeypatch):
+    # GFAM(5, 19) needs the quintic targets (6, F), (7, T), (9, T) and
+    # (10, F); asked first, the largest one's tree answers the rest.
+    built = []
+    pruned_levels = enum_mod._pruned_levels
+
+    def recording(order, target, budget):
+        built.append(target)
+        return pruned_levels(order, target, budget)
+
+    monkeypatch.setattr(enum_mod, "_pruned_levels", recording)
+    fam = enumerate_family(FamilySpec("GFAM", 5, 19))
+    assert len(fam) == GOLDEN_FAMILIES[("GFAM", 5, 19)][0]
+    assert built == [(10, 5, False)]
+
+
+def test_v_member_is_the_u_member_at_odd_order():
+    # V asks for even k and odd order, where the U member also starts from
+    # the core component: both are the core, then the (k-1)-regular
+    # circulant filler by code, or both fail on a filler that cannot be
+    # built.
+    def build(kind, k, m):
+        try:
+            return standard_member(kind, k, m)
+        except ValueError as exc:
+            return str(exc)
+
+    built = 0
+    for k in (4, 6, 8):
+        for m in range(k + 1, 4 * k, 2):
+            v = build(V_KIND, k, m)
+            assert v == build(U_KIND, k, m), (k, m)
+            if isinstance(v, str):
+                assert "cannot be covered" in v, (k, m)
+                continue
+            built += 1
+            filler = regular_filler(m - k - 1, k - 1)
+            assert v == disjoint_union(
+                [core_component(k)] + sorted(filler, key=graph_code)
+            ), (k, m)
+    assert built == 21
+
+
+@pytest.mark.parametrize(
+    "k, order, message",
+    [
+        (4, 12, "V member needs odd order >= k\\+1"),
+        (6, 5, "V member needs odd order >= k\\+1"),
+        (5, 11, "core component needs even k >= 4"),
+    ],
+)
+def test_v_member_validation(k, order, message):
+    with pytest.raises(ValueError, match=message):
+        standard_member(V_KIND, k, order)
 
 
 def test_bipartite_candidate_validation():

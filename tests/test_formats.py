@@ -93,6 +93,13 @@ def test_edge_list_format_shape():
     assert encode_edge_list(g) == "4 2\n0 1\n2 3\n"
 
 
+def test_edge_list_non_integer_endpoint_names_the_line():
+    with pytest.raises(FormatError, match=r"bad edge line '0 x'"):
+        decode_edge_list("3 2\n0 1\n0 x\n")
+    with pytest.raises(FormatError, match=r"bad edge line '1\.5 2'"):
+        read_graph_text("3 1\n1.5 2\n")
+
+
 def test_edge_list_malformed():
     with pytest.raises(FormatError):
         decode_edge_list("")

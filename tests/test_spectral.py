@@ -7,6 +7,8 @@ import pytest
 
 from oddwheel.enumerate import all_graphs
 from oddwheel.families import (
+    U_KIND,
+    V_KIND,
     CandidateSpec,
     bipartite_candidate,
     primitive,
@@ -263,6 +265,21 @@ def test_claim1_internal_consistency():
         claim1_comparison(5, 22)
     with pytest.raises(ValueError):
         claim1_comparison(4, 24)
+
+
+@pytest.mark.parametrize(
+    "k, n", [(4, 22), (4, 26), (4, 30), (6, 26), (6, 30), (6, 34)]
+)
+def test_claim1_graphs_are_the_two_candidates(k, n):
+    # the balanced candidate with the V member, the unbalanced one with
+    # the U member on n/2 + 1 vertices
+    res = claim1_comparison(k, n)
+    assert res.graph1 == spex_candidate(
+        CandidateSpec(n, k, 0, standard_member(V_KIND, k, n // 2), True)
+    )
+    assert res.graph2 == bipartite_candidate(
+        n, n // 2 + 1, standard_member(U_KIND, k, n // 2 + 1), True
+    )
 
 
 def test_edge_addition_increases_radius():
