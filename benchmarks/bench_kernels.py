@@ -4,7 +4,9 @@
 Micro benchmarks call both implementations directly on identical seeded
 workloads; the end-to-end benchmark reruns a degree-constrained
 enumeration in a subprocess with ODDWHEEL_PURE=1 so the import-time
-dispatcher picks the fallback.
+dispatcher picks the fallback.  The per-call table gives `canon_code` in
+ms per call on G(n, 1/2) and on every connected cubic graph of orders 10
+and 12, the rows of the canonical-form table in ROADMAP.md.
 
 Usage: python3 benchmarks/bench_kernels.py [--quick]
 """
@@ -20,6 +22,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from oddwheel import _kernels_py  # noqa: E402
+from oddwheel.enumerate import connected_with_degrees  # noqa: E402
 
 try:
     from oddwheel import _kernels  # noqa: E402
@@ -69,6 +72,25 @@ def bench_path(impl, graphs):
             impl.longest_path_order(n, rows, -1)
 
     return timeit(run)
+
+
+def per_call_ms(impl, graphs):
+    """Best of three passes over `graphs`, in ms per `canon_code` call."""
+    return 1000 * bench_canon(impl, graphs) / len(graphs)
+
+
+def canon_rows(rng, count):
+    """The per-call table's graph sets: G(n, 1/2) for n = 8 .. 20, then
+    the connected cubic graphs of orders 10 and 12 (19 and 85)."""
+    sets = [
+        (f"G({n}, 1/2)", [(n, random_rows(rng, n, 0.5)) for _ in range(count)])
+        for n in (8, 10, 12, 16, 20)
+    ]
+    for order in (10, 12):
+        cubic = connected_with_degrees(order, 3, False)
+        graphs = [(g.order, list(g.rows)) for g in cubic]
+        sets.append((f"cubic, order {order}", graphs))
+    return sets
 
 
 def enumeration_subprocess(pure: bool) -> float:
@@ -144,6 +166,18 @@ def main():
                 f"{name:28} {pure_e:10.4f} "
                 f"{comp_e:13.4f} {pure_e / comp_e:7.1f}x"
             )
+
+    print()
+    head = f"{'canon_code per call':28} {'pure (ms)':>10}"
+    print(f"{head} {'compiled (ms)':>13}")
+    table_rng = random.Random(args.seed)
+    for name, graphs in canon_rows(table_rng, 20 if args.quick else 100):
+        pure_ms = per_call_ms(_kernels_py, graphs)
+        if _kernels is None:
+            print(f"{name:28} {pure_ms:10.3f} {'n/a':>13}")
+        else:
+            comp_ms = per_call_ms(_kernels, graphs)
+            print(f"{name:28} {pure_ms:10.3f} {comp_ms:13.3f}")
     if _kernels is None:
         print("compiled kernels unavailable; fallback timings only")
 

@@ -17,22 +17,36 @@ found level by level.
 
 At each level the search keeps every partial placement achieving the
 minimal prefix (a frontier), because prefix-tied placements may differ
-later.  A frontier entry is (used, planes): the mask of placed vertices
-and, in placement order, the adjacency row of each placed vertex masked
-to the unplaced ones.  Bit w of plane i is the i-th bit, most
-significant first, of the contribution w would make, so the
-contributions of all unplaced vertices are read column-wise from the
-planes at once.  The minimal contribution and the
-set of vertices reaching it come from one bit-sliced scan: start with
+later.  A frontier entry is keyed by (used, planes): the mask of placed
+vertices and, in placement order, the adjacency row of each placed
+vertex masked to the unplaced ones.  Bit w of plane i is the i-th bit,
+most significant first, of the contribution w would make.  The planes
+are packed into one int, plane i at bit i*n, so a child's planes are a
+few big-int operations: add the new vertex's row as the next plane and
+mask every plane at once by the unplaced set repeated at each offset.
+
+Each entry carries its minimal set: the unplaced vertices whose
+contribution is minimal, all tying at the level's value `best`.  Placing
+v from that set leaves the rest of it at 2*best + (1 if v is adjacent),
+below every other unplaced vertex, which was above `best` already.  So
+while the set has another vertex, the child's minimum is 2*best + b,
+where b is 0 exactly when some other member is not adjacent to v, and
+its minimal set is the members not adjacent to v, or all of them when
+there are none.  A child whose set is used up loses to every such child
+and is not built; children with b = 1 lose to children with b = 0, so
+they are dropped once one with b = 0 turns up and not built after that.
+Only when every entry's set is one vertex are the children's
+contributions read from the planes, by one bit-sliced scan: start with
 every unplaced vertex as a candidate and, plane by plane, keep only the
 candidates without that bit whenever some exist (emitting a 0), else
 keep them all (emitting a 1).
 
 Two placements with the same used set and the same planes are
 interchangeable from that point on: every unplaced vertex has the same
-pending contribution in both.  Entries are keyed by exactly that pair,
-which dedups the frontier; without it the frontier blows up factorially
-on vertex-transitive graphs.
+pending contribution in both, so the minimal set is a function of the
+key.  Keying entries by that pair dedups the frontier; without it the
+frontier blows up factorially on vertex-transitive graphs.  The guard
+counts the entries kept at a level, after the losers are dropped.
 """
 
 from __future__ import annotations
@@ -46,39 +60,61 @@ def canon_code(n: int, rows) -> bytes:
         raise ValueError("canonical form limited to order <= 255")
     full = (1 << n) - 1
 
-    frontier = dict.fromkeys(
-        (1 << v, (rows[v] & ~(1 << v),)) for v in range(n)
-    )
+    # Entries with pos - 1 vertices placed, each mapped to its minimal set;
+    # the empty placement starts it, every vertex tying on no columns.
+    frontier = {(0, 0): full}
+    best = 0
+    rep = 0  # one bit at each plane offset
     code = 0
     for pos in range(1, n):
-        best = -1
-        chosen = []
-        for entry in frontier:
-            used, planes = entry
-            cand = full & ~used
-            c = 0
-            for p in planes:
-                rest = cand & ~p
-                if rest:
-                    cand = rest
-                    c <<= 1
-                else:
-                    c = (c << 1) | 1
-            if best < 0 or c < best:
-                best = c
-                chosen = [(entry, cand)]
-            elif c == best:
-                chosen.append((entry, cand))
-        code = (code << pos) | best
+        shift = (pos - 1) * n
+        rep |= 1 << shift
         nxt = {}
-        for (used, planes), cand in chosen:
-            for v in bits_of(cand):
-                now_used = used | (1 << v)
-                keep = ~now_used
-                nxt[
-                    now_used,
-                    tuple([p & keep for p in planes]) + (rows[v] & keep,),
-                ] = None
+        b = 1
+        for (used, packed), cand in frontier.items():
+            if not cand & (cand - 1):
+                continue
+            m = cand
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                rest = cand ^ low
+                zero = rest & ~rows[v]
+                if zero:
+                    if b:
+                        nxt = {}
+                        b = 0
+                    rest = zero
+                elif not b:
+                    continue
+                now = used | low
+                planes = (packed | rows[v] << shift) & (full ^ now) * rep
+                nxt[now, planes] = rest
+        if nxt:
+            best = best << 1 | b
+        else:
+            # Every minimal set is one vertex: rescan each child's planes.
+            best = -1
+            for (used, packed), single in frontier.items():
+                now = used | single
+                cand = full ^ now
+                row = rows[single.bit_length() - 1]
+                planes = (packed | row << shift) & cand * rep
+                c = 0
+                for i in range(0, pos * n, n):
+                    rest = cand & ~(planes >> i)
+                    if rest:
+                        cand = rest
+                        c <<= 1
+                    else:
+                        c = (c << 1) | 1
+                if best < 0 or c < best:
+                    best = c
+                    nxt = {(now, planes): cand}
+                elif c == best:
+                    nxt[now, planes] = cand
+        code = (code << pos) | best
         frontier = nxt
         if len(frontier) > 1_000_000:
             raise RuntimeError(

@@ -8,7 +8,9 @@ import random
 import pytest
 
 from oddwheel import _kernels_py, kernels
+from oddwheel._kernels_py import frame_code
 from oddwheel.enumerate import all_graphs, connected_with_degrees
+from oddwheel.graphs import bits_of
 
 
 def random_rows(rng, n, p):
@@ -35,6 +37,56 @@ def brute_min_code(n, rows):
             best = code
     total = n * (n - 1) // 2
     return bytes([n]) + best.to_bytes((total + 7) // 8, "big")
+
+
+def oracle_canon_code(n: int, rows) -> bytes:
+    """The pure min-lex canonical code as it was before each frontier
+    entry carried its minimal set: every child of a tying entry is built
+    and keyed, with the planes as a tuple, and each entry is rescanned."""
+    if n > 255:
+        raise ValueError("canonical form limited to order <= 255")
+    full = (1 << n) - 1
+
+    frontier = dict.fromkeys(
+        (1 << v, (rows[v] & ~(1 << v),)) for v in range(n)
+    )
+    code = 0
+    for pos in range(1, n):
+        best = -1
+        chosen = []
+        for entry in frontier:
+            used, planes = entry
+            cand = full & ~used
+            c = 0
+            for p in planes:
+                rest = cand & ~p
+                if rest:
+                    cand = rest
+                    c <<= 1
+                else:
+                    c = (c << 1) | 1
+            if best < 0 or c < best:
+                best = c
+                chosen = [(entry, cand)]
+            elif c == best:
+                chosen.append((entry, cand))
+        code = (code << pos) | best
+        nxt = {}
+        for (used, planes), cand in chosen:
+            for v in bits_of(cand):
+                now_used = used | (1 << v)
+                keep = ~now_used
+                nxt[
+                    now_used,
+                    tuple([p & keep for p in planes]) + (rows[v] & keep,),
+                ] = None
+        frontier = nxt
+        if len(frontier) > 1_000_000:
+            raise RuntimeError(
+                "canonical-form frontier explosion; canonicalize per "
+                "component instead of the whole graph"
+            )
+    return frame_code(n, code)
 
 
 def brute_has_cycle(n, rows, length):
@@ -127,9 +179,11 @@ def test_canon_invariant_under_relabeling():
 
 
 # sha256 of the sorted pure canonical codes of every graph in the list,
-# each canonicalized from its reversed labelling (u -> n-1-u).  Recorded
-# with the earlier per-vertex contribution frontier, so they pin the
-# codes of the bit-plane frontier to it byte for byte.
+# each canonicalized from its reversed labelling (u -> n-1-u).  Orders 1-7
+# and the cubic digest were recorded with the earlier per-vertex
+# contribution frontier, order 8 with the tuple-plane frontier that built
+# every child; they pin the codes of the current frontier to both byte
+# for byte.
 GOLDEN_ALL_GRAPHS = {
     1: "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
     2: "e14b77bb203317724ad98b20cf058c977a65f1fbb20c40b5b71b9f063f68c64a",
@@ -138,6 +192,7 @@ GOLDEN_ALL_GRAPHS = {
     5: "859f46efecd46312016052c63d001b25967af7b67b1251143dbc795ec4ff43d4",
     6: "9a4165fc39443def0e1a304144703837e1c3805ed276020000b8fc295d110e57",
     7: "f13b5d9342945face76d4008b29c7aa211b48bfd9e8501739d5f230a12e1a199",
+    8: "5c492e6c82ac0d0f121104418034e6d94949c955bfe574a48f4535821051b474",
 }
 GOLDEN_CUBIC_10 = (
     "cd287a973c497f493dedbe7a5a7016d19ca3b5ee6a5b128eb0c394dadf8e5b20"
@@ -183,6 +238,53 @@ def test_canon_invariant_on_vertex_transitive_graphs(n, rows):
         rng.shuffle(perm)
         shuffled = relabel(n, rows, perm)
         assert _kernels_py.canon_code(n, shuffled) == code
+        assert oracle_canon_code(n, shuffled) == code
+
+
+def test_pure_canon_matches_oracle_on_random_graphs():
+    rng = random.Random(18)
+    for n in range(8, 15):
+        for p in (0.2, 0.5, 0.8):
+            rows = random_rows(rng, n, p)
+            assert _kernels_py.canon_code(n, rows) == oracle_canon_code(
+                n, rows
+            ), (n, p)
+
+
+def test_pure_canon_matches_oracle_on_cubic_12():
+    cubic = connected_with_degrees(12, 3, False)
+    assert len(cubic) == 85
+    rng = random.Random(19)
+    for g in cubic:
+        for _ in range(2):
+            perm = list(range(g.order))
+            rng.shuffle(perm)
+            shuffled = relabel(g.order, g.rows, perm)
+            assert _kernels_py.canon_code(
+                g.order, shuffled
+            ) == oracle_canon_code(g.order, shuffled)
+
+
+def test_pure_canon_matches_oracle_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(
+        max_examples=100, deadline=None, database=None, derandomize=True
+    )
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(0, 12))
+        p = data.draw(st.sampled_from([0.2, 0.5, 0.8]))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rows = random_rows(random.Random(seed), n, p)
+        code = _kernels_py.canon_code(n, rows)
+        assert code == oracle_canon_code(n, rows)
+        perm = data.draw(st.permutations(range(n)))
+        assert _kernels_py.canon_code(n, relabel(n, rows, perm)) == code
+
+    check()
 
 
 def test_frontier_guard_on_long_cycle():
