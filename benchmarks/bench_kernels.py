@@ -6,7 +6,12 @@ workloads; the end-to-end benchmark reruns a degree-constrained
 enumeration in a subprocess with ODDWHEEL_PURE=1 so the import-time
 dispatcher picks the fallback.  The per-call table gives `canon_code` in
 ms per call on G(n, 1/2) and on every connected cubic graph of orders 10
-and 12, the rows of the canonical-form table in ROADMAP.md.
+and 12, the rows of the canonical-form table in ROADMAP.md.  The
+per-layer table times the pure layers of the claim-1 sweep and the GFAM
+pass on their own inputs: `equitable_partition` on the 192 claim-1
+candidates (k = 4, n = 22, 26, ..., 402) and on the GFAM(5, 19) members,
+and `char_poly` and `bracket_largest_root` (width 1e-12, from the
+quotient's Perron root) over the 96 three-class claim-1 quotients.
 
 Usage: python3 benchmarks/bench_kernels.py [--quick]
 """
@@ -18,11 +23,27 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from oddwheel import _kernels_py  # noqa: E402
 from oddwheel.enumerate import connected_with_degrees  # noqa: E402
+from oddwheel.families import (  # noqa: E402
+    G_KIND,
+    U_KIND,
+    FamilySpec,
+    bipartite_candidate,
+    enumerate_family,
+    standard_member,
+)
+from oddwheel.graphs import equitable_partition  # noqa: E402
+from oddwheel.spectral import (  # noqa: E402
+    bracket_largest_root,
+    char_poly,
+    matrix_radius,
+    quotient,
+)
 
 try:
     from oddwheel import _kernels  # noqa: E402
@@ -91,6 +112,35 @@ def canon_rows(rng, count):
         graphs = [(g.order, list(g.rows)) for g in cubic]
         sets.append((f"cubic, order {order}", graphs))
     return sets
+
+
+def layer_rows():
+    """(name, inputs, seconds) of the per-layer table, best of three
+    passes each; inputs are built before any timing."""
+    candidates = [
+        bipartite_candidate(n, left, standard_member(U_KIND, 4, left), True)
+        for n in range(22, 403, 4)
+        for left in (n // 2, n // 2 + 1)
+    ]
+    members = enumerate_family(FamilySpec(G_KIND, 5, 19))
+    matrices = [quotient(g).quotient for g in candidates[1::2]]
+    polys = [(char_poly(m), matrix_radius(m).radius) for m in matrices]
+    width = Fraction(1, 10**12)
+
+    def each(fn, items):
+        return lambda: [fn(*item) for item in items]
+
+    return [
+        ("equitable_partition, claim-1 candidates", len(candidates),
+         timeit(each(equitable_partition, [(g,) for g in candidates]))),
+        ("equitable_partition, GFAM(5, 19) members", len(members),
+         timeit(each(equitable_partition, [(g,) for g in members]))),
+        ("char_poly, claim-1 3-class quotients", len(matrices),
+         timeit(each(char_poly, [(m,) for m in matrices]))),
+        ("bracket_largest_root, claim-1 f2", len(polys),
+         timeit(each(bracket_largest_root,
+                     [(f, r, width) for f, r in polys]))),
+    ]
 
 
 def enumeration_subprocess(pure: bool) -> float:
@@ -178,6 +228,11 @@ def main():
         else:
             comp_ms = per_call_ms(_kernels, graphs)
             print(f"{name:28} {pure_ms:10.3f} {comp_ms:13.3f}")
+
+    print()
+    print(f"{'pure layer':42} {'inputs':>7} {'total (s)':>10}")
+    for name, count, seconds in layer_rows():
+        print(f"{name:42} {count:7d} {seconds:10.4f}")
     if _kernels is None:
         print("compiled kernels unavailable; fallback timings only")
 

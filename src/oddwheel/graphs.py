@@ -295,32 +295,59 @@ def equitable_partition(
     depend on the vertex labelling, and a cell's refinements take its place
     in the order.  Callers certify the result with `certify_equitable`
     before they rely on it.
+
+    A round counts only against the cells that are new since the round
+    before.  By induction, every current cell has one count against each
+    cell of the partition the last round started from: that round split
+    the cells by the columns it counted, and the columns it left out were
+    constant already.  A cell the last round left as it was is one of
+    those, so its column is constant within each current cell: it can
+    split no cell, and among the signatures of one parent cell it compares
+    equal, so leaving it out changes neither the split nor the order.  A
+    discrete partition ends the refinement at once, as no cell of one
+    vertex can split.  The quotient rows are read once at the end, from
+    the lowest vertex of each cell.
     """
+    if colours is not None and len(colours) != g.order:
+        raise ValueError(
+            f"colouring has {len(colours)} entries for {g.order} vertices"
+        )
     if g.order == 0:
         return EquitablePartition((), (), ())
     rows = g.rows
     if colours is None:
         cells, cell_of = [(1 << g.order) - 1], [0] * g.order
+        fresh = cells
     else:
         # The first round has no cells to count against: it only orders
         # the colours into cells.
-        cells, cell_of = [], list(colours)
+        cells, cell_of, fresh = [], list(colours), []
+    base = g.order + 1  # above every neighbour count
     while True:
-        # Signature of v: (its cell, its neighbour count in each cell).
-        sigs = list(zip(
-            cell_of, *[[(r & c).bit_count() for r in rows] for c in cells]
-        ))
+        # Signature of v: its cell, then its neighbour count in each new
+        # cell, as the digits of one integer in base n + 1 (the cell, any
+        # integer, leading), so signatures order as the tuples of their
+        # digits do.
+        sigs = cell_of
+        for c in fresh:
+            sigs = [s * base + (r & c).bit_count() for s, r in zip(sigs, rows)]
         keys = sorted(set(sigs))
         if len(keys) == len(cells):
             break
         index = {key: i for i, key in enumerate(keys)}
         cell_of = [index[s] for s in sigs]
+        old = set(cells)
         cells = [0] * len(keys)
         for v, i in enumerate(cell_of):
             cells[i] |= 1 << v
-    # No cell split, so keys[i] is the one signature of cell i.
+        if len(cells) == g.order:
+            break
+        fresh = [c for c in cells if c not in old]
+    reps = [rows[(c & -c).bit_length() - 1] for c in cells]
     return EquitablePartition(
-        tuple(cells), tuple(cell_of), tuple(key[1:] for key in keys)
+        tuple(cells),
+        tuple(cell_of),
+        tuple([tuple([(r & c).bit_count() for c in cells]) for r in reps]),
     )
 
 

@@ -9,14 +9,16 @@ gives batches of graphs a certified Collatz-Wielandt upper bound without
 iterating to convergence, so a caller after the largest radius need only
 power-iterate the graphs whose bound can reach it.  Everything feeding a
 sign decision is exact (characteristic polynomials by an integer
-recurrence, their values by integer Horner, roots by rational bisection),
-because the comparisons the harness certifies must not depend on rounding.
+recurrence, their values by integer Horner, roots by bisection on integer
+numerators), because the comparisons the harness certifies must not depend
+on rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from operator import mul
 
@@ -299,23 +301,37 @@ class CharPoly:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def evaluate(self, x: Fraction) -> Fraction:
-        """Exact value at a rational x = p/q: homogenised Horner over the
-        integers, sum of a_i p^i q^(d-i) with a_i the coefficients over
-        their common denominator L, divided by L q^d once at the end."""
-        x = Fraction(x)
-        p, q = x.numerator, x.denominator
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[int, ...]]:
+        """(L, a): the coefficients over their common denominator L, as
+        the integers a_d, ..., a_0 highest first, so poly = sum a_i x^i / L."""
         common = math.lcm(*(c.denominator for c in self.coefficients))
-        ints = [
+        return common, tuple(
             c.numerator * (common // c.denominator)
             for c in reversed(self.coefficients)
-        ]
-        acc = ints[0]
-        q_pow = 1
-        for a in ints[1:]:
-            q_pow *= q
-            acc = acc * p + a * q_pow
-        return Fraction(acc, common * q_pow)
+        )
+
+    def evaluate(self, x: Fraction) -> Fraction:
+        """Exact value at a rational x = p/q: the homogenised Horner sum
+        of `_horner` over the integer form, divided by L q^d once."""
+        x = Fraction(x)
+        common, ints = self.integer_form
+        return Fraction(
+            _horner(ints, x.numerator, x.denominator),
+            common * x.denominator ** self.degree,
+        )
+
+
+def _horner(ints, p: int, q: int) -> int:
+    """sum of a_i p^i q^(d-i) over the integers a_d, ..., a_0 (highest
+    first), which is q^d times the polynomial at p/q; for q > 0 its sign
+    is the polynomial's sign there."""
+    acc = ints[0]
+    q_pow = 1
+    for a in ints[1:]:
+        q_pow *= q
+        acc = acc * p + a * q_pow
+    return acc
 
 
 MAX_CHARPOLY_DIM = 12
@@ -370,24 +386,42 @@ def bracket_largest_root(
     `approx` must be an estimate of the largest root accurate enough that
     approx - 1e-4 lies above every other real root; the sign conditions
     are verified, not assumed.
+
+    The bisection runs on integer numerators: lo = a/q and hi = b/q over
+    one common denominator q > 0, so the midpoint is (a + b)/(2q), and a
+    step sets m = a + b and doubles a, b and q, keeping m in place of the
+    doubled end it replaces.  The sign of poly at m/q is the sign of the
+    homogenised integer Horner sum (`_horner`), since L q^d > 0.  Every
+    step halves the same interval rational bisection would, so the bracket
+    returned is the same pair of rationals.
     """
+    width = Fraction(width)
+    if width <= 0:
+        raise ValueError("bracket width must be positive")
+    _, ints = poly.integer_form
     hi = Fraction(max(abs(c) for c in poly.coefficients) + 1)
     if Fraction(approx) + 1 > hi:
         hi = Fraction(approx) + 1
-    if poly.evaluate(hi) <= 0:
+    if _horner(ints, hi.numerator, hi.denominator) <= 0:
         raise SpectralError("upper bracket failed; root bound too small")
     lo = Fraction(approx) - Fraction(1, 10_000)
-    if poly.evaluate(lo) >= 0:
+    if _horner(ints, lo.numerator, lo.denominator) >= 0:
         raise SpectralError(
             "lower bracket failed; approximation not below the root"
         )
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if poly.evaluate(mid) < 0:
-            lo = mid
+    q = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (q // lo.denominator)
+    b = hi.numerator * (q // hi.denominator)
+    # hi - lo > width, cross-multiplied: (b - a) w_den > w_num q
+    w_num, w_den = width.numerator, width.denominator
+    while (b - a) * w_den > w_num * q:
+        m = a + b
+        q *= 2
+        if _horner(ints, m, q) < 0:
+            a, b = m, 2 * b
         else:
-            hi = mid
-    return lo, hi
+            a, b = 2 * a, m
+    return Fraction(a, q), Fraction(b, q)
 
 
 @dataclass(frozen=True)

@@ -380,6 +380,16 @@ def test_certify_equitable_rejects():
             certify_equitable(g, part)
 
 
+def test_equitable_partition_rejects_a_colouring_of_the_wrong_length():
+    # a 6-entry colouring of the 4-vertex path would give a cell holding
+    # vertices 4 and 5, outside the graph
+    for colours in ([0] * 6, [0, 1, 0], []):
+        with pytest.raises(ValueError, match="colouring has"):
+            equitable_partition(path_graph(4), colours)
+    with pytest.raises(ValueError, match="colouring has"):
+        equitable_partition(build_graph(0, []), [0])
+
+
 def test_equitable_partition_from_a_colouring():
     rng = random.Random(15)
     for _ in range(40):

@@ -167,6 +167,34 @@ def test_compiled_matches_pure_canon():
         assert kernels.canon_code(n, rows) == _kernels_py.canon_code(n, rows)
 
 
+def test_canon_dispatch_sends_order_16_up_to_the_pure_kernel(monkeypatch):
+    # the compiled canon_code is slower than the pure one from about order
+    # 16 on (Q_4 by over an order of magnitude), so only smaller orders
+    # reach it, whichever backend imported
+    class Compiled:
+        @staticmethod
+        def canon_code(n, rows):
+            return b"compiled"
+
+    monkeypatch.setattr(kernels, "_impl", Compiled)
+    assert kernels.canon_code(15, [0] * 15) == b"compiled"
+    rng = random.Random(17)
+    for n, rows in [(16, hypercube(4)), (20, random_rows(rng, 20, 0.5))]:
+        assert kernels.canon_code(n, rows) == _kernels_py.canon_code(n, rows)
+
+
+@pytest.mark.skipif(not kernels.HAVE_COMPILED, reason="no compiled kernels")
+def test_compiled_and_pure_canon_agree_from_order_16():
+    from oddwheel import _kernels
+
+    rng = random.Random(16)
+    graphs = [(16, hypercube(4))] + [
+        (n, random_rows(rng, n, 0.5)) for n in range(16, 21) for _ in range(3)
+    ]
+    for n, rows in graphs:
+        assert _kernels.canon_code(n, rows) == _kernels_py.canon_code(n, rows)
+
+
 def test_canon_invariant_under_relabeling():
     rng = random.Random(13)
     for _ in range(100):

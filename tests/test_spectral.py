@@ -241,6 +241,14 @@ def test_bracket_largest_root():
         bracket_largest_root(cp, 5.0, Fraction(1, 10**9))
 
 
+@pytest.mark.parametrize("width", [0, Fraction(0), Fraction(-1, 10**9), -1])
+def test_bracket_rejects_a_width_that_is_not_positive(width):
+    # no bisection can reach a width <= 0; it must not start
+    cp = char_poly([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="width must be positive"):
+        bracket_largest_root(cp, 1.0, width)
+
+
 def test_matrix_radius_agrees_with_exact_root():
     # same comparison route the sign test uses, at one desk-scale point
     n, k = 102, 4
