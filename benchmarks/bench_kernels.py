@@ -11,7 +11,9 @@ per-layer table times the pure layers of the claim-1 sweep and the GFAM
 pass on their own inputs: `equitable_partition` on the 192 claim-1
 candidates (k = 4, n = 22, 26, ..., 402) and on the GFAM(5, 19) members,
 and `char_poly` and `bracket_largest_root` (width 1e-12, from the
-quotient's Perron root) over the 96 three-class claim-1 quotients.
+quotient's Perron root) over the 96 three-class claim-1 quotients,
+`ex_infinity_trace` over the GFAM(5, 19) members, and
+`connected_with_degrees(10, 5, False)` from empty enumeration caches.
 
 Usage: python3 benchmarks/bench_kernels.py [--quick]
 """
@@ -28,6 +30,7 @@ from fractions import Fraction
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from oddwheel import _kernels_py  # noqa: E402
+from oddwheel import enumerate as enum_mod  # noqa: E402
 from oddwheel.enumerate import connected_with_degrees  # noqa: E402
 from oddwheel.families import (  # noqa: E402
     G_KIND,
@@ -44,6 +47,7 @@ from oddwheel.spectral import (  # noqa: E402
     matrix_radius,
     quotient,
 )
+from oddwheel.walks import ex_infinity_trace  # noqa: E402
 
 try:
     from oddwheel import _kernels  # noqa: E402
@@ -130,6 +134,12 @@ def layer_rows():
     def each(fn, items):
         return lambda: [fn(*item) for item in items]
 
+    def cold_quintic_10():
+        for name in ("_all_cache", "_deletion_cache", "_degree_cache",
+                     "_tree_cache"):
+            getattr(enum_mod, name).clear()
+        return connected_with_degrees(10, 5, False)
+
     return [
         ("equitable_partition, claim-1 candidates", len(candidates),
          timeit(each(equitable_partition, [(g,) for g in candidates]))),
@@ -140,6 +150,9 @@ def layer_rows():
         ("bracket_largest_root, claim-1 f2", len(polys),
          timeit(each(bracket_largest_root,
                      [(f, r, width) for f, r in polys]))),
+        ("ex_infinity_trace, GFAM(5, 19) members", len(members),
+         timeit(lambda: ex_infinity_trace(members))),
+        ("connected_with_degrees(10, 5), cold", 1, timeit(cold_quintic_10)),
     ]
 
 

@@ -95,6 +95,8 @@ def contains_odd_wheel(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     neighbour mask and labelled by degree, and each distinct reduced
     neighbourhood is searched once per call: the search is
     deterministic, so a repeat has the same answer or the same overrun.
+    The reduction depends only on the rows, the neighbour mask and the
+    cap, so a hub whose neighbour mask was already reduced is skipped.
     The budget applies per distinct reduced neighbourhood searched: each
     search gets `budget` node expansions of its own, so a full scan may
     expand up to budget times the number of distinct neighbourhoods.  A
@@ -107,11 +109,16 @@ def contains_odd_wheel(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     length = 2 * k
     hubs = sorted(range(g.order), key=g.degree, reverse=True)
     exhausted = False
+    reduced: set[int] = set()
     searched: set[tuple[int, ...]] = set()
     for v in hubs:
         if g.degree(v) < length:
             break
-        nbhd = _reduced(g.rows, g.rows[v], length)
+        mask = g.rows[v]
+        if mask in reduced:
+            continue
+        reduced.add(mask)
+        nbhd = _reduced(g.rows, mask, length)
         if nbhd.rows in searched:
             continue
         searched.add(nbhd.rows)

@@ -6,7 +6,10 @@ vertex among those whose key is maximal.  The key of a vertex v
 (`_vertex_key`) is
 
     (deg v, the degrees of v's neighbours in descending order,
-     the number of triangles through v).
+     the number of triangles through v),
+
+with the neighbour degrees held as an integer histogram that orders
+them as the descending list does.
 
 A child built from a parent by attaching a new vertex v is kept only when
 deleting v leaves the same canonical form as deleting the canonical
@@ -140,16 +143,25 @@ def union_code(piece_codes: list[bytes]) -> bytes:
 
 
 def _vertex_key(rows: list[int], v: int, degs: list[int]) -> tuple:
-    """Deletion-invariant key of v: its degree, its neighbours' degrees in
-    descending order and the number of triangles through it.  Vertices u
-    and v with G-u isomorphic to G-v have equal keys (module docstring)."""
+    """Deletion-invariant key of v: its degree, its neighbours' degree
+    histogram and the number of triangles through it.  Vertices u and v
+    with G-u isomorphic to G-v have equal keys (module docstring).
+
+    The histogram is the integer sum of 1 << (deg w * b) over the
+    neighbours w, with b = len(rows).bit_length(): each count is below
+    len(rows) < 2**b, so the fields never carry.  Comparing two
+    histograms compares the counts from the top degree down, which orders
+    the neighbour degrees exactly as their lists sorted in descending
+    order do: at the first position where two such lists differ, the one
+    with the larger entry x has more neighbours of degree x and as many
+    of every higher degree."""
+    b = len(rows).bit_length()
     nbrs = rows[v]
-    ws = list(bits_of(nbrs))
-    return (
-        degs[v],
-        sorted([degs[w] for w in ws], reverse=True),
-        sum([(rows[w] & nbrs).bit_count() for w in ws]) // 2,
-    )
+    hist = tri = 0
+    for w in bits_of(nbrs):
+        hist += 1 << (degs[w] * b)
+        tri += (rows[w] & nbrs).bit_count()
+    return (degs[v], hist, tri // 2)
 
 
 def _deletion_code(child_code: bytes) -> bytes:

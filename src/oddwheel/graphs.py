@@ -226,19 +226,23 @@ def _component_mask(rows, start: int) -> int:
     return comp
 
 
+def _component_masks(rows):
+    """Vertex masks of the connected pieces, ordered by minimum label."""
+    rest = (1 << len(rows)) - 1
+    while rest:
+        comp = _component_mask(rows, (rest & -rest).bit_length() - 1)
+        rest &= ~comp
+        yield comp
+
+
 def components(g: Graph) -> list[Component]:
     """Maximal connected pieces, ordered by minimum original label.
 
     Each piece is returned relabeled 0..k-1 together with the tuple of
     original labels (position i holds the original label of new vertex i).
     """
-    seen = 0
     out: list[Component] = []
-    for start in range(g.order):
-        if (seen >> start) & 1:
-            continue
-        comp = _component_mask(g.rows, start)
-        seen |= comp
+    for comp in _component_masks(g.rows):
         labels = tuple(bits_of(comp))
         out.append(Component(g.subgraph(labels), labels))
     return out

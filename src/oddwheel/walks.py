@@ -11,18 +11,23 @@ of walks from a vertex is constant on each cell, so with c cells and
 integer quotient Q, level l costs the nonzero entries of Q (at most c**2)
 big-integer products, W^l = s^T Q^l 1 with s the cell sizes, instead of
 one addition per edge end (Godsil & Royle, Algebraic Graph Theory, ch. 9).
-The totals are a function of (s, Q) alone, so the maximizer selection
-counts walks once per distinct certified quotient of its family.
+The adjacency matrix of a disjoint union is block diagonal, so every
+total is the sum of the totals of the connected pieces, in exact ints.
+The maximizer selection therefore counts walks once per distinct
+connected piece of its family, as placed in its member, and adds the
+pieces' totals up per member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 
 from oddwheel.graphs import (
     EquitablePartition,
     Graph,
+    _component_masks,
     bits_of,
     certify_equitable,
     classify_degrees,
@@ -247,28 +252,41 @@ def ex_infinity_trace(
     `levels` (default horizon 2 * max order).  Records the last level at
     which the survivor set shrank.
 
-    Profiles are counted once per certified quotient.  Every member's
-    coarsest equitable partition is certified exactly once, and members
-    share a profile when their cell sizes and quotient agree: with w^0 = 1
-    and w^l = Q w^(l-1) on the cells, W^l = sum_i |C_i| w^l_i is a
-    function of that pair alone, so the shared totals are exact for
-    every member, isomorphic or not.  Refinement orders cells
-    invariantly, so isomorphic members always share."""
+    Totals are counted once per connected piece.  W^l of a member is the
+    sum of W^l over its pieces (block-diagonal adjacency), so each member
+    is split into pieces with `_component_masks`, and each piece is keyed
+    by its rows as placed in the member.  For a piece of two or more
+    vertices the union of those rows is its vertex set, so the key fixes
+    the labelled piece; every one-vertex piece is K_1.  A piece not seen
+    before is relabelled, refined, certified and counted once
+    (`_profile_counts`, with its splitting self-check); a member's totals
+    are the elementwise sum of its pieces', starting from zeros, so an
+    order-0 member has all-zero totals.  Members with equal totals share
+    one tuple."""
     if not family:
         raise ValueError("family must be non-empty")
     if levels is None:
         levels = default_horizon(*family)
-    by_quotient: dict[tuple, tuple[int, ...]] = {}
+    if levels < 1:
+        raise ValueError("levels >= 1 required")
+    by_piece: dict[tuple[int, ...], tuple[int, ...]] = {}
+    by_total: dict[tuple[int, ...], tuple[int, ...]] = {}
     profiles = []
     for g in family:
-        part = equitable_partition(g)
-        key = (tuple([cell.bit_count() for cell in part.cells]), part.quotient)
-        profile = by_quotient.get(key)
-        if profile is None:
-            profile = by_quotient[key] = _profile_counts(g, part, levels)
-        else:
-            certify_equitable(g, part)
-        profiles.append(profile)
+        rows = g.rows
+        total = [0] * levels
+        for mask in _component_masks(rows):
+            verts = list(bits_of(mask))
+            key = tuple([rows[v] for v in verts])
+            counts = by_piece.get(key)
+            if counts is None:
+                piece = g.subgraph(verts)
+                counts = by_piece[key] = _profile_counts(
+                    piece, equitable_partition(piece), levels
+                )
+            total = list(map(add, total, counts))
+        total = tuple(total)
+        profiles.append(by_total.setdefault(total, total))
     alive = list(range(len(family)))
     stabilized = 0
     counts = []

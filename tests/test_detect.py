@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oddwheel import _kernels_py, kernels
+from oddwheel import _kernels_py, detect, kernels
 from oddwheel.detect import (
     _reduced,
     contains_cycle_of_length,
@@ -302,6 +302,39 @@ def test_odd_wheel_searches_each_neighbourhood_once(monkeypatch):
         if g.degree(v) >= 2 * k
     }
     assert len(searched) == len(set(searched)) == len(distinct)
+
+
+def test_odd_wheel_reduces_each_neighbour_mask_once(monkeypatch):
+    # The reduction is a function of (rows, mask, cap), so hubs with one
+    # neighbour mask (twins) are reduced once, and the answer stays.
+    n, k = 202, 4
+    g = relabelled(
+        spex_candidate(
+            CandidateSpec(n, k, 0, standard_member(V_KIND, k, n // 2), True)
+        ),
+        7,
+    )
+    masks = []
+    reduce = detect._reduced
+
+    def recording(rows, alive, cap):
+        masks.append(alive)
+        return reduce(rows, alive, cap)
+
+    monkeypatch.setattr(detect, "_reduced", recording)
+    assert not contains_odd_wheel(g, k)
+    distinct = {g.rows[v] for v in range(n) if g.degree(v) >= 2 * k}
+    assert len(masks) == len(set(masks)) == len(distinct)
+    assert len(distinct) < sum(1 for v in range(n) if g.degree(v) >= 2 * k)
+    # two twin hubs over a path on 2k vertices: one reduction, no wheel;
+    # closing the path into a cycle makes both hubs wheel hubs
+    path = [(v, v + 1) for v in range(2, 2 * k + 1)]
+    spokes = [(h, v) for h in (0, 1) for v in range(2, 2 * k + 2)]
+    twins = build_graph(2 * k + 2, path + spokes)
+    masks.clear()
+    assert not contains_odd_wheel(twins, k)
+    assert masks == [twins.rows[0]] and twins.rows[0] == twins.rows[1]
+    assert contains_odd_wheel(twins.add_edges([(2, 2 * k + 1)]), k)
 
 
 def old_twin_kept(rows, cap):

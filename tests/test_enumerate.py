@@ -7,6 +7,7 @@ independent structure of the generator (degree filters, connectivity,
 pairwise-distinct canonical forms).
 """
 
+import collections
 import itertools
 import random
 
@@ -22,6 +23,7 @@ from oddwheel.enumerate import (
 )
 from oddwheel.graphs import (
     Graph,
+    bits_of,
     build_graph,
     is_automorphism,
     is_connected,
@@ -272,6 +274,73 @@ def test_vertex_key_is_deletion_invariant():
             for same in by_deck_card.values():
                 keys = [enum_mod._vertex_key(rows, v, degs) for v in same]
                 assert all(k == keys[0] for k in keys), (rows, same, keys)
+
+
+def _list_vertex_key(rows, v, degs):
+    """The vertex key with its neighbour degrees as a list sorted in
+    descending order: the reference order for the histogram key."""
+    nbrs = rows[v]
+    ws = list(bits_of(nbrs))
+    return (
+        degs[v],
+        sorted([degs[w] for w in ws], reverse=True),
+        sum([(rows[w] & nbrs).bit_count() for w in ws]) // 2,
+    )
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+def test_vertex_key_orders_as_the_sorted_list_key():
+    rng = random.Random(19)
+    graphs = [list(g.rows) for n in range(8) for g in all_graphs(n)]
+    for _ in range(3000):
+        n, p = rng.randint(1, 30), rng.random()
+        rows = [0] * n
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        graphs.append(rows)
+    pairs = 0
+    for rows in graphs:
+        degs = [r.bit_count() for r in rows]
+        new = [enum_mod._vertex_key(rows, v, degs) for v in range(len(rows))]
+        old = [_list_vertex_key(rows, v, degs) for v in range(len(rows))]
+        # one field of b bits per degree, holding that degree's count
+        b = len(rows).bit_length()
+        for key, (_, nbr_degs, _) in zip(new, old):
+            counts = collections.Counter(nbr_degs)
+            assert key[1] == sum(c << (d * b) for d, c in counts.items())
+        for u, v in itertools.combinations(range(len(rows)), 2):
+            assert _sign(new[u], new[v]) == _sign(old[u], old[v]), (rows, u, v)
+            pairs += 1
+    assert pairs > 400_000
+
+
+# canon_code calls from empty caches, recorded with the sorted-list key:
+# the histogram key must pick the same deletion vertices and ranks.
+COLD_CANON_CALLS = [
+    (lambda: all_graphs(7), 1737),
+    (lambda: connected_with_degrees(10, 5, False), 2814),
+]
+
+
+def test_canon_code_calls_unchanged_by_the_key(fresh_caches, monkeypatch):
+    canon_code = kernels.canon_code
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return canon_code(*args)
+
+    monkeypatch.setattr(kernels, "canon_code", counting)
+    for run, want in COLD_CANON_CALLS:
+        fresh_caches()
+        calls.clear()
+        run()
+        assert len(calls) == want
 
 
 @pytest.mark.parametrize(

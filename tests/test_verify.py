@@ -10,10 +10,10 @@ import pytest
 from oddwheel import verify as verify_mod
 from oddwheel import walks
 from oddwheel.cli import main
-from oddwheel.enumerate import BudgetExceededError, graph_code
+from oddwheel.enumerate import BudgetExceededError
 from oddwheel.families import FamilySpec, enumerate_family, primitive
 from oddwheel.formats import encode_graph6
-from oddwheel.graphs import build_graph, disjoint_union, equitable_partition
+from oddwheel.graphs import build_graph, components, disjoint_union
 from oddwheel.spectral import SpectralResult
 from oddwheel.verify import (
     CLAIMS,
@@ -130,34 +130,34 @@ def test_walk_lemma_golden(key):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_WALK_LEMMA[key]
 
 
-def _quotient_key(part):
-    return tuple(cell.bit_count() for cell in part.cells), part.quotient
-
-
-def test_walk_lemma_profiles_each_member_once(monkeypatch):
+def test_walk_lemma_counts_each_placed_piece_once(monkeypatch):
     tables, certified = [], []
     cell_walks, certify = walks._cell_walks, walks.certify_equitable
 
     def counting_table(g, part, levels):
-        tables.append((_quotient_key(part), levels))
+        tables.append(levels)
         return cell_walks(g, part, levels)
 
     def counting_certify(g, part):
-        certified.append(graph_code(g))
+        certified.append(g.rows)
         return certify(g, part)
 
     monkeypatch.setattr(walks, "_cell_walks", counting_table)
     monkeypatch.setattr(walks, "certify_equitable", counting_certify)
     rep = verify_walk_lemma(3, 17)
     family = enumerate_family(FamilySpec("GFAM", 3, 17))
-    keys = {_quotient_key(equitable_partition(g)) for g in family}
-    # one walk table per distinct (cell sizes, quotient), at horizon 2n
-    assert sorted(key for key, _ in tables) == sorted(keys)
-    assert {levels for _, levels in tables} == {34}
-    assert len(keys) < len(family)
-    # every member certified exactly once (members are non-isomorphic)
+    # each connected piece as placed in its member, relabelled 0..k-1
+    placed = {
+        tuple(g.rows[v] for v in c.labels): c.graph.rows
+        for g in family
+        for c in components(g)
+    }
+    assert len(placed) < sum(len(components(g)) for g in family)
+    # one walk table per distinct placed piece, at horizon 2n, and each
+    # such piece certified exactly once
+    assert tables == [34] * len(placed)
     assert rep.evidence["family_size"] == len(family)
-    assert sorted(certified) == sorted(graph_code(g) for g in family)
+    assert sorted(certified) == sorted(placed.values())
 
 
 def _overrun_on_second_call(monkeypatch):

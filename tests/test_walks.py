@@ -21,6 +21,7 @@ from oddwheel.graphs import (
     bits_of,
     build_graph,
     classify_degrees,
+    components,
     disjoint_union,
     equitable_partition,
 )
@@ -379,7 +380,9 @@ def test_ex_infinity_profiles_match_walk_profile_per_member():
         )
 
 
-def test_ex_infinity_counts_walks_once_per_quotient(monkeypatch):
+def _counting_walk_steps(monkeypatch):
+    """Record the levels of every walk table and the graph of every
+    certification that `ex_infinity_trace` makes."""
     tables, certified = [], []
     cell_walks, certify = walks._cell_walks, walks.certify_equitable
 
@@ -393,11 +396,77 @@ def test_ex_infinity_counts_walks_once_per_quotient(monkeypatch):
 
     monkeypatch.setattr(walks, "_cell_walks", counting_table)
     monkeypatch.setattr(walks, "certify_equitable", counting_certify)
+    return tables, certified
+
+
+def _placed_pieces(family):
+    """Distinct connected pieces of the members, each as its rows in the
+    member's labels, with the piece relabelled 0..k-1."""
+    return {
+        tuple(g.rows[v] for v in c.labels): c.graph.rows
+        for g in family
+        for c in components(g)
+    }
+
+
+def test_ex_infinity_counts_walks_once_per_placed_piece(monkeypatch):
+    tables, certified = _counting_walk_steps(monkeypatch)
     fam = enumerate_family(FamilySpec("GFAM", 5, 19))
     ex_infinity_trace(fam)
-    assert tables == [38] * 24
+    placed = _placed_pieces(fam)
     assert len(fam) == 1681
-    assert [id(g) for g in certified] == [id(g) for g in fam]
+    assert len(placed) == 91
+    # one table per distinct placed piece, and each such piece, relabelled,
+    # certified exactly once
+    assert tables == [38] * len(placed)
+    assert sorted(g.rows for g in certified) == sorted(placed.values())
+
+
+def test_ex_infinity_sums_pieces_in_any_labels(monkeypatch):
+    pieces = [
+        build_graph(4, [(0, 1), (1, 2), (2, 3)]),
+        primitive("cycle", 5),
+        primitive("complete", 4),
+        build_graph(1, []),
+        primitive("complete", 2),
+    ]
+    g = disjoint_union(pieces)
+    perm = list(range(g.order))
+    random.Random(23).shuffle(perm)
+    h = relabel(g, perm)
+    # the relabelled pieces are not runs of consecutive labels
+    assert any(
+        c.labels != tuple(range(c.labels[0], c.labels[-1] + 1))
+        for c in components(h)
+    )
+    horizon = default_horizon(g)
+    want = tuple(
+        sum(col)
+        for col in zip(*(walk_profile(p, horizon).counts for p in pieces))
+    )
+    tables, _ = _counting_walk_steps(monkeypatch)
+    trace = ex_infinity_trace([g, h])
+    assert trace.profiles == (want, want)
+    # equal totals share one tuple
+    assert trace.profiles[0] is trace.profiles[1]
+    assert len(tables) == len(_placed_pieces([g, h]))
+
+
+def test_ex_infinity_order_zero_members():
+    empty, k2 = build_graph(0, []), primitive("complete", 2)
+    trace = ex_infinity_trace([empty, k2, empty])
+    assert trace.profiles == ((0,) * 4, (2,) * 4, (0,) * 4)
+    assert trace.survivors == (k2,)
+    assert trace.profiles[0] == walk_profile(empty, 4).counts
+    with pytest.raises(ValueError):
+        ex_infinity_trace([k2], 0)
+    with pytest.raises(ValueError):
+        ex_infinity_trace([empty, k2], 0)
+    # all members of order 0: the default horizon is 0 levels
+    with pytest.raises(ValueError):
+        ex_infinity_trace([empty, empty])
+    with pytest.raises(ValueError):
+        ex_infinity_trace([empty], 0)
 
 
 def test_ex_infinity_certifies_members_that_share_a_profile(monkeypatch):
