@@ -1,36 +1,32 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python fallback.
+"""Time the kernels and the layers around them on seeded inputs.
 
-Micro benchmarks call both implementations directly on identical seeded
-workloads; the end-to-end benchmark reruns a degree-constrained
-enumeration in a subprocess with ODDWHEEL_PURE=1 so the import-time
-dispatcher picks the fallback.  The per-call table gives `canon_code` in
-ms per call on G(n, 1/2) and on every connected cubic graph of orders 10
-and 12, the rows of the canonical-form table in ROADMAP.md.  The
-per-layer table times the pure layers of the claim-1 sweep and the GFAM
-pass on their own inputs: `equitable_partition` on the 192 claim-1
-candidates (k = 4, n = 22, 26, ..., 402) and on the GFAM(5, 19) members,
-and `char_poly` and `bracket_largest_root` (width 1e-12, from the
-quotient's Perron root) over the 96 three-class claim-1 quotients,
-`ex_infinity_trace` over the GFAM(5, 19) members, and
-`connected_with_degrees(10, 5, False)` from empty enumeration caches.
+Micro benchmarks call each kernel on seeded workloads.  The per-call
+table gives `canon_code` in ms per call on G(n, 1/2) and on every
+connected cubic graph of orders 10 and 12, the rows of the
+canonical-form table in ROADMAP.md.  The per-layer table times the
+layers of the claim-1 sweep and the GFAM pass on their own inputs:
+`equitable_partition` on the 192 claim-1 candidates (k = 4, n = 22, 26,
+..., 402) and on the GFAM(5, 19) members, and `char_poly` and
+`bracket_largest_root` (width 1e-12, from the quotient's Perron root)
+over the 96 three-class claim-1 quotients, `ex_infinity_trace` over the
+GFAM(5, 19) members, and `connected_with_degrees(10, 5, False)` from
+empty enumeration caches.
 
 Usage: python3 benchmarks/bench_kernels.py [--quick]
 """
 
 import argparse
-import os
 import pathlib
 import random
-import subprocess
 import sys
 import time
 from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from oddwheel import _kernels_py  # noqa: E402
 from oddwheel import enumerate as enum_mod  # noqa: E402
+from oddwheel import kernels  # noqa: E402
 from oddwheel.enumerate import connected_with_degrees  # noqa: E402
 from oddwheel.families import (  # noqa: E402
     G_KIND,
@@ -48,11 +44,6 @@ from oddwheel.spectral import (  # noqa: E402
     quotient,
 )
 from oddwheel.walks import ex_infinity_trace  # noqa: E402
-
-try:
-    from oddwheel import _kernels  # noqa: E402
-except ImportError:
-    _kernels = None
 
 
 def random_rows(rng, n, p):
@@ -75,33 +66,33 @@ def timeit(fn, reps=3):
     return best
 
 
-def bench_canon(impl, graphs):
+def bench_canon(graphs):
     def run():
         for n, rows in graphs:
-            impl.canon_code(n, rows)
+            kernels.canon_code(n, rows)
 
     return timeit(run)
 
 
-def bench_cycle(impl, graphs, length):
+def bench_cycle(graphs, length):
     def run():
         for n, rows in graphs:
-            impl.has_cycle_of_length(n, rows, length, -1)
+            kernels.has_cycle_of_length(n, rows, length, -1)
 
     return timeit(run)
 
 
-def bench_path(impl, graphs):
+def bench_path(graphs):
     def run():
         for n, rows in graphs:
-            impl.longest_path_order(n, rows, -1)
+            kernels.longest_path_order(n, rows, -1)
 
     return timeit(run)
 
 
-def per_call_ms(impl, graphs):
+def per_call_ms(graphs):
     """Best of three passes over `graphs`, in ms per `canon_code` call."""
-    return 1000 * bench_canon(impl, graphs) / len(graphs)
+    return 1000 * bench_canon(graphs) / len(graphs)
 
 
 def canon_rows(rng, count):
@@ -156,28 +147,6 @@ def layer_rows():
     ]
 
 
-def enumeration_subprocess(pure: bool) -> float:
-    env = dict(os.environ)
-    env["ODDWHEEL_PURE"] = "1" if pure else "0"
-    env["PYTHONPATH"] = str(
-        pathlib.Path(__file__).resolve().parent.parent / "src"
-    )
-    script = (
-        "import time; t0 = time.perf_counter();"
-        "from oddwheel.enumerate import connected_with_degrees;"
-        "connected_with_degrees(10, 4, False);"
-        "print(time.perf_counter() - t0)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return float(out.stdout.strip())
-
-
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true")
@@ -198,56 +167,24 @@ def main():
         (12, random_rows(rng, 12, 0.35)) for _ in range(count // 2)
     ]
 
-    rows = []
+    print(f"{'workload':28} {'time (s)':>10}")
     for name, fn in [
-        ("canon_code (n=8..10)", lambda impl: bench_canon(impl, canon_graphs)),
-        ("has_cycle len=8 (n=16)", lambda impl: bench_cycle(impl, cycle_graphs, 8)),
-        ("longest_path (n=12)", lambda impl: bench_path(impl, path_graphs)),
+        ("canon_code (n=8..10)", lambda: bench_canon(canon_graphs)),
+        ("has_cycle len=8 (n=16)", lambda: bench_cycle(cycle_graphs, 8)),
+        ("longest_path (n=12)", lambda: bench_path(path_graphs)),
     ]:
-        pure_t = fn(_kernels_py)
-        if _kernels is not None:
-            comp_t = fn(_kernels)
-            rows.append((name, pure_t, comp_t, pure_t / comp_t))
-        else:
-            rows.append((name, pure_t, None, None))
-
-    print(f"{'workload':28} {'pure (s)':>10} {'compiled (s)':>13} {'speedup':>8}")
-    for name, pure_t, comp_t, speedup in rows:
-        if comp_t is None:
-            print(f"{name:28} {pure_t:10.4f} {'n/a':>13} {'n/a':>8}")
-        else:
-            print(f"{name:28} {pure_t:10.4f} {comp_t:13.4f} {speedup:7.1f}x")
-
-    if not args.quick:
-        name = "enumerate 4-regular n=10"
-        pure_e = enumeration_subprocess(pure=True)
-        if _kernels is None:
-            print(f"{name:28} {pure_e:10.4f} {'n/a':>13} {'n/a':>8}")
-        else:
-            comp_e = enumeration_subprocess(pure=False)
-            print(
-                f"{name:28} {pure_e:10.4f} "
-                f"{comp_e:13.4f} {pure_e / comp_e:7.1f}x"
-            )
+        print(f"{name:28} {fn():10.4f}")
 
     print()
-    head = f"{'canon_code per call':28} {'pure (ms)':>10}"
-    print(f"{head} {'compiled (ms)':>13}")
+    print(f"{'canon_code per call':28} {'ms':>10}")
     table_rng = random.Random(args.seed)
     for name, graphs in canon_rows(table_rng, 20 if args.quick else 100):
-        pure_ms = per_call_ms(_kernels_py, graphs)
-        if _kernels is None:
-            print(f"{name:28} {pure_ms:10.3f} {'n/a':>13}")
-        else:
-            comp_ms = per_call_ms(_kernels, graphs)
-            print(f"{name:28} {pure_ms:10.3f} {comp_ms:13.3f}")
+        print(f"{name:28} {per_call_ms(graphs):10.3f}")
 
     print()
-    print(f"{'pure layer':42} {'inputs':>7} {'total (s)':>10}")
+    print(f"{'layer':42} {'inputs':>7} {'total (s)':>10}")
     for name, count, seconds in layer_rows():
         print(f"{name:42} {count:7d} {seconds:10.4f}")
-    if _kernels is None:
-        print("compiled kernels unavailable; fallback timings only")
 
 
 if __name__ == "__main__":

@@ -121,7 +121,7 @@ def triangle_bits(n: int, rows: Sequence[int]) -> str:
     the adjacencies of vertex j to vertices 0..j-1, lowest first.
 
     This one string is the body of a graph6 line (`formats`) and of a
-    code (`_kernels_py`); the two differ only in header and padding."""
+    code (`kernels`); the two differ only in header and padding."""
     return "".join(
         [format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)]
     )

@@ -4,7 +4,6 @@ import platform
 import pytest
 
 import oddwheel
-from oddwheel import kernels
 from oddwheel.cli import main
 from oddwheel.families import odd_wheel, primitive
 from oddwheel.formats import decode_graph6, encode_graph6
@@ -330,6 +329,6 @@ def test_info(capsys):
     assert code == 0
     info = json.loads(out)
     assert set(info) == {"backend", "version", "python", "platform"}
-    assert info["backend"] == ("compiled" if kernels.HAVE_COMPILED else "pure")
+    assert info["backend"] == "pure"
     assert info["version"] == oddwheel.__version__
     assert info["python"] == platform.python_version()

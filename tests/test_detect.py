@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oddwheel import _kernels_py, detect, kernels
+from oddwheel import detect, kernels
 from oddwheel.detect import (
     _reduced,
     contains_cycle_of_length,
@@ -204,7 +204,7 @@ def reference_contains_odd_wheel(g, k):
         if g.degree(hub) < 2 * k:
             continue
         nbhd = g.subgraph(g.neighbors(hub))
-        if _kernels_py.has_cycle_of_length(
+        if kernels.has_cycle_of_length(
             nbhd.order, list(nbhd.rows), 2 * k, -1
         ):
             return True

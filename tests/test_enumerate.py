@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from oddwheel import _kernels_py, kernels
+from oddwheel import kernels
 from oddwheel import enumerate as enum_mod
 from oddwheel.enumerate import (
     BudgetExceededError,
@@ -47,7 +47,7 @@ def brute_class_count(n, degree_filter=None):
                 rows[v] |= 1 << u
         if degree_filter is not None and not degree_filter(rows):
             continue
-        seen.add(_kernels_py.canon_code(n, rows))
+        seen.add(kernels.canon_code(n, rows))
     return len(seen)
 
 
@@ -70,7 +70,7 @@ def test_all_graphs_pairwise_distinct_and_sorted():
     codes = [graph_code(g) for g in gs]
     assert len(set(codes)) == len(codes)
     internal = [
-        _kernels_py.canon_code(g.order, list(g.rows)) for g in gs
+        kernels.canon_code(g.order, list(g.rows)) for g in gs
     ]
     assert internal == sorted(internal)
 
@@ -234,7 +234,7 @@ def test_children_canonicalize_one_set_per_parent_orbit(
     assert len(all_graphs(7)) == KNOWN_CLASS_COUNTS[7]
     assert sum(map(len, canonicalized.values())) == ALL_7_CHILD_CANON
     for parent_code, sets in canonicalized.items():
-        n, rows = _kernels_py.code_to_rows(parent_code)
+        n, rows = kernels.code_to_rows(parent_code)
         parent = Graph(n, rows)
         auts = [
             p for p in itertools.permutations(range(n))

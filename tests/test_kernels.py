@@ -1,5 +1,6 @@
-"""Compiled and pure kernels must agree bit for bit; both must agree with
-brute-force oracles at small orders."""
+"""The kernels must agree with independent oracles: brute force at small
+orders, a test-local copy of the earlier canonical-form search, networkx
+cycle enumeration and a subset-DP longest path."""
 
 import hashlib
 import itertools
@@ -7,8 +8,8 @@ import random
 
 import pytest
 
-from oddwheel import _kernels_py, kernels
-from oddwheel._kernels_py import frame_code
+from oddwheel import kernels
+from oddwheel.kernels import frame_code
 from oddwheel.enumerate import all_graphs, connected_with_degrees
 from oddwheel.graphs import bits_of
 
@@ -155,44 +156,7 @@ def test_pure_matches_brute_canon():
     for _ in range(150):
         n = rng.randint(0, 7)
         rows = random_rows(rng, n, rng.choice([0.2, 0.5, 0.8]))
-        assert _kernels_py.canon_code(n, rows) == brute_min_code(n, rows)
-
-
-@pytest.mark.skipif(not kernels.HAVE_COMPILED, reason="no compiled kernels")
-def test_compiled_matches_pure_canon():
-    rng = random.Random(12)
-    for _ in range(300):
-        n = rng.randint(0, 9)
-        rows = random_rows(rng, n, rng.random())
-        assert kernels.canon_code(n, rows) == _kernels_py.canon_code(n, rows)
-
-
-def test_canon_dispatch_sends_order_16_up_to_the_pure_kernel(monkeypatch):
-    # the compiled canon_code is slower than the pure one from about order
-    # 16 on (Q_4 by over an order of magnitude), so only smaller orders
-    # reach it, whichever backend imported
-    class Compiled:
-        @staticmethod
-        def canon_code(n, rows):
-            return b"compiled"
-
-    monkeypatch.setattr(kernels, "_impl", Compiled)
-    assert kernels.canon_code(15, [0] * 15) == b"compiled"
-    rng = random.Random(17)
-    for n, rows in [(16, hypercube(4)), (20, random_rows(rng, 20, 0.5))]:
-        assert kernels.canon_code(n, rows) == _kernels_py.canon_code(n, rows)
-
-
-@pytest.mark.skipif(not kernels.HAVE_COMPILED, reason="no compiled kernels")
-def test_compiled_and_pure_canon_agree_from_order_16():
-    from oddwheel import _kernels
-
-    rng = random.Random(16)
-    graphs = [(16, hypercube(4))] + [
-        (n, random_rows(rng, n, 0.5)) for n in range(16, 21) for _ in range(3)
-    ]
-    for n, rows in graphs:
-        assert _kernels.canon_code(n, rows) == _kernels_py.canon_code(n, rows)
+        assert kernels.canon_code(n, rows) == brute_min_code(n, rows)
 
 
 def test_canon_invariant_under_relabeling():
@@ -229,7 +193,7 @@ GOLDEN_CUBIC_10 = (
 
 def golden_digest(graphs):
     codes = sorted(
-        _kernels_py.canon_code(
+        kernels.canon_code(
             g.order, relabel(g.order, g.rows, range(g.order - 1, -1, -1))
         )
         for g in graphs
@@ -260,12 +224,12 @@ def test_canon_invariant_on_vertex_transitive_graphs(n, rows):
     # keep tying after it; only the frontier dedup keeps these from
     # growing factorially
     rng = random.Random(n)
-    code = _kernels_py.canon_code(n, rows)
+    code = kernels.canon_code(n, rows)
     for _ in range(2):
         perm = list(range(n))
         rng.shuffle(perm)
         shuffled = relabel(n, rows, perm)
-        assert _kernels_py.canon_code(n, shuffled) == code
+        assert kernels.canon_code(n, shuffled) == code
         assert oracle_canon_code(n, shuffled) == code
 
 
@@ -274,7 +238,7 @@ def test_pure_canon_matches_oracle_on_random_graphs():
     for n in range(8, 15):
         for p in (0.2, 0.5, 0.8):
             rows = random_rows(rng, n, p)
-            assert _kernels_py.canon_code(n, rows) == oracle_canon_code(
+            assert kernels.canon_code(n, rows) == oracle_canon_code(
                 n, rows
             ), (n, p)
 
@@ -288,7 +252,7 @@ def test_pure_canon_matches_oracle_on_cubic_12():
             perm = list(range(g.order))
             rng.shuffle(perm)
             shuffled = relabel(g.order, g.rows, perm)
-            assert _kernels_py.canon_code(
+            assert kernels.canon_code(
                 g.order, shuffled
             ) == oracle_canon_code(g.order, shuffled)
 
@@ -307,10 +271,10 @@ def test_pure_canon_matches_oracle_property():
         p = data.draw(st.sampled_from([0.2, 0.5, 0.8]))
         seed = data.draw(st.integers(0, 2**32 - 1))
         rows = random_rows(random.Random(seed), n, p)
-        code = _kernels_py.canon_code(n, rows)
+        code = kernels.canon_code(n, rows)
         assert code == oracle_canon_code(n, rows)
         perm = data.draw(st.permutations(range(n)))
-        assert _kernels_py.canon_code(n, relabel(n, rows, perm)) == code
+        assert kernels.canon_code(n, relabel(n, rows, perm)) == code
 
     check()
 
@@ -320,7 +284,7 @@ def test_frontier_guard_on_long_cycle():
     # fifth vertex over a million ordered placements of one tie, so the
     # frontier guard must fire
     with pytest.raises(RuntimeError, match="frontier explosion"):
-        _kernels_py.canon_code(24, circulant(24, [1]))
+        kernels.canon_code(24, circulant(24, [1]))
 
 
 def test_code_roundtrip():
@@ -333,7 +297,7 @@ def test_code_roundtrip():
         assert n2 == n
         assert kernels.canon_code(n2, list(rows2)) == code
         # pack of the canonical copy reproduces the code verbatim
-        assert _kernels_py.pack_code(n2, rows2) == code
+        assert kernels.pack_code(n2, rows2) == code
 
 
 def test_cycle_kernels_match_each_other_and_brute():
@@ -343,7 +307,6 @@ def test_cycle_kernels_match_each_other_and_brute():
         rows = random_rows(rng, n, 0.4)
         for length in range(3, n + 1):
             expected = brute_has_cycle(n, rows, length)
-            assert _kernels_py.has_cycle_of_length(n, rows, length, -1) == expected
             assert kernels.has_cycle_of_length(n, rows, length, -1) == expected
 
 
@@ -353,7 +316,6 @@ def test_path_kernels_match_each_other_and_brute():
         n = rng.randint(1, 7)
         rows = random_rows(rng, n, 0.4)
         expected = brute_longest_path(n, rows)
-        assert _kernels_py.longest_path_order(n, rows, -1) == expected
         assert kernels.longest_path_order(n, rows, -1) == expected
 
 
@@ -361,18 +323,82 @@ def test_budget_exhaustion_is_signaled():
     # a dense graph with a tiny budget must return -1, not a wrong answer
     n = 12
     rows = [((1 << n) - 1) & ~(1 << u) for u in range(n)]
-    assert _kernels_py.has_cycle_of_length(n, rows, n, 3) == -1
     assert kernels.has_cycle_of_length(n, rows, n, 3) == -1
-    assert _kernels_py.longest_path_order(n, rows, 3) == -1
     assert kernels.longest_path_order(n, rows, 3) == -1
 
 
-def test_budget_accounting_identical():
+def test_budget_is_a_threshold():
+    # a budget caps node expansions, so for each graph there is one T, the
+    # expansions of the unbudgeted search: every budget below T runs out
+    # (-1) and every budget from T on returns the unbudgeted answer
     rng = random.Random(17)
-    for _ in range(40):
-        n = rng.randint(4, 8)
+    for _ in range(60):
+        n = rng.randint(4, 9)
         rows = random_rows(rng, n, 0.5)
-        for budget in (1, 5, 20, 1000):
-            a = _kernels_py.has_cycle_of_length(n, rows, n, budget)
-            b = kernels.has_cycle_of_length(n, rows, n, budget)
-            assert a == b
+        for search in (
+            lambda b: kernels.has_cycle_of_length(n, rows, n, b),
+            lambda b: kernels.longest_path_order(n, rows, b),
+        ):
+            answers = [search(b) for b in range(400)]
+            assert answers[-1] == search(-1) != -1
+            t = answers.index(answers[-1])
+            assert answers[:t] == [-1] * t
+            assert answers[t:] == [answers[-1]] * (400 - t)
+
+
+def test_cycle_kernel_matches_networkx_property():
+    nx = pytest.importorskip("networkx")
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(
+        max_examples=150, deadline=None, database=None, derandomize=True
+    )
+    @given(
+        st.integers(3, 11),
+        st.sampled_from([0.2, 0.35, 0.5]),
+        st.integers(0, 2**32 - 1),
+    )
+    def check(n, p, seed):
+        rows = random_rows(random.Random(seed), n, p)
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from((u, v) for u in range(n) for v in bits_of(rows[u]))
+        lengths = {len(c) for c in nx.simple_cycles(g, length_bound=n)}
+        for length in range(3, n + 1):
+            assert kernels.has_cycle_of_length(n, rows, length, -1) == (
+                length in lengths
+            ), (n, rows, length)
+
+    check()
+
+
+def held_karp_longest_path(n, rows):
+    """Most vertices on a simple path, by DP over (vertex set, end vertex):
+    ends[s] is the mask of the vertices at which some path through exactly
+    the set s ends."""
+    if n == 0:
+        return 0
+    ends = [0] * (1 << n)
+    for v in range(n):
+        ends[1 << v] = 1 << v
+    best = 1
+    for s in range(1, 1 << n):
+        if not ends[s]:
+            continue
+        best = max(best, s.bit_count())
+        for v in bits_of(ends[s]):
+            for w in bits_of(rows[v] & ~s):
+                ends[s | 1 << w] |= 1 << w
+    return best
+
+
+def test_path_kernel_matches_held_karp():
+    rng = random.Random(20)
+    for _ in range(120):
+        n = rng.randint(1, 12)
+        rows = random_rows(rng, n, rng.choice([0.15, 0.25, 0.4, 0.6]))
+        assert kernels.longest_path_order(n, rows, -1) == (
+            held_karp_longest_path(n, rows)
+        ), (n, rows)
