@@ -11,7 +11,15 @@ layers of the claim-1 sweep and the GFAM pass on their own inputs:
 `bracket_largest_root` (width 1e-12, from the quotient's Perron root)
 over the 96 three-class claim-1 quotients, `ex_infinity_trace` over the
 GFAM(5, 19) members, and `connected_with_degrees(10, 5, False)` from
-empty enumeration caches.
+empty enumeration caches.  The cycle-decision table gives, in us per
+call, the backtracking kernel on the whole graph, the detector's
+decision (`detect._decide`: the kernel up to `detect.KERNEL_ORDER`
+vertices, the cotree rule above) and the cotree rule alone, on the
+distinct reduced hub neighbourhoods of the `exhaustive` wheel scans (all
+graphs of order 7, k = 2 and 3) and of the `spex-structure` candidates
+at (n, k) = (50, 4) and (50, 5).  The kernel is timed in one pass (with
+--quick, over a seeded sample of 20 of the (50, 5) neighbourhoods),
+the two others as the best of three.
 
 Usage: python3 benchmarks/bench_kernels.py [--quick]
 """
@@ -25,9 +33,9 @@ from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from oddwheel import detect, kernels  # noqa: E402
 from oddwheel import enumerate as enum_mod  # noqa: E402
-from oddwheel import kernels  # noqa: E402
-from oddwheel.enumerate import connected_with_degrees  # noqa: E402
+from oddwheel.enumerate import all_graphs, connected_with_degrees  # noqa: E402
 from oddwheel.families import (  # noqa: E402
     G_KIND,
     U_KIND,
@@ -147,6 +155,59 @@ def layer_rows():
     ]
 
 
+def hub_neighbourhoods(graphs, k):
+    """The distinct reduced hub neighbourhoods of the W_{2k+1} scans of
+    `graphs`, as `contains_odd_wheel` builds them."""
+    seen = {}
+    for g in graphs:
+        for v in range(g.order):
+            if g.degree(v) >= 2 * k:
+                nbhd = detect._reduced(g.rows, g.rows[v], 2 * k)
+                seen.setdefault(nbhd.rows, nbhd)
+    return list(seen.values())
+
+
+def cycle_rows(rng, quick):
+    """(name, neighbourhoods with their cycle length, kernel sample) of
+    the cycle-decision table."""
+    small = [
+        (nbhd, 2 * k)
+        for k in (2, 3)
+        for nbhd in hub_neighbourhoods(all_graphs(7), k)
+    ]
+    rows = [("exhaustive, order 4-6", small, small)]
+    for n, k in ((50, 4), (50, 5)):
+        graphs = [
+            bipartite_candidate(n, left, inner, True)
+            for left in (n // 2 - 1, n // 2, n // 2 + 1)
+            for inner in enumerate_family(FamilySpec(U_KIND, k, left))
+        ]
+        items = [(nbhd, 2 * k) for nbhd in hub_neighbourhoods(graphs, k)]
+        sample = rng.sample(items, 20) if quick and k == 5 else items
+        rows.append((f"spex-structure ({n}, {k})", items, sample))
+    return rows
+
+
+def us_per_call(fn, items, reps):
+    return 1e6 * timeit(lambda: [fn(*item) for item in items], reps) / len(
+        items
+    )
+
+
+def kernel_call(g, length):
+    return kernels.has_cycle_of_length(g.order, list(g.rows), length, -1)
+
+
+def decision_call(g, length):
+    return detect._decide(g, length, detect._Budget(None))
+
+
+def rule_call(g, length):
+    return detect._cycle(
+        g.rows, (1 << g.order) - 1, length, detect._Budget(None)
+    )
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true")
@@ -185,6 +246,16 @@ def main():
     print(f"{'layer':42} {'inputs':>7} {'total (s)':>10}")
     for name, count, seconds in layer_rows():
         print(f"{name:42} {count:7d} {seconds:10.4f}")
+
+    print()
+    print(f"{'cycle decision (us per call)':28} {'inputs':>7} "
+          f"{'kernel':>10} {'decision':>10} {'rule':>10}")
+    cycle_rng = random.Random(args.seed)
+    for name, items, sample in cycle_rows(cycle_rng, args.quick):
+        print(f"{name:28} {len(items):7d} "
+              f"{us_per_call(kernel_call, sample, 1):10.1f} "
+              f"{us_per_call(decision_call, items, 3):10.1f} "
+              f"{us_per_call(rule_call, items, 3):10.1f}")
 
 
 if __name__ == "__main__":

@@ -124,6 +124,13 @@ class FamilySpec:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if n < 1:
             raise ValueError("order must be positive")
+        if n > 255:
+            # Members are ordered by canonical codes, which hold one order
+            # byte; reject before enumerating rather than after.
+            raise ValueError(
+                f"family order {n} (a candidate's side size) exceeds 255, "
+                f"the largest order a canonical code holds"
+            )
 
 
 def _regular_component_orders(d: int) -> list[int]:

@@ -157,17 +157,29 @@ def code_to_rows(code: bytes) -> tuple[int, tuple[int, ...]]:
     return code[0], rows_from_triangle(*code_bits(code))
 
 
-def has_cycle_of_length(n: int, rows, length: int, budget: int = -1) -> int:
+def has_cycle_of_length(
+    n: int, rows, length: int, budget: int = -1, spent: list | None = None
+) -> int:
     """1 if some cycle on exactly `length` vertices exists, 0 if none,
     -1 if the node-expansion budget ran out first.
 
     Exact backtracking over simple paths.  Each cycle is sought with its
     minimum vertex as the anchor, so every other vertex on the path is
     restricted to higher labels.  Vertices outside the 2-core cannot lie
-    on any cycle and are dropped first.
+    on any cycle and are dropped first.  When `spent` is given, the node
+    expansions made are added to spent[0], so a caller can draw several
+    searches from one budget.
     """
+    result, ops = _cycle_search(n, rows, length, budget)
+    if spent is not None:
+        spent[0] += ops
+    return result
+
+
+def _cycle_search(n: int, rows, length: int, budget: int) -> tuple[int, int]:
+    """`has_cycle_of_length`'s answer and the node expansions it made."""
     if length < 3 or length > n:
-        return 0
+        return 0, 0
     alive = (1 << n) - 1
     changed = True
     while changed:
@@ -177,7 +189,7 @@ def has_cycle_of_length(n: int, rows, length: int, budget: int = -1) -> int:
                 alive ^= 1 << v
                 changed = True
     if alive.bit_count() < length:
-        return 0
+        return 0, 0
     ops = 0
     for s in bits_of(alive):
         gt = alive & ~((1 << (s + 1)) - 1)
@@ -190,7 +202,7 @@ def has_cycle_of_length(n: int, rows, length: int, budget: int = -1) -> int:
             v, m = frames[-1]
             if len(frames) == length - 1:
                 if m & rs:
-                    return 1
+                    return 1, ops
                 frames.pop()
                 used &= ~(1 << v)
                 continue
@@ -202,11 +214,11 @@ def has_cycle_of_length(n: int, rows, length: int, budget: int = -1) -> int:
             frames[-1][1] = m ^ low
             ops += 1
             if 0 <= budget < ops:
-                return -1
+                return -1, ops
             w = low.bit_length() - 1
             used |= low
             frames.append([w, rows[w] & gt & ~used])
-    return 0
+    return 0, ops
 
 
 def longest_path_order(n: int, rows, budget: int = -1) -> int:

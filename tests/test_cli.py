@@ -54,6 +54,16 @@ def test_construct_candidate_and_check(tmp_path, capsys):
     assert code == 0 and "absent" in out
 
 
+@pytest.mark.parametrize("n, side", [(514, 257), (1002, 501)])
+def test_construct_candidate_side_above_code_limit(capsys, n, side):
+    # The side is rejected before any enumeration, naming both sizes.
+    code, out, err = run_cli(
+        capsys, "construct", "candidate", "--n", str(n), "--k", "4"
+    )
+    assert code == 2 and out == ""
+    assert f"family order {side}" in err and "exceeds 255" in err
+
+
 def test_check_cycle_and_path(tmp_path, capsys):
     path = tmp_path / "c6.g6"
     path.write_text(encode_graph6(primitive("cycle", 6)) + "\n")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -24,7 +25,15 @@ from oddwheel.families import (
     spex_candidate,
     standard_member,
 )
-from oddwheel.graphs import build_graph, disjoint_union
+from oddwheel.enumerate import all_graphs
+from oddwheel.graphs import (
+    Graph,
+    build_graph,
+    complement,
+    disjoint_union,
+    is_connected,
+    join,
+)
 
 
 def spans_odd_wheel(g, k, subset):
@@ -161,10 +170,23 @@ def test_monotonicity_under_edge_addition():
             assert contains_odd_wheel(g2, 2)
 
 
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return build_graph(10, outer + spokes + inner)
+
+
 def test_budget_exhaustion_raises():
-    k12 = primitive("complete", 12)
+    # The Petersen graph is prime (connected, with a connected
+    # complement) and twin-free, so its cycle question reaches the
+    # kernel, which needs more than 2 expansions to rule out C_10.
     with pytest.raises(BudgetExceededError):
-        contains_cycle_of_length(k12, 12, budget=2)
+        contains_cycle_of_length(petersen(), 10, budget=2)
+    assert not contains_cycle_of_length(petersen(), 10)
+    # K12 is a join of 12 single vertices: decided without a search.
+    k12 = primitive("complete", 12)
+    assert contains_cycle_of_length(k12, 12, budget=0)
     with pytest.raises(BudgetExceededError):
         longest_path_order(k12, budget=2)
 
@@ -279,6 +301,12 @@ def test_odd_wheel_budget_independent_of_labelling():
         assert not contains_odd_wheel(relabelled(g, seed), k, budget=10_000)
 
 
+def is_prime_piece(rows):
+    """Connected, with a connected complement."""
+    g = Graph(len(rows), tuple(rows))
+    return is_connected(g) and is_connected(complement(g))
+
+
 def test_odd_wheel_searches_each_neighbourhood_once(monkeypatch):
     n, k = 202, 4
     g = relabelled(
@@ -287,21 +315,40 @@ def test_odd_wheel_searches_each_neighbourhood_once(monkeypatch):
         ),
         7,
     )
-    searched = []
-    search = kernels.has_cycle_of_length
+    decided, searched = [], []
+    decide, search = detect._decide, kernels.has_cycle_of_length
 
-    def recording(order, rows, length, budget):
+    def recording_decide(nbhd, length, budget):
+        decided.append(nbhd.rows)
+        return decide(nbhd, length, budget)
+
+    def recording_search(order, rows, length, budget, spent=None):
         searched.append(tuple(rows))
-        return search(order, rows, length, budget)
+        return search(order, rows, length, budget, spent)
 
-    monkeypatch.setattr(kernels, "has_cycle_of_length", recording)
+    monkeypatch.setattr(detect, "_decide", recording_decide)
+    monkeypatch.setattr(kernels, "has_cycle_of_length", recording_search)
     assert not contains_odd_wheel(g, k)
     distinct = {
         _reduced(g.rows, g.rows[v], 2 * k).rows
         for v in range(n)
         if g.degree(v) >= 2 * k
     }
-    assert len(searched) == len(set(searched)) == len(distinct)
+    assert len(decided) == len(set(decided)) == len(distinct)
+    assert all(is_prime_piece(rows) for rows in searched)
+    # Above KERNEL_ORDER the kernel sees only prime pieces; on random
+    # graphs it is reached, so the check is not vacuous.
+    rng = random.Random(77)
+    searched.clear()
+    for _ in range(60):
+        m = rng.randint(10, 14)
+        h = build_graph(m, [
+            (u, v) for u in range(m) for v in range(u + 1, m)
+            if rng.random() < 0.55
+        ])
+        contains_odd_wheel(h, 3)
+    big = [rows for rows in searched if len(rows) > detect.KERNEL_ORDER]
+    assert big and all(is_prime_piece(rows) for rows in big)
 
 
 def test_odd_wheel_reduces_each_neighbour_mask_once(monkeypatch):
@@ -404,3 +451,185 @@ def test_reduced_keeps_the_old_vertex_set():
                 kept, key=lambda v: (-(g.rows[v] & kept_mask).bit_count(), v)
             )
             assert _reduced(g.rows, alive, cap) == g.subgraph(order)
+
+
+def test_budget_covers_the_whole_call():
+    # Two prime neighbourhoods without C_10 (two labellings of the
+    # Petersen graph, so they reduce to different graphs), each under
+    # its own hub: each fits the budget alone, together they overrun it.
+    p1 = petersen()
+    p2 = relabelled(p1, 3)
+    spent = []
+    for p in (p1, p2):
+        nbhd = _reduced(p.rows, (1 << 10) - 1, 10)
+        used = [0]
+        assert not kernels.has_cycle_of_length(10, nbhd.rows, 10, -1, used)
+        spent.append(used[0])
+    assert nbhd.rows != _reduced(p1.rows, (1 << 10) - 1, 10).rows
+    budget = max(spent)
+    assert 0 < min(spent) and budget < sum(spent)
+    wheel1, wheel2 = (join([primitive("complete", 1), p]) for p in (p1, p2))
+    for wheel in (wheel1, wheel2):
+        assert not contains_odd_wheel(wheel, 5, budget=budget)
+    both = disjoint_union([wheel1, wheel2])
+    with pytest.raises(BudgetExceededError):
+        contains_odd_wheel(both, 5, budget=budget)
+    assert not contains_odd_wheel(both, 5, budget=sum(spent))
+    # The same for the pieces of one cycle question.
+    pieces = disjoint_union([p1, p2])
+    with pytest.raises(BudgetExceededError):
+        contains_cycle_of_length(pieces, 10, budget=budget)
+    assert not contains_cycle_of_length(pieces, 10, budget=sum(spent))
+
+
+def unlimited():
+    return detect._Budget(None)
+
+
+def test_cycle_rule_matches_kernel_on_all_graphs_up_to_8():
+    pairs = 0
+    for n in range(3, 9):
+        for g in all_graphs(n):
+            full = (1 << n) - 1
+            for length in range(3, n + 1):
+                want = kernels.has_cycle_of_length(n, list(g.rows), length, -1)
+                assert detect._cycle(g.rows, full, length, unlimited()) == want
+                assert contains_cycle_of_length(g, length) == bool(want)
+                pairs += 1
+    assert pairs == 80_048
+
+
+def random_cograph(rng, n):
+    """One vertex, or the disjoint union or join of two random cographs."""
+    if n == 1:
+        return primitive("empty", 1)
+    a = rng.randint(1, n - 1)
+    parts = [random_cograph(rng, a), random_cograph(rng, n - a)]
+    return join(parts) if rng.random() < 0.5 else disjoint_union(parts)
+
+
+def random_join(rng, n):
+    """A join of two to four random parts, each G(m, p), so parts may be
+    prime; the parts' sizes add up to n."""
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(3, n - 1))))
+    g = None
+    for a, b in zip([0, *cuts], [*cuts, n]):
+        p = rng.choice([0.2, 0.5, 0.8])
+        part = build_graph(b - a, [
+            (u, v) for u in range(b - a) for v in range(u + 1, b - a)
+            if rng.random() < p
+        ])
+        g = part if g is None else join([g, part])
+    return g
+
+
+@pytest.mark.parametrize("make", [random_join, random_cograph],
+                         ids=["joins", "cographs"])
+def test_cycle_rule_on_random_joins_and_cographs(make):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2026)
+    answers = set()
+    for _ in range(150):
+        n = rng.randint(4, 9)
+        g = relabelled(make(rng, n), rng.randrange(10**6))
+        full = (1 << n) - 1
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges())
+        lengths = {len(c) for c in nx.simple_cycles(h, length_bound=n)}
+        for length in range(3, n + 1):
+            want = kernels.has_cycle_of_length(n, list(g.rows), length, -1)
+            assert want == (length in lengths)
+            assert detect._cycle(g.rows, full, length, unlimited()) == want
+            assert contains_cycle_of_length(g, length) == bool(want)
+            answers.add(want)
+    # larger ones against the kernel alone
+    for _ in range(60):
+        n = rng.randint(10, 13)
+        g = relabelled(make(rng, n), rng.randrange(10**6))
+        for length in range(3, n + 1):
+            want = kernels.has_cycle_of_length(n, list(g.rows), length, -1)
+            assert contains_cycle_of_length(g, length) == bool(want)
+    assert answers == {0, 1}
+
+
+def brute_path_cover(g):
+    """m(a) for a = 0..n from every ordering of every vertex set: an
+    ordering splits into paths at its non-adjacent consecutive pairs."""
+    best = list(range(g.order + 1))
+    for a in range(2, g.order + 1):
+        for chosen in itertools.combinations(range(g.order), a):
+            for seq in itertools.permutations(chosen):
+                breaks = sum(
+                    not g.has_edge(seq[i], seq[i + 1]) for i in range(a - 1)
+                )
+                best[a] = min(best[a], breaks + 1)
+    return best
+
+
+def test_path_cover_profile_against_brute_force():
+    rng = random.Random(8)
+    graphs = [random_cograph(rng, rng.randint(1, 7)) for _ in range(40)]
+    graphs += [random_join(rng, rng.randint(2, 7)) for _ in range(40)]
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        graphs.append(build_graph(n, [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if rng.random() < rng.choice([0.3, 0.5, 0.7])
+        ]))
+    graphs += [petersen().subgraph(range(7)), primitive("cycle", 7)]
+    for g in graphs:
+        full = (1 << g.order) - 1
+        want = brute_path_cover(g)
+        assert detect._profile(g.rows, full, g.order, unlimited()) == want
+        top = rng.randint(1, g.order)
+        cut = detect._profile(g.rows, full, top, unlimited())
+        assert cut == want[:top + 1]
+        bound = detect._profile(g.rows, full, g.order, None)
+        assert all(b <= m for b, m in zip(bound, want))
+
+
+def alternating_threshold(n):
+    """Vertex v joined to every earlier vertex when v is odd, to none
+    when v is even: no twins, so the cotree is a chain n levels deep."""
+    return build_graph(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
+
+
+def test_cycle_rule_on_a_deep_cotree():
+    g = alternating_threshold(41)
+    for length in range(3, 42):
+        want = kernels.has_cycle_of_length(41, list(g.rows), length, -1)
+        assert contains_cycle_of_length(g, length) == bool(want)
+    # deeper than the interpreter's recursion limit
+    deep = alternating_threshold(1200)
+    assert _reduced(deep.rows, (1 << 1200) - 1, 8).order == 1200
+    assert contains_cycle_of_length(deep, 8)
+
+
+def test_join_with_a_large_prime_part_goes_to_the_kernel(monkeypatch):
+    # A spider with legs of 6, 6 and 4 vertices is prime and its longest
+    # path has 13 vertices, so a hub over it closes C_3..C_14 and nothing
+    # longer.  Each answer needs the spider's profile up to l - 1
+    # vertices; from l = 7 on its search could pass PROFILE_STATES, and
+    # the kernel decides the whole join instead.
+    legs = [(0, 1), (0, 7), (0, 13)] + [
+        (v, v + 1) for v in (*range(1, 6), *range(7, 12), 13, 14, 15)
+    ]
+    spider = build_graph(17, legs)
+    assert longest_path_order(spider) == 13
+    assert comb(17, 6) * 6 > detect.PROFILE_STATES >= comb(17, 5) * 5
+    hub = join([primitive("complete", 1), spider])
+    searched = []
+    search = kernels.has_cycle_of_length
+
+    def recording(order, rows, length, budget, spent=None):
+        searched.append(length)
+        return search(order, rows, length, budget, spent)
+
+    monkeypatch.setattr(kernels, "has_cycle_of_length", recording)
+    for length in range(3, 19):
+        want = search(18, list(hub.rows), length, -1)
+        assert contains_cycle_of_length(hub, length) == bool(want) == (
+            length <= 14
+        )
+    assert searched == list(range(7, 19))

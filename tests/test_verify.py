@@ -258,6 +258,28 @@ def test_spex_structure_k2_golden(n):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_K2_SPEX[n]
 
 
+# sha256 of `verify_spex_structure(50, 5).to_json()`, recorded before
+# join-shaped hub neighbourhoods were decided by path-cover profiles (a
+# 60 s run then); the decision rule must leave the report byte-identical.
+SPEX_50_5 = "0c1ef7f9d521675e84a039438a5fb5dc6dc25ec3ec0243e2365417cdc3580acb"
+
+
+def test_spex_structure_k5_report_unchanged():
+    text = verify_spex_structure(50, 5).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == SPEX_50_5
+
+
+def test_spex_structure_k6_reports_the_criterion_5_fail(capsys):
+    # k even and n = 2 mod 4: the registered prediction FAILs, with the
+    # quotient note; the wheel checks complete instead of overrunning.
+    code = main(["verify", "spex-structure", "--n", "30", "--k", "6"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["outcome"] == "FAIL"
+    assert "maximizer differs from the predicted family" in payload["notes"]
+    assert "matching-complement diagonal entry" in payload["notes"]
+    assert all(r["wheel_free"] for r in payload["evidence"]["candidates"])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_spex_structure_rejects_an_empty_side(n):
     # the sweep |L| in {n/2-1, ..., n/2+1} reaches 0 or n below n = 4
