@@ -76,24 +76,24 @@ def timeit(fn, reps=3):
 
 def bench_canon(graphs):
     def run():
-        for n, rows in graphs:
-            kernels.canon_code(n, rows)
+        for rows in graphs:
+            kernels.canon_code(rows)
 
     return timeit(run)
 
 
 def bench_cycle(graphs, length):
     def run():
-        for n, rows in graphs:
-            kernels.has_cycle_of_length(n, rows, length, -1)
+        for rows in graphs:
+            kernels.has_cycle_of_length(rows, length)
 
     return timeit(run)
 
 
 def bench_path(graphs):
     def run():
-        for n, rows in graphs:
-            kernels.longest_path_order(n, rows, -1)
+        for rows in graphs:
+            kernels.longest_path_order(rows)
 
     return timeit(run)
 
@@ -107,13 +107,12 @@ def canon_rows(rng, count):
     """The per-call table's graph sets: G(n, 1/2) for n = 8 .. 20, then
     the connected cubic graphs of orders 10 and 12 (19 and 85)."""
     sets = [
-        (f"G({n}, 1/2)", [(n, random_rows(rng, n, 0.5)) for _ in range(count)])
+        (f"G({n}, 1/2)", [random_rows(rng, n, 0.5) for _ in range(count)])
         for n in (8, 10, 12, 16, 20)
     ]
     for order in (10, 12):
         cubic = connected_with_degrees(order, 3, False)
-        graphs = [(g.order, list(g.rows)) for g in cubic]
-        sets.append((f"cubic, order {order}", graphs))
+        sets.append((f"cubic, order {order}", [g.rows for g in cubic]))
     return sets
 
 
@@ -195,16 +194,16 @@ def us_per_call(fn, items, reps):
 
 
 def kernel_call(g, length):
-    return kernels.has_cycle_of_length(g.order, list(g.rows), length, -1)
+    return kernels.has_cycle_of_length(g.rows, length)
 
 
 def decision_call(g, length):
-    return detect._decide(g, length, detect._Budget(None))
+    return detect._decide(g, length, enum_mod._Budget(None))
 
 
 def rule_call(g, length):
     return detect._cycle(
-        g.rows, (1 << g.order) - 1, length, detect._Budget(None)
+        g.rows, (1 << g.order) - 1, length, enum_mod._Budget(None)
     )
 
 
@@ -217,16 +216,12 @@ def main():
     rng = random.Random(args.seed)
     count = 60 if args.quick else 300
     canon_graphs = [
-        (n, random_rows(rng, n, rng.choice([0.3, 0.5, 0.8])))
+        random_rows(rng, n, rng.choice([0.3, 0.5, 0.8]))
         for n in (8, 9, 10)
         for _ in range(count // 3)
     ]
-    cycle_graphs = [
-        (16, random_rows(rng, 16, 0.25)) for _ in range(count)
-    ]
-    path_graphs = [
-        (12, random_rows(rng, 12, 0.35)) for _ in range(count // 2)
-    ]
+    cycle_graphs = [random_rows(rng, 16, 0.25) for _ in range(count)]
+    path_graphs = [random_rows(rng, 12, 0.35) for _ in range(count // 2)]
 
     print(f"{'workload':28} {'time (s)':>10}")
     for name, fn in [

@@ -53,8 +53,8 @@ from __future__ import annotations
 from math import comb
 
 from oddwheel import kernels
-from oddwheel.enumerate import BudgetExceededError, check_budget
-from oddwheel.graphs import Graph, bits_of
+from oddwheel.enumerate import BudgetExceededError, _Budget
+from oddwheel.graphs import Graph, _pieces, bits_of
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -77,27 +77,6 @@ class _LargePrime(Exception):
     """A needed profile's search could pass PROFILE_STATES."""
 
 
-class _Budget:
-    """Node expansions left for one detector call; None means no limit."""
-
-    __slots__ = ("left",)
-
-    def __init__(self, limit: int | None):
-        check_budget(limit)
-        self.left = limit
-
-    def kernel_limit(self) -> int:
-        """The kernel's budget argument: -1 is no limit."""
-        return -1 if self.left is None else max(self.left, 0)
-
-    def spend(self, ops: int) -> bool:
-        """Draw `ops` expansions; False once the budget is overrun."""
-        if self.left is None:
-            return True
-        self.left -= ops
-        return self.left >= 0
-
-
 def _reduced(rows, alive: int, cap: int) -> Graph:
     """Twin-reduced subgraph of the graph with adjacency `rows`, induced
     on the vertex mask `alive`.
@@ -105,8 +84,8 @@ def _reduced(rows, alive: int, cap: int) -> Graph:
     Each pass caps one twin family (open, then closed) at `cap` members
     per class, keeping the lowest labels; its keys are the rows masked to
     `alive` as it stood when the pass began.  Passes repeat until nothing
-    is dropped.  Only the kept vertices' subgraph is built, labelled by
-    decreasing degree in it, ties broken by the original label.
+    is dropped.  Only the kept vertices' subgraph is built
+    (`_by_degree`).
     """
     while True:
         before = alive
@@ -124,9 +103,14 @@ def _reduced(rows, alive: int, cap: int) -> Graph:
                     drop |= 1 << v
             alive &= ~drop
         if alive == before:
-            break
+            return _by_degree(rows, alive)
+
+
+def _by_degree(rows, mask: int) -> Graph:
+    """The subgraph induced on `mask`, labelled by decreasing degree in
+    it, ties broken by the original label."""
     kept = sorted(
-        bits_of(alive), key=lambda v: (-(rows[v] & alive).bit_count(), v)
+        bits_of(mask), key=lambda v: (-(rows[v] & mask).bit_count(), v)
     )
     return Graph(len(rows), tuple(rows)).subgraph(kept)
 
@@ -135,39 +119,12 @@ def _twin_reduce(g: Graph, cap: int) -> Graph:
     return _reduced(g.rows, (1 << g.order) - 1, cap)
 
 
-def _pieces(rows, mask: int, co: bool = False):
-    """Vertex masks of the connected pieces of the graph induced on
-    `mask`, or of its complement when `co` is set."""
-    rest = mask
-    while rest:
-        piece = front = rest & -rest
-        rest ^= piece
-        while front and rest:
-            reach = 0
-            for v in bits_of(front):
-                reach |= ~rows[v] if co else rows[v]
-            front = reach & rest
-            rest ^= front
-            piece |= front
-        yield piece
-
-
 def _search(rows, mask: int, length: int, budget: _Budget) -> int:
     """The kernel's verdict on the piece induced on `mask`, labelled by
-    decreasing degree in the piece."""
-    if mask == (1 << len(rows)) - 1:
-        piece = rows
-    else:
-        kept = sorted(
-            bits_of(mask), key=lambda v: (-(rows[v] & mask).bit_count(), v)
-        )
-        piece = Graph(len(rows), tuple(rows)).subgraph(kept).rows
-    spent = [0]
-    result = kernels.has_cycle_of_length(
-        len(piece), list(piece), length, budget.kernel_limit(), spent
-    )
-    budget.spend(spent[0])
-    return result
+    decreasing degree in the piece (`_by_degree`)."""
+    if mask != (1 << len(rows)) - 1:
+        rows = _by_degree(rows, mask).rows
+    return kernels.has_cycle_of_length(rows, length, budget)
 
 
 def _cycle(rows, mask: int, length: int, budget: _Budget) -> int:
@@ -326,12 +283,12 @@ def _prime_profile(rows, mask: int, top: int, budget: _Budget):
 def _decide(g: Graph, length: int, budget: _Budget) -> int:
     """1/0/-1 (as the kernel) for C_length in a reduced graph."""
     if g.order <= KERNEL_ORDER:
-        return _search(g.rows, (1 << g.order) - 1, length, budget)
+        return kernels.has_cycle_of_length(g.rows, length, budget)
     return _cycle(g.rows, (1 << g.order) - 1, length, budget)
 
 
 def contains_cycle_of_length(
-    g: Graph, length: int, budget: int = DEFAULT_BUDGET
+    g: Graph, length: int, budget: int | None = DEFAULT_BUDGET
 ) -> bool:
     """True iff g contains a (not necessarily induced) cycle on exactly
     `length` vertices."""
@@ -346,7 +303,9 @@ def contains_cycle_of_length(
     return bool(result)
 
 
-def contains_odd_wheel(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
+def contains_odd_wheel(
+    g: Graph, k: int, budget: int | None = DEFAULT_BUDGET
+) -> bool:
     """True iff g contains W_{2k+1}, i.e. some vertex whose neighborhood
     induces a cycle on 2k vertices.
 
@@ -393,12 +352,11 @@ def contains_odd_wheel(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     return False
 
 
-def longest_path_order(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
+def longest_path_order(g: Graph, budget: int | None = DEFAULT_BUDGET) -> int:
     """Maximum number of vertices on a simple path of g."""
     if g.order < 1:
         raise ValueError("longest path needs at least one vertex")
-    check_budget(budget)
-    result = kernels.longest_path_order(g.order, list(g.rows), budget)
+    result = kernels.longest_path_order(g.rows, _Budget(budget))
     if result < 0:
         raise BudgetExceededError(f"path search budget {budget} exhausted")
     return result

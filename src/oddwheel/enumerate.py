@@ -86,6 +86,8 @@ pruned or not.
 
 from __future__ import annotations
 
+from math import inf
+
 from oddwheel import kernels
 from oddwheel.graphs import (
     Graph,
@@ -119,10 +121,7 @@ def graph_code(g: Graph) -> bytes:
     combinatorially, and the per-component form is the same complete
     isomorphism invariant either way.
     """
-    return union_code([
-        kernels.canon_code(c.graph.order, list(c.graph.rows))
-        for c in components(g)
-    ])
+    return union_code([kernels.canon_code(c.graph.rows) for c in components(g)])
 
 
 def union_code(piece_codes: list[bytes]) -> bytes:
@@ -190,30 +189,28 @@ def _deletion_code(child_code: bytes) -> bytes:
         )
         low = (1 << u) - 1
         sub = [(r & low) | ((r >> 1) & ~low) for i, r in enumerate(rows) if i != u]
-        k = kernels.canon_code(n - 1, sub)
+        k = kernels.canon_code(sub)
         _deletion_cache[child_code] = k
     return k
 
 
-def check_budget(limit: int | None) -> None:
-    """Reject a negative budget; None means no limit."""
-    if limit is not None and limit < 0:
-        raise ValueError(f"budget must be non-negative, got {limit}")
-
-
 class _Budget:
+    """Node expansions (or enumerated children) left for one call; None
+    means no limit, held as an infinite count.  Every search draws on
+    it: enumeration, the detectors and, by reading `left` and calling
+    `spend`, the kernels."""
+
     __slots__ = ("left",)
 
     def __init__(self, limit: int | None):
-        check_budget(limit)
-        self.left = limit
+        if limit is not None and limit < 0:
+            raise ValueError(f"budget must be non-negative, got {limit}")
+        self.left = inf if limit is None else limit
 
-    def spend(self, amount: int = 1) -> None:
-        if self.left is None:
-            return
-        self.left -= amount
-        if self.left < 0:
-            raise BudgetExceededError("enumeration budget exhausted")
+    def spend(self, ops: int) -> bool:
+        """Draw `ops`; False once the budget is overrun."""
+        self.left -= ops
+        return self.left >= 0
 
 
 def _prune(degs: list[int], order: int, d: int, deficient: bool) -> bool:
@@ -293,7 +290,8 @@ def _children(
             cdegs = _child_degrees(degs, s)
             if not _prune(cdegs, *target):
                 continue
-        budget.spend()
+        if not budget.spend(1):
+            raise BudgetExceededError("enumeration budget exhausted")
         if deg < top or (deg == top and s & top_mask):
             continue
         cdegs = cdegs or _child_degrees(degs, s)
@@ -315,7 +313,7 @@ def _children(
         # isomorphic child: same code, same rank (module docstring).
         if rank >= 0 and s not in done:
             done |= set_orbit(s, gens or [])
-            code = kernels.canon_code(n + 1, child)
+            code = kernels.canon_code(child)
             if code not in seen:
                 seen.add(code)
                 if rank or _deletion_code(code) == parent_code:
@@ -417,7 +415,7 @@ def _pruned_levels(
     passes `_prune` (module docstring).  Levels up to the highest cached
     `all_graphs` level are read off it; the rest are generated.  Nothing
     is stored here, so an exhausted budget leaves no partial tree behind."""
-    seed = _all_cache or {1: [kernels.canon_code(1, [0])]}
+    seed = _all_cache or {1: [kernels.canon_code([0])]}
     start = min(max(seed), order)
     levels: list[list[bytes]] = [[]]
     for m in range(1, start + 1):

@@ -215,7 +215,8 @@ def join(parts: list[Graph]) -> Graph:
 
 
 def _component_mask(rows, start: int) -> int:
-    """Mask of the vertices reachable from `start` (breadth-first)."""
+    """Mask of the vertices reachable from `start` (breadth-first), also
+    when the rows are not symmetric (a directed reach)."""
     comp = frontier = 1 << start
     while frontier:
         nxt = 0
@@ -226,13 +227,23 @@ def _component_mask(rows, start: int) -> int:
     return comp
 
 
-def _component_masks(rows):
-    """Vertex masks of the connected pieces, ordered by minimum label."""
-    rest = (1 << len(rows)) - 1
+def _pieces(rows, mask: int | None = None, co: bool = False):
+    """Vertex masks of the connected pieces of the graph induced on
+    `mask` (every vertex when None), or of its complement when `co` is
+    set, ordered by minimum label (breadth-first)."""
+    rest = (1 << len(rows)) - 1 if mask is None else mask
+    flip = -1 if co else 0
     while rest:
-        comp = _component_mask(rows, (rest & -rest).bit_length() - 1)
-        rest &= ~comp
-        yield comp
+        piece = front = rest & -rest
+        rest ^= piece
+        while front and rest:
+            reach = 0
+            for v in bits_of(front):
+                reach |= rows[v] ^ flip
+            front = reach & rest
+            rest ^= front
+            piece |= front
+        yield piece
 
 
 def components(g: Graph) -> list[Component]:
@@ -242,14 +253,14 @@ def components(g: Graph) -> list[Component]:
     original labels (position i holds the original label of new vertex i).
     """
     out: list[Component] = []
-    for comp in _component_masks(g.rows):
+    for comp in _pieces(g.rows):
         labels = tuple(bits_of(comp))
         out.append(Component(g.subgraph(labels), labels))
     return out
 
 
 def is_connected(g: Graph) -> bool:
-    return g.order == 0 or _component_mask(g.rows, 0) == (1 << g.order) - 1
+    return g.order == 0 or next(_pieces(g.rows)) == (1 << g.order) - 1
 
 
 def classify_degrees(g: Graph) -> DegreeClassification:

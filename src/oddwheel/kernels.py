@@ -2,9 +2,16 @@
 longest path.
 
 Rows are adjacency bitmasks (Python ints), so every kernel works at any
-order.  Callers reach these functions through the module attribute
-(`kernels.canon_code(...)`), so rebinding a name here reaches every call
-site.
+order.  Every kernel takes the rows alone, as any sequence, and the
+order is their number.  Callers reach these functions through the module
+attribute (`kernels.canon_code(...)`), so rebinding a name here reaches
+every call site.
+
+The two searches draw on a node-expansion budget, `enumerate._Budget`
+(None: no limit).  It is read by its interface, since `enumerate`
+imports this module: a search stops once its expansions pass the
+budget's `left`, returns -1, and spends what it expanded on every
+return, so one budget can cover many searches.
 
 Canonical form
 --------------
@@ -52,6 +59,8 @@ counts the entries kept at a level, after the losers are dropped.
 
 from __future__ import annotations
 
+from math import inf
+
 from oddwheel.graphs import bits_of, rows_from_triangle, triangle_bits
 
 # There is one implementation, this one.  The flag stays because run
@@ -60,8 +69,9 @@ from oddwheel.graphs import bits_of, rows_from_triangle, triangle_bits
 HAVE_COMPILED = False
 
 
-def canon_code(n: int, rows) -> bytes:
+def canon_code(rows) -> bytes:
     """The minimal triangle bit string over all orderings, framed."""
+    n = len(rows)
     if n > 255:
         raise ValueError("canonical form limited to order <= 255")
     full = (1 << n) - 1
@@ -157,29 +167,18 @@ def code_to_rows(code: bytes) -> tuple[int, tuple[int, ...]]:
     return code[0], rows_from_triangle(*code_bits(code))
 
 
-def has_cycle_of_length(
-    n: int, rows, length: int, budget: int = -1, spent: list | None = None
-) -> int:
+def has_cycle_of_length(rows, length: int, budget=None) -> int:
     """1 if some cycle on exactly `length` vertices exists, 0 if none,
     -1 if the node-expansion budget ran out first.
 
     Exact backtracking over simple paths.  Each cycle is sought with its
     minimum vertex as the anchor, so every other vertex on the path is
     restricted to higher labels.  Vertices outside the 2-core cannot lie
-    on any cycle and are dropped first.  When `spent` is given, the node
-    expansions made are added to spent[0], so a caller can draw several
-    searches from one budget.
+    on any cycle and are dropped first.
     """
-    result, ops = _cycle_search(n, rows, length, budget)
-    if spent is not None:
-        spent[0] += ops
-    return result
-
-
-def _cycle_search(n: int, rows, length: int, budget: int) -> tuple[int, int]:
-    """`has_cycle_of_length`'s answer and the node expansions it made."""
+    n = len(rows)
     if length < 3 or length > n:
-        return 0, 0
+        return 0
     alive = (1 << n) - 1
     changed = True
     while changed:
@@ -189,78 +188,89 @@ def _cycle_search(n: int, rows, length: int, budget: int) -> tuple[int, int]:
                 alive ^= 1 << v
                 changed = True
     if alive.bit_count() < length:
-        return 0, 0
+        return 0
+    left = inf if budget is None else budget.left
     ops = 0
-    for s in bits_of(alive):
-        gt = alive & ~((1 << (s + 1)) - 1)
-        rs = rows[s]
-        if (rs & gt).bit_count() < 2:
-            continue
-        frames = [[s, rows[s] & gt]]
-        used = 1 << s
-        while frames:
-            v, m = frames[-1]
-            if len(frames) == length - 1:
-                if m & rs:
-                    return 1, ops
-                frames.pop()
-                used &= ~(1 << v)
+    try:
+        for s in bits_of(alive):
+            gt = alive & ~((1 << (s + 1)) - 1)
+            rs = rows[s]
+            if (rs & gt).bit_count() < 2:
                 continue
-            if m == 0:
-                frames.pop()
-                used &= ~(1 << v)
-                continue
-            low = m & -m
-            frames[-1][1] = m ^ low
-            ops += 1
-            if 0 <= budget < ops:
-                return -1, ops
-            w = low.bit_length() - 1
-            used |= low
-            frames.append([w, rows[w] & gt & ~used])
-    return 0, ops
+            frames = [[s, rs & gt]]
+            used = 1 << s
+            while frames:
+                v, m = frames[-1]
+                if len(frames) == length - 1:
+                    if m & rs:
+                        return 1
+                    frames.pop()
+                    used &= ~(1 << v)
+                    continue
+                if m == 0:
+                    frames.pop()
+                    used &= ~(1 << v)
+                    continue
+                low = m & -m
+                frames[-1][1] = m ^ low
+                ops += 1
+                if ops > left:
+                    return -1
+                w = low.bit_length() - 1
+                used |= low
+                frames.append([w, rows[w] & gt & ~used])
+        return 0
+    finally:
+        if budget is not None:
+            budget.spend(ops)
 
 
-def longest_path_order(n: int, rows, budget: int = -1) -> int:
+def longest_path_order(rows, budget=None) -> int:
     """Maximum number of vertices on a simple path (-1 on budget
     exhaustion).  Backtracking with a reachability upper bound: a partial
     path cannot beat the incumbent if even absorbing every vertex still
     reachable from its tip falls short."""
+    n = len(rows)
     if n == 0:
         return 0
     best = 1
     full = (1 << n) - 1
+    left = inf if budget is None else budget.left
     ops = 0
-    for s in range(n):
-        frames = [[s, rows[s]]]
-        used = 1 << s
-        while frames:
-            v, m = frames[-1]
-            if m == 0:
-                frames.pop()
-                used &= ~(1 << v)
-                continue
-            low = m & -m
-            frames[-1][1] = m ^ low
-            ops += 1
-            if 0 <= budget < ops:
-                return -1
-            avail = full & ~used
-            reach = low
-            frontier = low
-            while frontier:
-                nb = 0
-                for x in bits_of(frontier):
-                    nb |= rows[x]
-                frontier = nb & avail & ~reach
-                reach |= frontier
-            if len(frames) + reach.bit_count() <= best:
-                continue
-            w = low.bit_length() - 1
-            used |= low
-            frames.append([w, rows[w] & ~used])
-            if len(frames) > best:
-                best = len(frames)
-                if best == n:
-                    return best
-    return best
+    try:
+        for s in range(n):
+            frames = [[s, rows[s]]]
+            used = 1 << s
+            while frames:
+                v, m = frames[-1]
+                if m == 0:
+                    frames.pop()
+                    used &= ~(1 << v)
+                    continue
+                low = m & -m
+                frames[-1][1] = m ^ low
+                ops += 1
+                if ops > left:
+                    return -1
+                avail = full & ~used
+                reach = low
+                frontier = low
+                while frontier:
+                    nb = 0
+                    for x in bits_of(frontier):
+                        nb |= rows[x]
+                    frontier = nb & avail & ~reach
+                    reach |= frontier
+                if len(frames) + reach.bit_count() <= best:
+                    continue
+                w = low.bit_length() - 1
+                used |= low
+                frames.append([w, rows[w] & ~used])
+                if len(frames) > best:
+                    best = len(frames)
+                    if best == n:
+                        return best
+        return best
+    finally:
+        if budget is not None:
+            budget.spend(ops)

@@ -27,7 +27,7 @@ from operator import add
 from oddwheel.graphs import (
     EquitablePartition,
     Graph,
-    _component_masks,
+    _pieces,
     bits_of,
     certify_equitable,
     classify_degrees,
@@ -254,7 +254,7 @@ def ex_infinity_trace(
 
     Totals are counted once per connected piece.  W^l of a member is the
     sum of W^l over its pieces (block-diagonal adjacency), so each member
-    is split into pieces with `_component_masks`, and each piece is keyed
+    is split into pieces with `graphs._pieces`, and each piece is keyed
     by its rows as placed in the member.  For a piece of two or more
     vertices the union of those rows is its vertex set, so the key fixes
     the labelled piece; every one-vertex piece is K_1.  A piece not seen
@@ -275,7 +275,7 @@ def ex_infinity_trace(
     for g in family:
         rows = g.rows
         total = [0] * levels
-        for mask in _component_masks(rows):
+        for mask in _pieces(rows):
             verts = list(bits_of(mask))
             key = tuple([rows[v] for v in verts])
             counts = by_piece.get(key)

@@ -25,7 +25,7 @@ from oddwheel.families import (
     spex_candidate,
     standard_member,
 )
-from oddwheel.enumerate import all_graphs
+from oddwheel.enumerate import all_graphs, connected_with_degrees
 from oddwheel.graphs import (
     Graph,
     build_graph,
@@ -203,9 +203,34 @@ def test_budget_exhaustion_raises():
     ids=["path", "cycle", "odd_wheel"],
 )
 def test_negative_budget_is_rejected(run):
-    # -1 is the kernels' "no limit"; the detectors do not pass it through
     with pytest.raises(ValueError, match="budget must be non-negative, got -1"):
         run()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda b: contains_cycle_of_length(petersen(), 10, budget=b),
+        lambda b: contains_odd_wheel(
+            join([primitive("complete", 1), petersen()]), 5, budget=b
+        ),
+        lambda b: longest_path_order(primitive("cycle", 6), b),
+        lambda b: all_graphs(5, budget=b),
+        lambda b: connected_with_degrees(8, 3, False, budget=b),
+    ],
+    ids=["cycle", "odd_wheel", "path", "all_graphs", "connected_with_degrees"],
+)
+def test_budget_none_zero_and_negative(run, fresh_caches):
+    # None is no limit, 0 is overrun at the first node expansion (or
+    # enumerated child), and a negative budget is rejected up front.
+    want = run(10**9)
+    fresh_caches()
+    assert run(None) == want
+    fresh_caches()
+    with pytest.raises(BudgetExceededError):
+        run(0)
+    with pytest.raises(ValueError, match="budget must be non-negative, got -1"):
+        run(-1)
 
 
 def test_lemma_path_guarantee_small():
@@ -226,9 +251,7 @@ def reference_contains_odd_wheel(g, k):
         if g.degree(hub) < 2 * k:
             continue
         nbhd = g.subgraph(g.neighbors(hub))
-        if kernels.has_cycle_of_length(
-            nbhd.order, list(nbhd.rows), 2 * k, -1
-        ):
+        if kernels.has_cycle_of_length(nbhd.rows, 2 * k):
             return True
     return False
 
@@ -322,9 +345,9 @@ def test_odd_wheel_searches_each_neighbourhood_once(monkeypatch):
         decided.append(nbhd.rows)
         return decide(nbhd, length, budget)
 
-    def recording_search(order, rows, length, budget, spent=None):
+    def recording_search(rows, length, budget=None):
         searched.append(tuple(rows))
-        return search(order, rows, length, budget, spent)
+        return search(rows, length, budget)
 
     monkeypatch.setattr(detect, "_decide", recording_decide)
     monkeypatch.setattr(kernels, "has_cycle_of_length", recording_search)
@@ -462,9 +485,9 @@ def test_budget_covers_the_whole_call():
     spent = []
     for p in (p1, p2):
         nbhd = _reduced(p.rows, (1 << 10) - 1, 10)
-        used = [0]
-        assert not kernels.has_cycle_of_length(10, nbhd.rows, 10, -1, used)
-        spent.append(used[0])
+        used = detect._Budget(10**9)
+        assert not kernels.has_cycle_of_length(nbhd.rows, 10, used)
+        spent.append(10**9 - used.left)
     assert nbhd.rows != _reduced(p1.rows, (1 << 10) - 1, 10).rows
     budget = max(spent)
     assert 0 < min(spent) and budget < sum(spent)
@@ -492,7 +515,7 @@ def test_cycle_rule_matches_kernel_on_all_graphs_up_to_8():
         for g in all_graphs(n):
             full = (1 << n) - 1
             for length in range(3, n + 1):
-                want = kernels.has_cycle_of_length(n, list(g.rows), length, -1)
+                want = kernels.has_cycle_of_length(g.rows, length)
                 assert detect._cycle(g.rows, full, length, unlimited()) == want
                 assert contains_cycle_of_length(g, length) == bool(want)
                 pairs += 1
@@ -538,7 +561,7 @@ def test_cycle_rule_on_random_joins_and_cographs(make):
         h.add_edges_from(g.edges())
         lengths = {len(c) for c in nx.simple_cycles(h, length_bound=n)}
         for length in range(3, n + 1):
-            want = kernels.has_cycle_of_length(n, list(g.rows), length, -1)
+            want = kernels.has_cycle_of_length(g.rows, length)
             assert want == (length in lengths)
             assert detect._cycle(g.rows, full, length, unlimited()) == want
             assert contains_cycle_of_length(g, length) == bool(want)
@@ -548,7 +571,7 @@ def test_cycle_rule_on_random_joins_and_cographs(make):
         n = rng.randint(10, 13)
         g = relabelled(make(rng, n), rng.randrange(10**6))
         for length in range(3, n + 1):
-            want = kernels.has_cycle_of_length(n, list(g.rows), length, -1)
+            want = kernels.has_cycle_of_length(g.rows, length)
             assert contains_cycle_of_length(g, length) == bool(want)
     assert answers == {0, 1}
 
@@ -598,7 +621,7 @@ def alternating_threshold(n):
 def test_cycle_rule_on_a_deep_cotree():
     g = alternating_threshold(41)
     for length in range(3, 42):
-        want = kernels.has_cycle_of_length(41, list(g.rows), length, -1)
+        want = kernels.has_cycle_of_length(g.rows, length)
         assert contains_cycle_of_length(g, length) == bool(want)
     # deeper than the interpreter's recursion limit
     deep = alternating_threshold(1200)
@@ -622,13 +645,13 @@ def test_join_with_a_large_prime_part_goes_to_the_kernel(monkeypatch):
     searched = []
     search = kernels.has_cycle_of_length
 
-    def recording(order, rows, length, budget, spent=None):
+    def recording(rows, length, budget=None):
         searched.append(length)
-        return search(order, rows, length, budget, spent)
+        return search(rows, length, budget)
 
     monkeypatch.setattr(kernels, "has_cycle_of_length", recording)
     for length in range(3, 19):
-        want = search(18, list(hub.rows), length, -1)
+        want = search(hub.rows, length)
         assert contains_cycle_of_length(hub, length) == bool(want) == (
             length <= 14
         )

@@ -10,7 +10,7 @@ import pytest
 
 from oddwheel import kernels
 from oddwheel.kernels import frame_code
-from oddwheel.enumerate import all_graphs, connected_with_degrees
+from oddwheel.enumerate import _Budget, all_graphs, connected_with_degrees
 from oddwheel.graphs import bits_of
 
 
@@ -156,7 +156,7 @@ def test_pure_matches_brute_canon():
     for _ in range(150):
         n = rng.randint(0, 7)
         rows = random_rows(rng, n, rng.choice([0.2, 0.5, 0.8]))
-        assert kernels.canon_code(n, rows) == brute_min_code(n, rows)
+        assert kernels.canon_code(rows) == brute_min_code(n, rows)
 
 
 def test_canon_invariant_under_relabeling():
@@ -167,7 +167,7 @@ def test_canon_invariant_under_relabeling():
         perm = list(range(n))
         rng.shuffle(perm)
         shuffled = relabel(n, rows, perm)
-        assert kernels.canon_code(n, rows) == kernels.canon_code(n, shuffled)
+        assert kernels.canon_code(rows) == kernels.canon_code(shuffled)
 
 
 # sha256 of the sorted pure canonical codes of every graph in the list,
@@ -194,7 +194,7 @@ GOLDEN_CUBIC_10 = (
 def golden_digest(graphs):
     codes = sorted(
         kernels.canon_code(
-            g.order, relabel(g.order, g.rows, range(g.order - 1, -1, -1))
+            relabel(g.order, g.rows, range(g.order - 1, -1, -1))
         )
         for g in graphs
     )
@@ -224,12 +224,12 @@ def test_canon_invariant_on_vertex_transitive_graphs(n, rows):
     # keep tying after it; only the frontier dedup keeps these from
     # growing factorially
     rng = random.Random(n)
-    code = kernels.canon_code(n, rows)
+    code = kernels.canon_code(rows)
     for _ in range(2):
         perm = list(range(n))
         rng.shuffle(perm)
         shuffled = relabel(n, rows, perm)
-        assert kernels.canon_code(n, shuffled) == code
+        assert kernels.canon_code(shuffled) == code
         assert oracle_canon_code(n, shuffled) == code
 
 
@@ -238,7 +238,7 @@ def test_pure_canon_matches_oracle_on_random_graphs():
     for n in range(8, 15):
         for p in (0.2, 0.5, 0.8):
             rows = random_rows(rng, n, p)
-            assert kernels.canon_code(n, rows) == oracle_canon_code(
+            assert kernels.canon_code(rows) == oracle_canon_code(
                 n, rows
             ), (n, p)
 
@@ -252,9 +252,9 @@ def test_pure_canon_matches_oracle_on_cubic_12():
             perm = list(range(g.order))
             rng.shuffle(perm)
             shuffled = relabel(g.order, g.rows, perm)
-            assert kernels.canon_code(
+            assert kernels.canon_code(shuffled) == oracle_canon_code(
                 g.order, shuffled
-            ) == oracle_canon_code(g.order, shuffled)
+            )
 
 
 def test_pure_canon_matches_oracle_property():
@@ -271,10 +271,10 @@ def test_pure_canon_matches_oracle_property():
         p = data.draw(st.sampled_from([0.2, 0.5, 0.8]))
         seed = data.draw(st.integers(0, 2**32 - 1))
         rows = random_rows(random.Random(seed), n, p)
-        code = kernels.canon_code(n, rows)
+        code = kernels.canon_code(rows)
         assert code == oracle_canon_code(n, rows)
         perm = data.draw(st.permutations(range(n)))
-        assert kernels.canon_code(n, relabel(n, rows, perm)) == code
+        assert kernels.canon_code(relabel(n, rows, perm)) == code
 
     check()
 
@@ -284,7 +284,7 @@ def test_frontier_guard_on_long_cycle():
     # fifth vertex over a million ordered placements of one tie, so the
     # frontier guard must fire
     with pytest.raises(RuntimeError, match="frontier explosion"):
-        kernels.canon_code(24, circulant(24, [1]))
+        kernels.canon_code(circulant(24, [1]))
 
 
 def test_code_roundtrip():
@@ -292,10 +292,10 @@ def test_code_roundtrip():
     for _ in range(100):
         n = rng.randint(0, 9)
         rows = random_rows(rng, n, 0.4)
-        code = kernels.canon_code(n, rows)
+        code = kernels.canon_code(rows)
         n2, rows2 = kernels.code_to_rows(code)
         assert n2 == n
-        assert kernels.canon_code(n2, list(rows2)) == code
+        assert kernels.canon_code(rows2) == code
         # pack of the canonical copy reproduces the code verbatim
         assert kernels.pack_code(n2, rows2) == code
 
@@ -307,7 +307,7 @@ def test_cycle_kernels_match_each_other_and_brute():
         rows = random_rows(rng, n, 0.4)
         for length in range(3, n + 1):
             expected = brute_has_cycle(n, rows, length)
-            assert kernels.has_cycle_of_length(n, rows, length, -1) == expected
+            assert kernels.has_cycle_of_length(rows, length) == expected
 
 
 def test_path_kernels_match_each_other_and_brute():
@@ -316,15 +316,15 @@ def test_path_kernels_match_each_other_and_brute():
         n = rng.randint(1, 7)
         rows = random_rows(rng, n, 0.4)
         expected = brute_longest_path(n, rows)
-        assert kernels.longest_path_order(n, rows, -1) == expected
+        assert kernels.longest_path_order(rows) == expected
 
 
 def test_budget_exhaustion_is_signaled():
     # a dense graph with a tiny budget must return -1, not a wrong answer
     n = 12
     rows = [((1 << n) - 1) & ~(1 << u) for u in range(n)]
-    assert kernels.has_cycle_of_length(n, rows, n, 3) == -1
-    assert kernels.longest_path_order(n, rows, 3) == -1
+    assert kernels.has_cycle_of_length(rows, n, _Budget(3)) == -1
+    assert kernels.longest_path_order(rows, _Budget(3)) == -1
 
 
 def test_budget_is_a_threshold():
@@ -336,11 +336,11 @@ def test_budget_is_a_threshold():
         n = rng.randint(4, 9)
         rows = random_rows(rng, n, 0.5)
         for search in (
-            lambda b: kernels.has_cycle_of_length(n, rows, n, b),
-            lambda b: kernels.longest_path_order(n, rows, b),
+            lambda b: kernels.has_cycle_of_length(rows, n, _Budget(b)),
+            lambda b: kernels.longest_path_order(rows, _Budget(b)),
         ):
             answers = [search(b) for b in range(400)]
-            assert answers[-1] == search(-1) != -1
+            assert answers[-1] == search(None) != -1
             t = answers.index(answers[-1])
             assert answers[:t] == [-1] * t
             assert answers[t:] == [answers[-1]] * (400 - t)
@@ -367,7 +367,7 @@ def test_cycle_kernel_matches_networkx_property():
         g.add_edges_from((u, v) for u in range(n) for v in bits_of(rows[u]))
         lengths = {len(c) for c in nx.simple_cycles(g, length_bound=n)}
         for length in range(3, n + 1):
-            assert kernels.has_cycle_of_length(n, rows, length, -1) == (
+            assert kernels.has_cycle_of_length(rows, length) == (
                 length in lengths
             ), (n, rows, length)
 
@@ -399,6 +399,6 @@ def test_path_kernel_matches_held_karp():
     for _ in range(120):
         n = rng.randint(1, 12)
         rows = random_rows(rng, n, rng.choice([0.15, 0.25, 0.4, 0.6]))
-        assert kernels.longest_path_order(n, rows, -1) == (
+        assert kernels.longest_path_order(rows) == (
             held_karp_longest_path(n, rows)
         ), (n, rows)
