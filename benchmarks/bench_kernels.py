@@ -10,9 +10,10 @@ layers of the claim-1 sweep and the GFAM pass on their own inputs:
 ..., 402) and on the GFAM(5, 19) members, and `char_poly` and
 `bracket_largest_root` (width 1e-12, from the quotient's Perron root)
 over the 96 three-class claim-1 quotients, `ex_infinity_trace` over the
-GFAM(5, 19) members, and `connected_with_degrees(10, 5, False)` from
-empty enumeration caches.  The cycle-decision table gives, in us per
-call, the backtracking kernel on the whole graph, the detector's
+GFAM(5, 19) members, and `all_graphs(7)` and
+`connected_with_degrees(10, 5, False)` from empty enumeration caches.
+The cycle-decision table gives, in us per call, the backtracking
+kernel on the whole graph, the detector's
 decision (`detect._decide`: the kernel up to `detect.KERNEL_ORDER`
 vertices, the cotree rule above) and the cotree rule alone, on the
 distinct reduced hub neighbourhoods of the `exhaustive` wheel scans (all
@@ -132,11 +133,14 @@ def layer_rows():
     def each(fn, items):
         return lambda: [fn(*item) for item in items]
 
-    def cold_quintic_10():
-        for name in ("_all_cache", "_deletion_cache", "_degree_cache",
-                     "_tree_cache"):
-            getattr(enum_mod, name).clear()
-        return connected_with_degrees(10, 5, False)
+    def cold(run):
+        def fn():
+            for name in ("_all_cache", "_deletion_cache", "_degree_cache",
+                         "_tree_cache"):
+                getattr(enum_mod, name).clear()
+            return run()
+
+        return fn
 
     return [
         ("equitable_partition, claim-1 candidates", len(candidates),
@@ -150,7 +154,9 @@ def layer_rows():
                      [(f, r, width) for f, r in polys]))),
         ("ex_infinity_trace, GFAM(5, 19) members", len(members),
          timeit(lambda: ex_infinity_trace(members))),
-        ("connected_with_degrees(10, 5), cold", 1, timeit(cold_quintic_10)),
+        ("all_graphs(7), cold", 1, timeit(cold(lambda: all_graphs(7)))),
+        ("connected_with_degrees(10, 5), cold", 1,
+         timeit(cold(lambda: connected_with_degrees(10, 5, False)))),
     ]
 
 

@@ -34,6 +34,15 @@ canonicalized.  When the new vertex is the only vertex of maximal key it
 is the canonical deletion vertex, deleting it gives back the parent, and
 the child is kept without the deletion test.
 
+The same holds when every other vertex v of maximal key is a twin of the
+new vertex n (same neighbours apart from each other: `rows[v]` in the
+parent is s without v).  Then the swap (n v) is an automorphism of the
+child, so the whole maximal-key class is one orbit, the orbit of n.  The
+canonical deletion vertex u lies in that class, so G-u is isomorphic to
+G-n, the parent, and the child is kept without the deletion test too
+(the twin rule).  Twins have equal keys, so a twin's key is never
+computed.
+
 Siblings that are isomorphic through the parent are canonicalized once
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26 (1998)).
 If pi is an automorphism of the parent, attaching the new vertex to pi(s)
@@ -58,9 +67,26 @@ Degree-constrained enumeration (regular and one-deficient-vertex targets
 of order N and degree d) prunes partial graphs that cannot reach the
 target (`_prune`).  `_children` attaches the new vertex only to the sets
 that can pass: every vertex whose gap d - deg exceeds what the vertices
-still to come can fill is forced into the set, the set's size must leave
-the new vertex a fillable gap, and the prune runs on the child's degree
-list before any child rows are built.
+still to come can fill is forced into the set, and the set's size must
+leave the new vertex a fillable gap.
+
+`_children` reads everything it needs to decide a set s off per-parent
+tables (`_Parent`), built once per parent, and builds the child's rows
+only for the sets that reach canonicalization:
+- the prune of the child is the prune of its degree list, and that list
+  is the parent's with one added to each vertex of s and |s| appended.
+  Each gap inside s drops by one, so the prune's tests become tests on
+  the parent's vertices by gap (0, r+1, r+2 and beyond, for r the
+  vertices still to come after the child) against s, and the gap sum is
+  the parent's less 2|s| plus d: the same predicate, decided with a few
+  popcounts;
+- the key of a child vertex is its parent entry (degree, neighbour-degree
+  histogram at the child's field width, triangles) moved by s: each
+  neighbour in s moves one histogram field up, and a vertex in s gains
+  the new vertex as a neighbour of degree |s| and a triangle with each
+  of its neighbours in s.  Only vertices of the child degree |s| can tie
+  with the new vertex, those of degree |s| outside s and |s|-1 inside
+  it, and they are compared one at a time up to the first larger key.
 
 The prune is monotone: if G passes it at order m, then every G-v passes
 it at order m-1.  Every gap rises by at most one and one more vertex is
@@ -237,6 +263,154 @@ def _prune(degs: list[int], order: int, d: int, deficient: bool) -> bool:
     return total - deficient <= r * d
 
 
+class _Parent:
+    """One parent's tables, from which `_children` decides each attachment
+    set s with a few big-int operations (module docstring).
+
+    `forced`, `free`, `low` and `high` bound the sets worth trying.  With
+    a target (order, d, deficient) the prune tables hold the parent's
+    vertices by gap g = d - deg: `zero` (g = 0), `one` (g = r+1) and
+    `two` (g = r+2), for r the vertices still to come after the child;
+    `dead` when some g is negative or above r+2; and `need`, the least
+    2|s| the child's gap sum allows.  The key tables hold the vertices by
+    degree (`by_deg`), each vertex's histogram field 1 << (deg * b) at the
+    child's field width b (`unit`), and, filled in as they are first
+    asked for, each vertex's neighbour-degree histogram and triangle
+    count in the parent (`entries`)."""
+
+    __slots__ = ("n", "rows", "target", "forced", "free", "low", "high",
+                 "zero", "one", "two", "dead", "need", "top", "by_deg",
+                 "b", "unit", "entries")
+
+    def __init__(self, rows: list[int], target: tuple[int, int, bool] | None):
+        n = len(rows)
+        degs = [r.bit_count() for r in rows]
+        self.n, self.rows, self.target = n, rows, target
+        self.forced, self.free, self.low, self.high = 0, (1 << n) - 1, 0, n
+        if target is not None:
+            order, d, deficient = target
+            r = order - n - 1
+            forced = free = zero = one = two = 0
+            dead = False
+            for v, deg in enumerate(degs):
+                gap = d - deg
+                # A vertex whose gap exceeds r + deficient must gain an
+                # edge now; one with no gap can gain none.
+                if gap > r + deficient:
+                    forced |= 1 << v
+                elif gap > 0:
+                    free |= 1 << v
+                if gap == 0:
+                    zero |= 1 << v
+                if gap == r + 1:
+                    one |= 1 << v
+                elif gap == r + 2:
+                    two |= 1 << v
+                dead |= gap < 0 or gap > r + 2
+            self.forced, self.free = forced, free
+            self.zero, self.one, self.two, self.dead = zero, one, two, dead
+            self.need = sum(d - deg for deg in degs) + d - deficient - r * d
+            # The new vertex's own gap d - |s| may exceed r only by the
+            # deficient slack.
+            self.low, self.high = d - r - deficient, d
+        self.top = max(degs)
+        by_deg = [0] * (n + 2)
+        for v, deg in enumerate(degs):
+            by_deg[deg] |= 1 << v
+        self.by_deg = by_deg
+        b = self.b = (n + 1).bit_length()
+        self.unit = [1 << (deg * b) for deg in degs]
+        self.entries: list[tuple[int, int] | None] = [None] * n
+
+    def passes(self, s: int) -> bool:
+        """`_prune` of the child that attaches the new vertex to s.
+
+        Each old gap g drops by one inside s.  The child fails when a gap
+        goes negative (s meets `zero`), when a gap stays above r+1 (`two`
+        outside s), when more gaps than the deficient slack sit at r+1
+        (`one` outside s, `two` inside it, and the new vertex's gap
+        d - |s| counted by its excess over r), or when the gap sum, the
+        parent's less 2|s| plus d, less the slack, is above r*d."""
+        order, d, deficient = self.target
+        k = s.bit_count()
+        excess = d - k - (order - self.n - 1)
+        return not (
+            self.dead or s & self.zero or self.two & ~s or k > d
+            or ((self.one & ~s) | (self.two & s)).bit_count()
+            + max(excess, 0) > deficient
+            or 2 * k < self.need
+        )
+
+    def key(self, s: int, v: int) -> tuple:
+        """`_vertex_key` of v in the child that attaches the new vertex
+        n to s.  A neighbour's degree rises by one inside s, which moves
+        its histogram count one field up: h becomes h << b.  So the new
+        vertex's histogram is h(s) << b, for h(x) the sum of `unit` over
+        x, and an old vertex's is its parent entry plus (h << b) - h for
+        h that of its neighbours in s; in s, it also gains the new
+        vertex, of degree |s|, and a triangle with each of those
+        neighbours."""
+        rows, unit, b = self.rows, self.unit, self.b
+        k = s.bit_count()
+        if v == self.n:
+            hist = tri = 0
+            for w in bits_of(s):
+                hist += unit[w]
+                tri += (rows[w] & s).bit_count()
+            return (k, hist << b, tri // 2)
+        entry = self.entries[v]
+        if entry is None:
+            nbrs = rows[v]
+            hist = tri = 0
+            for w in bits_of(nbrs):
+                hist += unit[w]
+                tri += (rows[w] & nbrs).bit_count()
+            entry = self.entries[v] = (hist, tri // 2)
+        hist, tri = entry
+        common = rows[v] & s
+        moved = 0
+        for w in bits_of(common):
+            moved += unit[w]
+        hist += (moved << b) - moved
+        deg = rows[v].bit_count()
+        if s >> v & 1:
+            return (deg + 1, hist + (1 << (k * b)), tri + common.bit_count())
+        return (deg, hist, tri)
+
+    def rank(self, s: int) -> int:
+        """Where the new vertex's key stands in the child that attaches
+        it to s: -1 when some vertex's key is larger, 1 when every other
+        vertex of maximal key, if any, is a twin of the new vertex, and 0
+        when it shares the maximal key with a vertex that is not.
+
+        The key's first part is the degree.  So |s| must be at least the
+        parent's top degree, and equal to it only while s misses every
+        top-degree vertex; and only the vertices of degree k = |s| in the
+        child can tie: those of degree k outside s and of degree k-1 in
+        it.  A twin v of the new vertex (`rows[v]` is s without v) has
+        its key, the swap of the two being an automorphism, so that key
+        is not computed.  The ties are compared one at a time, up to the
+        first larger key."""
+        k = s.bit_count()
+        by_deg, rows, top = self.by_deg, self.rows, self.top
+        if k < top or (k == top and s & by_deg[top]):
+            return -1
+        ties = (by_deg[k] & ~s) | (by_deg[k - 1] & s)
+        key = None
+        rank = 1
+        for v in bits_of(ties):
+            if rows[v] == s & ~(1 << v):
+                continue
+            if key is None:
+                key = self.key(s, self.n)
+            other = self.key(s, v)
+            if other > key:
+                return -1
+            if other == key:
+                rank = 0
+        return rank
+
+
 def _children(
     parent_code: bytes,
     target: tuple[int, int, bool] | None,
@@ -246,34 +420,7 @@ def _children(
     target (order, d, deficient) the children that pass `_prune`."""
     n, rows = kernels.code_to_rows(parent_code)
     rows = list(rows)
-    degs = [r.bit_count() for r in rows]
-    # Only sets that can pass the prune are tried, in descending order:
-    # s = forced | sub for sub over the subsets of free.  A vertex whose
-    # gap exceeds r + deficient (r: vertices still to come after the
-    # child) must gain an edge now, and the new vertex's own gap d - |s|
-    # may exceed r only by the deficient slack.
-    forced = 0
-    free = (1 << n) - 1
-    low, high = 0, n
-    if target is not None:
-        order, d, deficient = target
-        r = order - n - 1
-        free = 0
-        for v, deg in enumerate(degs):
-            if deg < d:
-                if d - deg > r + deficient:
-                    forced |= 1 << v
-                else:
-                    free |= 1 << v
-        low, high = d - r - deficient, d
-    # The new vertex must end with the maximal key to be the canonical
-    # deletion vertex.  Its degree is the key's first part: above the
-    # parent's top degree, or equal to it while missing every top-degree
-    # vertex.  Then its key must be at least that of every other vertex
-    # of its degree; when it is strictly the largest, deleting the new
-    # vertex is the canonical deletion and gives back the parent.
-    top = max(degs)
-    top_mask = sum(1 << v for v in range(n) if degs[v] == top)
+    parent = _Parent(rows, target)
     seen: set[bytes] = set()
     # Attachment sets in the orbit, under the parent's certified
     # automorphisms, of a set already canonicalized; the generators are
@@ -281,31 +428,15 @@ def _children(
     done: set[int] = set()
     gens = None
     out: list[bytes] = []
-    for s in _subsets_descending(forced, free):
-        deg = s.bit_count()
-        if not low <= deg <= high:
+    # Only sets that can pass the prune are tried, in descending order.
+    for s in _subsets_descending(parent.forced, parent.free):
+        if not parent.low <= s.bit_count() <= parent.high:
             continue
-        cdegs = None
-        if target is not None:
-            cdegs = _child_degrees(degs, s)
-            if not _prune(cdegs, *target):
-                continue
+        if target is not None and not parent.passes(s):
+            continue
         if not budget.spend(1):
             raise BudgetExceededError("enumeration budget exhausted")
-        if deg < top or (deg == top and s & top_mask):
-            continue
-        cdegs = cdegs or _child_degrees(degs, s)
-        child = rows + [s]
-        for v in bits_of(s):
-            child[v] |= 1 << n
-        ties = [v for v in range(n) if cdegs[v] == deg]
-        # 1: the new vertex alone has the maximal key; 0: it shares it;
-        # -1: it cannot be the canonical deletion vertex.
-        rank = 1
-        if ties:
-            key = _vertex_key(child, n, cdegs)
-            best = max([_vertex_key(child, v, cdegs) for v in ties])
-            rank = (key > best) - (key < best)
+        rank = parent.rank(s)
         if rank >= 0 and gens is None and done:
             gens = automorphism_generators(Graph(n, tuple(rows)))
             done = set_orbit(done.pop(), gens)
@@ -313,18 +444,14 @@ def _children(
         # isomorphic child: same code, same rank (module docstring).
         if rank >= 0 and s not in done:
             done |= set_orbit(s, gens or [])
+            child = rows + [s]
+            for v in bits_of(s):
+                child[v] |= 1 << n
             code = kernels.canon_code(child)
             if code not in seen:
                 seen.add(code)
                 if rank or _deletion_code(code) == parent_code:
                     out.append(code)
-    return out
-
-
-def _child_degrees(degs: list[int], s: int) -> list[int]:
-    """Degree list of the child that attaches a new vertex to the set s."""
-    out = [x + ((s >> v) & 1) for v, x in enumerate(degs)]
-    out.append(s.bit_count())
     return out
 
 

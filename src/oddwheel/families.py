@@ -13,7 +13,12 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
 from oddwheel import kernels
-from oddwheel.enumerate import connected_with_degrees, graph_code, union_code
+from oddwheel.enumerate import (
+    _Budget,
+    connected_with_degrees,
+    graph_code,
+    union_code,
+)
 from oddwheel.graphs import (
     Graph,
     GraphError,
@@ -222,9 +227,12 @@ def enumerate_family(spec: FamilySpec, budget: int | None = None) -> list[Graph]
     """All family members up to isomorphism, ordered by canonical form.
 
     Parameters that simply admit no member give an empty list; invalid
-    FamilySpec combinations raise ValueError.
+    FamilySpec combinations and a negative budget raise ValueError, the
+    budget even when the family needs no enumeration.  Each enumeration
+    call gets the whole budget.
     """
     spec.validate()
+    _Budget(budget)
     n = spec.order
     members: list[tuple[list[bytes], Graph]] = []
 
@@ -406,9 +414,9 @@ def standard_member(kind: str, k: int, order: int) -> Graph:
             raise ValueError("no nearly-regular member this small")
     filler = regular_filler(order - (0 if core is None else core.order), d)
     # The core first, then the fillers by code, as `_assemble` orders them.
-    # The circulant fillers are not canonically labelled, so each distinct
-    # one is canonicalized once.  No member code is formed: orders above
-    # 255 are built here and the format stops there.
-    codes = {g: graph_code(g) for g in set(filler)}
-    pieces = sorted(filler, key=codes.__getitem__)
+    # A code starts with its order byte, and fillers of one order are one
+    # shared graph, so the order sorts them as their codes do.  No member
+    # code is formed: orders above 255 are built here and the format stops
+    # there.
+    pieces = sorted(filler, key=lambda g: g.order)
     return disjoint_union(([] if core is None else [core]) + pieces)

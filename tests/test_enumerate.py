@@ -317,11 +317,13 @@ def test_vertex_key_orders_as_the_sorted_list_key():
     assert pairs > 400_000
 
 
-# canon_code calls from empty caches, recorded with the sorted-list key:
-# the histogram key must pick the same deletion vertices and ranks.
+# canon_code calls from empty caches: the child canonicalizations and the
+# deletion tests' misses.  The twin rule keeps some rank-0 children
+# without the deletion test; with every rank-0 child tested (and with the
+# sorted-list key) the counts were 1,737 and 2,814.
 COLD_CANON_CALLS = [
-    (lambda: all_graphs(7), 1737),
-    (lambda: connected_with_degrees(10, 5, False), 2814),
+    (lambda: all_graphs(7), 1467),
+    (lambda: connected_with_degrees(10, 5, False), 2558),
 ]
 
 
@@ -374,6 +376,162 @@ def test_unique_key_children_delete_to_their_parent(
     assert shortcut and asked
     for parent_code, code in shortcut:
         assert deletion_code(code) == parent_code
+
+
+# Children kept by the twin rule from empty caches: the new vertex shares
+# its maximal key only with twins of it.
+TWIN_RULE_ACCEPTS = [
+    (lambda: all_graphs(7), 270),
+    (lambda: connected_with_degrees(10, 5, False), 256),
+]
+
+
+@pytest.mark.parametrize(
+    "run, want", TWIN_RULE_ACCEPTS, ids=["all_graphs_7", "quintic_10"]
+)
+def test_twin_rule_children_delete_to_their_parent(
+    fresh_caches, monkeypatch, run, want
+):
+    # A child whose new vertex shares the maximal key only with twins of
+    # it is kept without the deletion test; deleting its canonical
+    # deletion vertex must still give back the parent.  The rule is read
+    # off each kept child's own keys, not off _children.
+    canon = kernels.canon_code
+    deletion_code = enum_mod._deletion_code
+    children = enum_mod._children
+    asked = []
+    built = []
+    in_deletion = []
+    twin_kept = []
+
+    def recording_deletion(code):
+        asked.append(code)
+        in_deletion.append(code)
+        try:
+            return deletion_code(code)
+        finally:
+            in_deletion.pop()
+
+    def recording_canon(rows):
+        code = canon(rows)
+        if not in_deletion:
+            built.append((code, rows))
+        return code
+
+    def recording_children(parent_code, *args):
+        first_asked, first_built = len(asked), len(built)
+        out = children(parent_code, *args)
+        tested = set(asked[first_asked:])
+        child_rows = {}
+        for code, rows in built[first_built:]:
+            child_rows.setdefault(code, rows)
+        for code in out:
+            if code in tested:
+                continue
+            rows = child_rows[code]
+            n = len(rows) - 1
+            degs = [r.bit_count() for r in rows]
+            keys = [enum_mod._vertex_key(rows, v, degs) for v in range(n + 1)]
+            assert keys[n] == max(keys)
+            shared = [v for v in range(n) if keys[v] == keys[n]]
+            if shared:
+                assert all(
+                    rows[v] & ~(1 << n) == rows[n] & ~(1 << v) for v in shared
+                )
+                twin_kept.append((parent_code, code))
+        return out
+
+    monkeypatch.setattr(enum_mod, "_deletion_code", recording_deletion)
+    monkeypatch.setattr(kernels, "canon_code", recording_canon)
+    monkeypatch.setattr(enum_mod, "_children", recording_children)
+    run()
+    assert len(twin_kept) == want
+    for parent_code, code in twin_kept:
+        assert deletion_code(code) == parent_code
+
+
+def _child_rows(rows, s):
+    n = len(rows)
+    return [r | ((s >> v & 1) << n) for v, r in enumerate(rows)] + [s]
+
+
+def test_parent_keys_are_the_child_keys():
+    # Over every child of order at most 7, as a parent of order at most 6
+    # and an attachment set: the keys read off the parent's tables are
+    # _vertex_key of the child, and the rank follows from those keys (-1
+    # below the maximum, 1 when every other vertex of maximal key is a
+    # twin of the new vertex, 0 otherwise).
+    ranks = collections.Counter()
+    for m in range(1, 7):
+        for g in all_graphs(m):
+            rows = list(g.rows)
+            parent = enum_mod._Parent(rows, None)
+            for s in range(1 << m):
+                child = _child_rows(rows, s)
+                degs = [r.bit_count() for r in child]
+                keys = [enum_mod._vertex_key(child, v, degs) for v in range(m + 1)]
+                assert [parent.key(s, v) for v in range(m + 1)] == keys
+                shared = [v for v in range(m) if keys[v] == keys[m]]
+                if keys[m] < max(keys):
+                    want = -1
+                else:
+                    want = int(all(
+                        child[v] & ~(1 << m) == s & ~(1 << v) for v in shared
+                    ))
+                assert parent.rank(s) == want, (rows, s)
+                ranks[want] += 1
+    assert min(ranks[-1], ranks[0], ranks[1]) > 400, ranks
+
+
+PRUNE_TREES = [
+    (10, 5, False),
+    (9, 5, True),
+    (12, 3, False),
+    (11, 3, True),
+    (9, 4, True),
+    (11, 6, True),
+]
+
+
+def _prune_agrees(rows, target, sets):
+    parent = enum_mod._Parent(rows, target)
+    degs = [r.bit_count() for r in rows]
+    passed = 0
+    for s in sets(parent):
+        child = [x + (s >> v & 1) for v, x in enumerate(degs)] + [s.bit_count()]
+        want = enum_mod._prune(child, *target)
+        assert parent.passes(s) == want, (rows, target, s)
+        passed += want
+    return passed
+
+
+def test_parent_read_prune_is_the_prune(fresh_caches):
+    # For every parent of each pruned tree, every set _children tries
+    # (the forced vertices and any of the free ones) gives the prune of
+    # the child's degree list; the prune tables read only the degrees, so
+    # one parent per degree list is enough.  Every graph of order at most
+    # 6, pruned or not, is also tried as a parent with every attachment
+    # set, for each target.
+    passed = 0
+    for target in PRUNE_TREES:
+        levels = enum_mod._pruned_levels(target[0], target, enum_mod._Budget(None))
+        by_degrees = {}
+        for level in levels[:-1]:
+            for code in level:
+                rows = kernels.code_to_rows(code)[1]
+                by_degrees.setdefault(tuple(r.bit_count() for r in rows), rows)
+        for rows in by_degrees.values():
+            passed += _prune_agrees(
+                list(rows), target,
+                lambda p: enum_mod._subsets_descending(p.forced, p.free),
+            )
+    small = [list(g.rows) for m in range(1, 7) for g in all_graphs(m)]
+    for target in PRUNE_TREES:
+        for rows in small:
+            passed += _prune_agrees(
+                rows, target, lambda p: range(1 << p.n)
+            )
+    assert passed
 
 
 def test_all_graphs_match_networkx_atlas():

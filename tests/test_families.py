@@ -252,6 +252,27 @@ def test_v_member_is_the_u_member_at_odd_order():
     assert built == 21
 
 
+def test_standard_member_canonicalizes_no_filler(monkeypatch):
+    # The fillers are sorted by order, which sorts them as their codes do;
+    # the reference above sorts by code.
+    from oddwheel import families
+
+    def no_code(g):
+        raise AssertionError("graph_code called")
+
+    monkeypatch.setattr(families, "graph_code", no_code)
+    for kind, k, order in [("U", 4, 50), ("U", 5, 51), ("V", 4, 101)]:
+        assert standard_member(kind, k, order).order == order
+
+
+def test_negative_budget_is_rejected_without_enumeration():
+    # U(3, 1) has no member and needs no enumeration; the budget is
+    # still checked first, as in every other entry point.
+    assert enumerate_family(FamilySpec("U", 3, 1)) == []
+    with pytest.raises(ValueError, match="budget must be non-negative, got -1"):
+        enumerate_family(FamilySpec("U", 3, 1), budget=-1)
+
+
 @pytest.mark.parametrize(
     "k, order, message",
     [
