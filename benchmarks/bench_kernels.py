@@ -2,9 +2,10 @@
 """Time the kernels and the layers around them on seeded inputs.
 
 Micro benchmarks call each kernel on seeded workloads.  The per-call
-table gives `canon_code` in ms per call on G(n, 1/2) and on every
-connected cubic graph of orders 10 and 12, the rows of the
-canonical-form table in ROADMAP.md.  The per-layer table times the
+table gives `canon_code` and `graphs.automorphism_generators` in ms per
+call on G(n, 1/2), on every connected cubic graph of orders 10 and 12
+and on three twin-heavy graphs (K_{1,16}, K_20 and the empty graph on
+20 vertices), the rows of the canonical-form table in ROADMAP.md.  The per-layer table times the
 layers of the claim-1 sweep and the GFAM pass on their own inputs:
 `equitable_partition` on the 192 claim-1 candidates (k = 4, n = 22, 26,
 ..., 402) and on the GFAM(5, 19) members, and `char_poly` and
@@ -45,7 +46,11 @@ from oddwheel.families import (  # noqa: E402
     enumerate_family,
     standard_member,
 )
-from oddwheel.graphs import equitable_partition  # noqa: E402
+from oddwheel.graphs import (  # noqa: E402
+    Graph,
+    automorphism_generators,
+    equitable_partition,
+)
 from oddwheel.spectral import (  # noqa: E402
     bracket_largest_root,
     char_poly,
@@ -104,9 +109,22 @@ def per_call_ms(graphs):
     return 1000 * bench_canon(graphs) / len(graphs)
 
 
+def generators_ms(graphs):
+    """Best of three passes over `graphs`, in ms per
+    `automorphism_generators` call."""
+    built = [Graph(len(rows), tuple(rows)) for rows in graphs]
+
+    def run():
+        for g in built:
+            automorphism_generators(g)
+
+    return 1000 * timeit(run) / len(graphs)
+
+
 def canon_rows(rng, count):
-    """The per-call table's graph sets: G(n, 1/2) for n = 8 .. 20, then
-    the connected cubic graphs of orders 10 and 12 (19 and 85)."""
+    """The per-call table's graph sets: G(n, 1/2) for n = 8 .. 20, the
+    connected cubic graphs of orders 10 and 12 (19 and 85), then K_{1,16},
+    K_20 and the empty graph on 20 vertices."""
     sets = [
         (f"G({n}, 1/2)", [random_rows(rng, n, 0.5) for _ in range(count)])
         for n in (8, 10, 12, 16, 20)
@@ -114,6 +132,9 @@ def canon_rows(rng, count):
     for order in (10, 12):
         cubic = connected_with_degrees(order, 3, False)
         sets.append((f"cubic, order {order}", [g.rows for g in cubic]))
+    star = [(1 << 17) - 2] + [1] * 16
+    complete = [((1 << 20) - 1) ^ (1 << u) for u in range(20)]
+    sets.append(("K_{1,16}, K_20, empty(20)", [star, complete, [0] * 20]))
     return sets
 
 
@@ -238,10 +259,11 @@ def main():
         print(f"{name:28} {fn():10.4f}")
 
     print()
-    print(f"{'canon_code per call':28} {'ms':>10}")
+    print(f"{'ms per call':28} {'canon_code':>10} {'generators':>10}")
     table_rng = random.Random(args.seed)
     for name, graphs in canon_rows(table_rng, 20 if args.quick else 100):
-        print(f"{name:28} {per_call_ms(graphs):10.3f}")
+        print(f"{name:28} {per_call_ms(graphs):10.3f} "
+              f"{generators_ms(graphs):10.3f}")
 
     print()
     print(f"{'layer':42} {'inputs':>7} {'total (s)':>10}")

@@ -16,7 +16,7 @@ import json
 import platform
 import sys
 
-from oddwheel import __version__, kernels
+from oddwheel import __version__
 from oddwheel.detect import (
     DEFAULT_BUDGET,
     contains_cycle_of_length,
@@ -320,7 +320,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_info(args) -> int:
     payload = {
-        "backend": "compiled" if kernels.HAVE_COMPILED else "pure",
+        "backend": "pure",
         "version": __version__,
         "python": platform.python_version(),
         "platform": platform.platform(),

@@ -311,17 +311,10 @@ def equitable_partition(
     in the order.  Callers certify the result with `certify_equitable`
     before they rely on it.
 
-    A round counts only against the cells that are new since the round
-    before.  By induction, every current cell has one count against each
-    cell of the partition the last round started from: that round split
-    the cells by the columns it counted, and the columns it left out were
-    constant already.  A cell the last round left as it was is one of
-    those, so its column is constant within each current cell: it can
-    split no cell, and among the signatures of one parent cell it compares
-    equal, so leaving it out changes neither the split nor the order.  A
-    discrete partition ends the refinement at once, as no cell of one
-    vertex can split.  The quotient rows are read once at the end, from
-    the lowest vertex of each cell.
+    There is one refinement loop, `_refine`; here every cell starts fresh,
+    and the search nodes of `automorphism_generators` enter it with only
+    the vertex they split off fresh.  The quotient rows are read once at
+    the end, from the lowest vertex of each cell.
     """
     if colours is not None and len(colours) != g.order:
         raise ValueError(
@@ -331,33 +324,12 @@ def equitable_partition(
         return EquitablePartition((), (), ())
     rows = g.rows
     if colours is None:
-        cells, cell_of = [(1 << g.order) - 1], [0] * g.order
-        fresh = cells
+        cells = [(1 << g.order) - 1]
+        cells, cell_of = _refine(rows, cells, [0] * g.order, cells)
     else:
         # The first round has no cells to count against: it only orders
         # the colours into cells.
-        cells, cell_of, fresh = [], list(colours), []
-    base = g.order + 1  # above every neighbour count
-    while True:
-        # Signature of v: its cell, then its neighbour count in each new
-        # cell, as the digits of one integer in base n + 1 (the cell, any
-        # integer, leading), so signatures order as the tuples of their
-        # digits do.
-        sigs = cell_of
-        for c in fresh:
-            sigs = [s * base + (r & c).bit_count() for s, r in zip(sigs, rows)]
-        keys = sorted(set(sigs))
-        if len(keys) == len(cells):
-            break
-        index = {key: i for i, key in enumerate(keys)}
-        cell_of = [index[s] for s in sigs]
-        old = set(cells)
-        cells = [0] * len(keys)
-        for v, i in enumerate(cell_of):
-            cells[i] |= 1 << v
-        if len(cells) == g.order:
-            break
-        fresh = [c for c in cells if c not in old]
+        cells, cell_of = _refine(rows, [], list(colours), [])
     reps = [rows[(c & -c).bit_length() - 1] for c in cells]
     return EquitablePartition(
         tuple(cells),
@@ -366,9 +338,54 @@ def equitable_partition(
     )
 
 
+def _refine(rows, cells, cell_of, fresh):
+    """Refine the partition (cells, cell_of) until it is equitable, with
+    `fresh` the cells it may not yet be equitable against; return the new
+    (cells, cell_of) lists.
+
+    A round counts only against the fresh cells, which are then the cells
+    the round made.  By induction, every current cell has one count
+    against each cell of the partition the last round started from: that
+    round split the cells by the columns it counted, and the columns it
+    left out were constant already.  A cell the last round left as it was
+    is one of those, so its column is constant within each current cell:
+    it can split no cell, and among the signatures of one parent cell it
+    compares equal, so leaving it out changes neither the split nor the
+    order.  A discrete partition ends the refinement at once, as no cell
+    of one vertex can split.
+    """
+    n = len(rows)
+    base = n + 1  # above every neighbour count
+    while True:
+        # Signature of v: its cell, then its neighbour count in each fresh
+        # cell, as the digits of one integer in base n + 1 (the cell, any
+        # integer, leading), so signatures order as the tuples of their
+        # digits do.
+        sigs = cell_of
+        for c in fresh:
+            sigs = [s * base + (r & c).bit_count() for s, r in zip(sigs, rows)]
+        keys = sorted(set(sigs))
+        if len(keys) == len(cells):
+            return cells, cell_of
+        index = {key: i for i, key in enumerate(keys)}
+        cell_of = [index[s] for s in sigs]
+        old = set(cells)
+        cells = [0] * len(keys)
+        for v, i in enumerate(cell_of):
+            cells[i] |= 1 << v
+        if len(cells) == n:
+            return cells, cell_of
+        fresh = [c for c in cells if c not in old]
+
+
 def permute_mask(mask: int, perm: Sequence[int]) -> int:
     """The image of the vertex set `mask` under the map v -> perm[v]."""
-    return sum(1 << perm[v] for v in bits_of(mask))
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
@@ -384,20 +401,33 @@ def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
     )
 
 
-def _individualize(part: EquitablePartition, v: int) -> list[int]:
-    """Colouring that splits v off its cell, as a cell just ahead of the
-    rest of it."""
-    return [2 * i + (u != v) for u, i in enumerate(part.cell_of)]
+def _individualize(rows, node, v: int):
+    """The search node below `node`, a (cells, cell_of) pair of an
+    equitable partition, with v split off its cell as a cell just ahead of
+    the rest of it, refined from there.
+
+    Only {v} is fresh.  Every other cell's count is constant on each cell
+    already, and the count against the rest of v's cell is its whole
+    count, constant too, less the count against {v}, which comes first.
+    So the rounds split and order the cells as refinement from the
+    individualized colouring, counting against every cell, does.
+    """
+    cells, cell_of = node
+    i = cell_of[v]
+    cells = [*cells[:i], 1 << v, cells[i] ^ (1 << v), *cells[i + 1:]]
+    cell_of = [j + (j >= i) for j in cell_of]
+    cell_of[v] = i
+    return _refine(rows, cells, cell_of, [1 << v])
 
 
-def _target_cell(part: EquitablePartition) -> int:
+def _target_cell(cells) -> int:
     """The first cell of more than one vertex, or 0 when the partition is
     discrete."""
-    return next((c for c in part.cells if c & (c - 1)), 0)
+    return next((c for c in cells if c & (c - 1)), 0)
 
 
 def _lowest(mask: int) -> int:
-    return next(bits_of(mask))
+    return (mask & -mask).bit_length() - 1
 
 
 def set_orbit(s: int, gens: Sequence[Sequence[int]]) -> set[int]:
@@ -415,10 +445,7 @@ def set_orbit(s: int, gens: Sequence[Sequence[int]]) -> set[int]:
 
 
 def _leaf_below(
-    g: Graph,
-    node: EquitablePartition,
-    w: int,
-    first_leaf: tuple[int, ...],
+    g: Graph, node, w: int, first_leaf
 ) -> tuple[int, ...] | None:
     """Depth-first search of the subtree below `node` with w split off,
     for a leaf that read position by position against the first leaf
@@ -426,13 +453,13 @@ def _leaf_below(
     stack = [(node, w)]
     while stack:
         above, x = stack.pop()
-        part = equitable_partition(g, _individualize(above, x))
-        below = _target_cell(part)
+        part = _individualize(g.rows, above, x)
+        cells = part[0]
+        below = _target_cell(cells)
         if below:
             stack.extend((part, y) for y in reversed(list(bits_of(below))))
             continue
-        at = [_lowest(c) for c in part.cells]
-        perm = tuple(at[i] for i in first_leaf)
+        perm = tuple([cells[i].bit_length() - 1 for i in first_leaf])
         if is_automorphism(g, perm):
             return perm
     return None
@@ -446,30 +473,35 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     Congr. Numer. 30 (1981)).  A node of the search tree is the coarsest
     equitable partition finer than its parent's with one vertex of the
     parent's first non-singleton cell split off; a leaf is discrete, and
-    orders the vertices.  The first path always splits off the lowest
-    vertex.  Refinement keeps every cell in its place in the order, and a
-    vertex split off goes just ahead of the rest of its cell, so a leaf
-    below a node, read position by position against the first leaf,
-    fixes the vertices split off above the node and maps the first path's
-    vertex v there to the vertex split off below it.  An automorphism
-    that fixes those vertices and maps v to w maps the first leaf to a
-    leaf below w, whose reading gives it back.  From the deepest level up,
-    each vertex w of the node's target cell outside the orbit of v under
-    the generators found so far has its subtree searched depth first for
-    a leaf whose permutation is certified.  The orbits then grow level by
+    orders the vertices.  A node is refined from its parent by the one
+    refinement loop, with only the split-off vertex fresh
+    (`_individualize`), and is kept as (cells, cell_of) lists without a
+    quotient.  The first path always splits off the lowest vertex.
+    Refinement keeps every cell in its place in the order, and a vertex
+    split off goes just ahead of the rest of its cell, so a leaf below a
+    node, read position by position against the first leaf, fixes the
+    vertices split off above the node and maps the first path's vertex v
+    there to the vertex split off below it.  An automorphism that fixes
+    those vertices and maps v to w maps the first leaf to a leaf below w,
+    whose reading gives it back.  From the deepest level up, each vertex
+    w of the node's target cell outside the orbit of v under the
+    generators found so far has its subtree searched depth first for a
+    leaf whose permutation is certified.  The orbits then grow level by
     level to the orbits of the pointwise stabilizers, so the generators
     found generate the whole group (Schreier's lemma).  Iterative: no
     recursion, no closures.
     """
+    rows = g.rows
     part = equitable_partition(g)
-    path = [part]
-    while cell := _target_cell(part):
-        part = equitable_partition(g, _individualize(part, _lowest(cell)))
-        path.append(part)
-    first_leaf = part.cell_of
+    node = part.cells, part.cell_of
+    path = [node]
+    while cell := _target_cell(node[0]):
+        node = _individualize(rows, node, _lowest(cell))
+        path.append(node)
+    first_leaf = node[1]
     gens: list[tuple[int, ...]] = []
     for node in reversed(path[:-1]):
-        cell = _target_cell(node)
+        cell = _target_cell(node[0])
         v = _lowest(cell)
         orbit = sum(set_orbit(1 << v, gens))
         for w in bits_of(cell & ~orbit):

@@ -55,6 +55,21 @@ pending contribution in both, so the minimal set is a function of the
 key.  Keying entries by that pair dedups the frontier; without it the
 frontier blows up factorially on vertex-transitive graphs.  The guard
 counts the entries kept at a level, after the losers are dropped.
+
+Twins are placed in label order: a vertex is placed only after all its
+lower-labelled open twins (equal rows) and closed twins (equal rows plus
+self).  This keeps the code.  Any permutation of a set of twins is an
+automorphism, so applying one to a placement leaves its code unchanged,
+and every placement has a copy with its twins in label order.  Each
+prefix of such a copy is in label order too, so the frontier of ordered
+placements holds, at every level, a copy of every minimal prefix, and
+the levels reach the same minima.  Unplaced twins make the same
+contribution, so an entry's minimal set holds the lowest unplaced twin of
+each of its members, which the rule never skips.  The rule takes the
+vertices that must wait out of an entry's choices, not out of its minimal
+set, which the children's b still reads.  Without it the frontier would
+keep every order of the twins, factorially many on K_n or the empty
+graph.
 """
 
 from __future__ import annotations
@@ -63,9 +78,10 @@ from math import inf
 
 from oddwheel.graphs import bits_of, rows_from_triangle, triangle_bits
 
-# There is one implementation, this one.  The flag stays because run
-# metadata (`oddwheel info`, the benchmark's pass records) names the
-# backend from it.
+# There is one implementation, this one, and `oddwheel info` names it
+# "pure" directly.  The flag stays, always False, because the benchmark's
+# pass records (`perfbench/cold_pass.py`) read it and
+# `tests/test_benchmark_contract.py` pins it.
 HAVE_COMPILED = False
 
 
@@ -75,6 +91,20 @@ def canon_code(rows) -> bytes:
     if n > 255:
         raise ValueError("canonical form limited to order <= 255")
     full = (1 << n) - 1
+    # before[v]: v's lower-labelled twins, open (equal rows) or closed
+    # (equal rows plus self); v is placed only after all of them.  An open
+    # twin's row never equals a closed twin's row plus self (that needs a
+    # loop), so one table holds both keys.
+    before = []
+    twins = {}
+    late = 0  # the vertices with a lower-labelled twin
+    for v, r in enumerate(rows):
+        low = 1 << v
+        before.append(twins.get(r, 0) | twins.get(r | low, 0))
+        if before[v]:
+            late |= low
+        twins[r] = twins.get(r, 0) | low
+        twins[r | low] = twins.get(r | low, 0) | low
 
     # Entries with pos - 1 vertices placed, each mapped to its minimal set;
     # the empty placement starts it, every vertex tying on no columns.
@@ -91,6 +121,12 @@ def canon_code(rows) -> bytes:
             if not cand & (cand - 1):
                 continue
             m = cand
+            wait = cand & late
+            while wait:
+                low = wait & -wait
+                wait ^= low
+                if before[low.bit_length() - 1] & ~used:
+                    m ^= low
             while m:
                 low = m & -m
                 m ^= low
