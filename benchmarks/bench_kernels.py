@@ -112,7 +112,7 @@ def per_call_ms(graphs):
 def generators_ms(graphs):
     """Best of three passes over `graphs`, in ms per
     `automorphism_generators` call."""
-    built = [Graph(len(rows), tuple(rows)) for rows in graphs]
+    built = [Graph(tuple(rows)) for rows in graphs]
 
     def run():
         for g in built:
@@ -225,12 +225,12 @@ def kernel_call(g, length):
 
 
 def decision_call(g, length):
-    return detect._decide(g, length, enum_mod._Budget(None))
+    return detect._decide(g, length, kernels._Budget(None))
 
 
 def rule_call(g, length):
     return detect._cycle(
-        g.rows, (1 << g.order) - 1, length, enum_mod._Budget(None)
+        g.rows, (1 << g.order) - 1, length, kernels._Budget(None)
     )
 
 

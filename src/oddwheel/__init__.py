@@ -36,11 +36,11 @@ from oddwheel.detect import (
     longest_path_order,
 )
 from oddwheel.enumerate import (
-    BudgetExceededError,
     all_graphs,
     connected_with_degrees,
     graph_code,
 )
+from oddwheel.kernels import BudgetExceededError
 from oddwheel.spectral import (
     CharPoly,
     SpectralError,

@@ -24,7 +24,6 @@ from oddwheel.detect import (
     is_star_free,
     longest_path_order,
 )
-from oddwheel.enumerate import BudgetExceededError
 from oddwheel.families import (
     FamilySpec,
     auto_left_sizes,
@@ -42,9 +41,10 @@ from oddwheel.formats import (
     read_graph_text,
 )
 from oddwheel.graphs import Graph, GraphError
+from oddwheel.kernels import BudgetExceededError
 from oddwheel.spectral import spectral_radius
 from oddwheel.verify import CLAIMS, REQUIRED, run_claim
-from oddwheel.walks import walk_compare, walk_profile
+from oddwheel.walks import default_horizon, walk_compare, walk_profile
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -251,7 +251,7 @@ def _cmd_walks(args) -> int:
     g = _read_graph(args.graph)
     levels = args.max_walk
     if levels is None:
-        levels = 2 * max(g.order, 1)
+        levels = default_horizon(g)
     profile = walk_profile(g, levels)
     if args.format == "json":
         text = json.dumps(

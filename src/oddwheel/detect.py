@@ -53,8 +53,8 @@ from __future__ import annotations
 from math import comb
 
 from oddwheel import kernels
-from oddwheel.enumerate import BudgetExceededError, _Budget
 from oddwheel.graphs import Graph, _pieces, bits_of
+from oddwheel.kernels import BudgetExceededError, _Budget
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -112,7 +112,7 @@ def _by_degree(rows, mask: int) -> Graph:
     kept = sorted(
         bits_of(mask), key=lambda v: (-(rows[v] & mask).bit_count(), v)
     )
-    return Graph(len(rows), tuple(rows)).subgraph(kept)
+    return Graph(tuple(rows)).subgraph(kept)
 
 
 def _twin_reduce(g: Graph, cap: int) -> Graph:

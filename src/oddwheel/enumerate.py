@@ -112,8 +112,6 @@ pruned or not.
 
 from __future__ import annotations
 
-from math import inf
-
 from oddwheel import kernels
 from oddwheel.graphs import (
     Graph,
@@ -123,10 +121,7 @@ from oddwheel.graphs import (
     is_connected,
     set_orbit,
 )
-
-
-class BudgetExceededError(RuntimeError):
-    """Search or enumeration exceeded its node-expansion budget."""
+from oddwheel.kernels import BudgetExceededError, _Budget
 
 
 _deletion_cache: dict[bytes, bytes] = {}
@@ -206,11 +201,11 @@ def _deletion_code(child_code: bytes) -> bytes:
     """
     k = _deletion_cache.get(child_code)
     if k is None:
-        n, rows = kernels.code_to_rows(child_code)
+        rows = kernels.code_to_rows(child_code)
         degs = [r.bit_count() for r in rows]
         top = max(degs)
         u = max(
-            (v for v in range(n) if degs[v] == top),
+            (v for v in range(len(rows)) if degs[v] == top),
             key=lambda v: (_vertex_key(rows, v, degs), v),
         )
         low = (1 << u) - 1
@@ -218,25 +213,6 @@ def _deletion_code(child_code: bytes) -> bytes:
         k = kernels.canon_code(sub)
         _deletion_cache[child_code] = k
     return k
-
-
-class _Budget:
-    """Node expansions (or enumerated children) left for one call; None
-    means no limit, held as an infinite count.  Every search draws on
-    it: enumeration, the detectors and, by reading `left` and calling
-    `spend`, the kernels."""
-
-    __slots__ = ("left",)
-
-    def __init__(self, limit: int | None):
-        if limit is not None and limit < 0:
-            raise ValueError(f"budget must be non-negative, got {limit}")
-        self.left = inf if limit is None else limit
-
-    def spend(self, ops: int) -> bool:
-        """Draw `ops`; False once the budget is overrun."""
-        self.left -= ops
-        return self.left >= 0
 
 
 def _prune(degs: list[int], order: int, d: int, deficient: bool) -> bool:
@@ -418,8 +394,8 @@ def _children(
 ) -> list[bytes]:
     """Canonical children of a parent: every graph, or with a degree
     target (order, d, deficient) the children that pass `_prune`."""
-    n, rows = kernels.code_to_rows(parent_code)
-    rows = list(rows)
+    rows = list(kernels.code_to_rows(parent_code))
+    n = len(rows)
     parent = _Parent(rows, target)
     seen: set[bytes] = set()
     # Attachment sets in the orbit, under the parent's certified
@@ -438,7 +414,7 @@ def _children(
             raise BudgetExceededError("enumeration budget exhausted")
         rank = parent.rank(s)
         if rank >= 0 and gens is None and done:
-            gens = automorphism_generators(Graph(n, tuple(rows)))
+            gens = automorphism_generators(Graph(tuple(rows)))
             done = set_orbit(done.pop(), gens)
         # A set in the orbit of one canonicalized before gives an
         # isomorphic child: same code, same rank (module docstring).
@@ -476,11 +452,11 @@ def all_graphs(n: int, budget: int | None = None) -> list[Graph]:
         raise ValueError("order must be non-negative")
     b = _Budget(budget)
     if n == 0:
-        return [Graph(0, ())]
+        return [Graph(())]
     if n not in _all_cache:
         levels = _pruned_levels(n, None, b)
         _all_cache.update((m, levels[m]) for m in range(1, n + 1))
-    return [Graph(*kernels.code_to_rows(c)) for c in _all_cache[n]]
+    return [Graph(kernels.code_to_rows(c)) for c in _all_cache[n]]
 
 
 def connected_with_degrees(
@@ -520,7 +496,7 @@ def connected_with_degrees(
     out = []
     want_deficient = 1 if deficient else 0
     for code in levels[order]:
-        g = Graph(*kernels.code_to_rows(code))
+        g = Graph(kernels.code_to_rows(code))
         degs = g.degrees()
         if sum(1 for x in degs if x == d - 1) != want_deficient:
             continue
@@ -548,7 +524,7 @@ def _pruned_levels(
     for m in range(1, start + 1):
         levels.append(seed[m] if target is None else [
             code for code in seed[m]
-            if _prune([r.bit_count() for r in kernels.code_to_rows(code)[1]],
+            if _prune([r.bit_count() for r in kernels.code_to_rows(code)],
                       *target)
         ])
     for m in range(start, order):

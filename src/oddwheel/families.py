@@ -13,12 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
 from oddwheel import kernels
-from oddwheel.enumerate import (
-    _Budget,
-    connected_with_degrees,
-    graph_code,
-    union_code,
-)
+from oddwheel.enumerate import connected_with_degrees, graph_code, union_code
 from oddwheel.graphs import (
     Graph,
     GraphError,
@@ -27,6 +22,7 @@ from oddwheel.graphs import (
     disjoint_union,
     join,
 )
+from oddwheel.kernels import _Budget
 
 U_KIND = "U"
 V_KIND = "V"
@@ -175,7 +171,7 @@ def _order_partitions(total: int, orders: list[int]) -> list[tuple[int, ...]]:
 def _coded(g: Graph) -> tuple[bytes, Graph]:
     """A canonically labelled graph with its code, read off without
     re-canonicalizing."""
-    return kernels.pack_code(g.order, g.rows), g
+    return kernels.pack_code(g.rows), g
 
 
 def _regular_multisets(
@@ -320,7 +316,7 @@ def bipartite_candidate(
     if r_edge:
         rows[left] |= 1 << (left + 1)
         rows[left + 1] |= 1 << left
-    return Graph(n, tuple(rows))
+    return Graph(tuple(rows))
 
 
 def spex_candidate(spec: CandidateSpec) -> Graph:

@@ -40,7 +40,7 @@ def encode_graph6(g: Graph) -> str:
     if n > MAX_GRAPH6_ORDER:
         raise FormatError(f"graph6 supports order <= {MAX_GRAPH6_ORDER}")
     head = chr(n + 63) if n <= 62 else "~" + _printable(format(n, "018b"))
-    return head + _printable(triangle_bits(n, g.rows))
+    return head + _printable(triangle_bits(g.rows))
 
 
 def decode_graph6(text: str) -> Graph:
@@ -68,7 +68,7 @@ def decode_graph6(text: str) -> Graph:
             f"graph6 body has {len(body)} chunks, expected {expected} "
             f"for order {n}"
         )
-    return Graph(n, rows_from_triangle(n, _chunk_bits(body)))
+    return Graph(rows_from_triangle(n, _chunk_bits(body)))
 
 
 def encode_edge_list(g: Graph) -> str:

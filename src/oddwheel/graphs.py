@@ -19,13 +19,17 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..order-1.
+    """Simple undirected graph on vertices 0..order-1, built from its
+    rows alone: the order is their number.
 
     rows[u] is the neighbor bitmask of u; bit v is set iff u ~ v.
     """
 
-    order: int
     rows: tuple[int, ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.rows)
 
     def degree(self, u: int) -> int:
         return self.rows[u].bit_count()
@@ -72,7 +76,7 @@ class Graph:
             for w in bits_of(self.rows[v] & mask):
                 r |= 1 << pos[w]
             rows.append(r)
-        return Graph(len(verts), tuple(rows))
+        return Graph(tuple(rows))
 
     def add_edges(self, pairs: Iterable[tuple[int, int]]) -> "Graph":
         """New graph with the given edges added (duplicates rejected)."""
@@ -86,7 +90,7 @@ class Graph:
                 raise GraphError(f"edge ({u},{v}) already present")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return Graph(self.order, tuple(rows))
+        return Graph(tuple(rows))
 
     def __repr__(self) -> str:
         return f"Graph(order={self.order}, edges={self.edge_count})"
@@ -115,13 +119,14 @@ def bits_of(mask: int):
         mask ^= low
 
 
-def triangle_bits(n: int, rows: Sequence[int]) -> str:
+def triangle_bits(rows: Sequence[int]) -> str:
     """The upper triangle of the adjacency matrix as a '0'/'1' string,
     column by column: bits (0,1), (0,2), (1,2), (0,3), ...  Column j holds
     the adjacencies of vertex j to vertices 0..j-1, lowest first.
 
     This one string is the body of a graph6 line (`formats`) and of a
     code (`kernels`); the two differ only in header and padding."""
+    n = len(rows)
     return "".join(
         [format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)]
     )
@@ -166,13 +171,13 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise GraphError(f"duplicate edge ({u},{v})")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(order, tuple(rows))
+    return Graph(tuple(rows))
 
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.order) - 1
     rows = tuple((full ^ r) & ~(1 << u) for u, r in enumerate(g.rows))
-    return Graph(g.order, rows)
+    return Graph(rows)
 
 
 def disjoint_union(parts: list[Graph]) -> Graph:
@@ -185,7 +190,7 @@ def disjoint_union(parts: list[Graph]) -> Graph:
     for p in parts:
         rows.extend(r << offset for r in p.rows)
         offset += p.order
-    return Graph(offset, tuple(rows))
+    return Graph(tuple(rows))
 
 
 def join(parts: list[Graph]) -> Graph:
@@ -211,7 +216,7 @@ def join(parts: list[Graph]) -> Graph:
             rows[u] |= bmask
         for v in range(b0, b1):
             rows[v] |= amask
-    return Graph(g.order, tuple(rows))
+    return Graph(tuple(rows))
 
 
 def _component_mask(rows, start: int) -> int:
@@ -296,40 +301,27 @@ class EquitablePartition(NamedTuple):
     quotient: tuple[tuple[int, ...], ...]
 
 
-def equitable_partition(
-    g: Graph, colours: Sequence[int] | None = None
-) -> EquitablePartition:
-    """The coarsest equitable partition finer than a colouring, by colour
-    refinement.
+def equitable_partition(g: Graph) -> EquitablePartition:
+    """The coarsest equitable partition of g, by colour refinement.
 
-    The start is `colours`, one integer per vertex (the one-cell colouring
-    when omitted), with the cells in increasing colour order.  Every round
-    splits each cell by its vertices' neighbour counts into the current
-    cells, until no cell splits.  New cells are ordered by (parent cell,
-    count row), both invariants, so the cell order and the quotient do not
-    depend on the vertex labelling, and a cell's refinements take its place
-    in the order.  Callers certify the result with `certify_equitable`
-    before they rely on it.
+    The start is one cell.  Every round splits each cell by its
+    vertices' neighbour counts into the current cells, until no cell
+    splits.  New cells are ordered by (parent cell, count row), both
+    invariants, so the cell order and the quotient do not depend on the
+    vertex labelling, and a cell's refinements take its place in the
+    order.  Callers certify the result with `certify_equitable` before
+    they rely on it.
 
     There is one refinement loop, `_refine`; here every cell starts fresh,
     and the search nodes of `automorphism_generators` enter it with only
     the vertex they split off fresh.  The quotient rows are read once at
     the end, from the lowest vertex of each cell.
     """
-    if colours is not None and len(colours) != g.order:
-        raise ValueError(
-            f"colouring has {len(colours)} entries for {g.order} vertices"
-        )
     if g.order == 0:
         return EquitablePartition((), (), ())
     rows = g.rows
-    if colours is None:
-        cells = [(1 << g.order) - 1]
-        cells, cell_of = _refine(rows, cells, [0] * g.order, cells)
-    else:
-        # The first round has no cells to count against: it only orders
-        # the colours into cells.
-        cells, cell_of = _refine(rows, [], list(colours), [])
+    cells = [(1 << g.order) - 1]
+    cells, cell_of = _refine(rows, cells, [0] * g.order, cells)
     reps = [rows[(c & -c).bit_length() - 1] for c in cells]
     return EquitablePartition(
         tuple(cells),

@@ -7,21 +7,25 @@ order is their number.  Callers reach these functions through the module
 attribute (`kernels.canon_code(...)`), so rebinding a name here reaches
 every call site.
 
-The two searches draw on a node-expansion budget, `enumerate._Budget`
-(None: no limit).  It is read by its interface, since `enumerate`
-imports this module: a search stops once its expansions pass the
-budget's `left`, returns -1, and spends what it expanded on every
-return, so one budget can cover many searches.
+Every search draws on one node-expansion budget, `_Budget` (None: no
+limit): the two searches here, the detectors and enumeration.  A search
+here stops once its expansions pass the budget's `left`, returns -1, and
+spends what it expanded on every return, so one budget can cover many
+searches; its callers raise `BudgetExceededError` on the -1.
 
 Canonical form
 --------------
 The canonical code of a graph is the lexicographically minimal
-`graphs.triangle_bits` over all vertex orderings, framed by `frame_code`;
-`graphs.rows_from_triangle` reads it back.  The string is column by
-column, so it splits into per-position contributions: placing a vertex w
-at position j fixes exactly column j, which is w's adjacencies to the
-vertices already placed, first-placed first.  So the minimum can be
-found level by level.
+`graphs.triangle_bits` over all vertex orderings, framed by `frame_code`
+behind one order byte.  `pack_code(rows)` frames the bit string of the
+rows as they stand, without minimizing, and `code_to_rows(code)` reads
+the rows back: rows carry the order as their number, so only the code
+stores it.
+
+The string is column by column, so it splits into per-position
+contributions: placing a vertex w at position j fixes exactly column j,
+which is w's adjacencies to the vertices already placed, first-placed
+first.  So the minimum can be found level by level.
 
 At each level the search keeps every partial placement achieving the
 minimal prefix (a frontier), because prefix-tied placements may differ
@@ -83,6 +87,28 @@ from oddwheel.graphs import bits_of, rows_from_triangle, triangle_bits
 # pass records (`perfbench/cold_pass.py`) read it and
 # `tests/test_benchmark_contract.py` pins it.
 HAVE_COMPILED = False
+
+
+class BudgetExceededError(RuntimeError):
+    """Search or enumeration exceeded its node-expansion budget."""
+
+
+class _Budget:
+    """Node expansions (or enumerated children) left for one call; None
+    means no limit, held as an infinite count.  Every search draws on
+    it: enumeration, the detectors and the kernels here."""
+
+    __slots__ = ("left",)
+
+    def __init__(self, limit: int | None):
+        if limit is not None and limit < 0:
+            raise ValueError(f"budget must be non-negative, got {limit}")
+        self.left = inf if limit is None else limit
+
+    def spend(self, ops: int) -> bool:
+        """Draw `ops`; False once the budget is overrun."""
+        self.left -= ops
+        return self.left >= 0
 
 
 def canon_code(rows) -> bytes:
@@ -193,14 +219,14 @@ def code_bits(code: bytes) -> tuple[int, str]:
     return n, format(int.from_bytes(code[1:], "big") | 1 << total, "b")[1:]
 
 
-def pack_code(n: int, rows) -> bytes:
+def pack_code(rows) -> bytes:
     """The code of a labelled graph as it stands, without minimizing."""
-    return frame_code(n, int(triangle_bits(n, rows) or "0", 2))
+    return frame_code(len(rows), int(triangle_bits(rows) or "0", 2))
 
 
-def code_to_rows(code: bytes) -> tuple[int, tuple[int, ...]]:
-    """The order and the adjacency rows of the graph a code labels."""
-    return code[0], rows_from_triangle(*code_bits(code))
+def code_to_rows(code: bytes) -> tuple[int, ...]:
+    """The adjacency rows of the graph a code labels."""
+    return rows_from_triangle(*code_bits(code))
 
 
 def has_cycle_of_length(rows, length: int, budget=None) -> int:

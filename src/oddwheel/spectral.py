@@ -239,6 +239,8 @@ def matrix_radius(
     its residual ||A x - radius x||_inf meets `tol`; otherwise power
     iteration runs as for graphs.  2x2 inputs are additionally
     cross-checked against the closed form."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     a = _to_float_matrix(m)
     note = ""
     if not _pattern_irreducible(a):

@@ -22,7 +22,6 @@ from oddwheel.detect import (
     longest_path_order,
 )
 from oddwheel.enumerate import (
-    BudgetExceededError,
     all_graphs,
     connected_with_degrees,
     graph_code,
@@ -41,6 +40,7 @@ from oddwheel.families import (
 )
 from oddwheel.formats import encode_graph6
 from oddwheel.graphs import Graph, build_graph, join
+from oddwheel.kernels import BudgetExceededError
 from oddwheel.spectral import (
     claim1_comparison,
     core_quotient_note,

@@ -208,16 +208,16 @@ def extract_deficient_structure(g: Graph) -> DeficientStructure:
 
 
 def default_horizon(*graphs: Graph) -> int:
-    """Comparison horizon 2 * max order.  Walk totals obey a linear
-    recurrence of order at most n (from the characteristic polynomial of
-    the adjacency matrix), so two graphs of order <= n whose totals agree
-    through 2n agree forever."""
-    return 2 * max((g.order for g in graphs), default=1)
+    """Comparison horizon 2 * max order, and at least 2.  Walk totals
+    obey a linear recurrence of order at most n (from the characteristic
+    polynomial of the adjacency matrix), so two graphs of order <= n whose
+    totals agree through 2n agree forever."""
+    return 2 * max([1, *(g.order for g in graphs)])
 
 
 def walk_compare(g1: Graph, g2: Graph, levels: int | None = None) -> OrderResult:
     """Lexicographic comparison of walk profiles through `levels`
-    (default: the shared horizon 2 * max order)."""
+    (default: the shared horizon `default_horizon`)."""
     if levels is None:
         levels = default_horizon(g1, g2)
     if levels < 1:
@@ -249,7 +249,7 @@ def ex_infinity_trace(
 ) -> ExInfinityTrace:
     """Iterated walk-total maximizer selection: at each level keep the
     members maximizing W^level among the current survivors, through
-    `levels` (default horizon 2 * max order).  Records the last level at
+    `levels` (default `default_horizon`).  Records the last level at
     which the survivor set shrank.
 
     Totals are counted once per connected piece.  W^l of a member is the

@@ -5,6 +5,7 @@ library; a rename or a removal would fail every benchmark pass or every
 traced run, so each one is checked here.  perfbench/ is only read.
 """
 
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -90,6 +91,23 @@ def test_candidate_input_is_written(tmp_path):
     g = read_graph_text(Path(path).read_text(encoding="ascii"))
     assert g.order == workloads.CANDIDATE_N
     assert workloads.write_inputs("exhaustive", 0, tmp_path) is None
+
+
+# sha256 of the candidate graph6 file `write_inputs` writes for seeds 0-2
+CANDIDATE_SHA256 = {
+    0: "f3c0743c9857eef81da2e442fdff30724d1c2b1a9437a065cd677e145601f08b",
+    1: "9a9f469bf140dcc9f6e98acf885a412e9ee35b3b47a093a58a0543282326a2de",
+    2: "7b121a2faf91d2c110201353b9ef66531edff98d02fcf34c0a5db6cd57a9b854",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CANDIDATE_SHA256))
+def test_candidate_input_bytes_are_pinned(tmp_path, seed):
+    # the benchmark's candidates input is built through the library
+    # (construction, relabelling, graph6); a change there shows here
+    path = load("workloads").write_inputs("candidates", seed, tmp_path)
+    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    assert digest == CANDIDATE_SHA256[seed]
 
 
 def test_traced_hub_scan_counts_subgraphs():

@@ -104,6 +104,17 @@ def test_max_walk_below_one_is_usage_error(tmp_path, capsys, command, max_walk):
     assert code == 2 and out == "" and "levels >= 1 required" in err
 
 
+def test_empty_graph_walks_and_compare(tmp_path, capsys):
+    # one default horizon, 2 levels for the order-0 graph, in both commands
+    path = tmp_path / "empty.g6"
+    path.write_text("?\n")
+    code, out, _ = run_cli(capsys, "walks", str(path))
+    assert code == 0
+    assert out.splitlines() == ["level,count", "1,0", "2,0"]
+    code, out, _ = run_cli(capsys, "compare", str(path), str(path))
+    assert code == 0 and out.strip() == "EQUIV"
+
+
 def test_compare_equiv(tmp_path, capsys):
     a = tmp_path / "a.g6"
     b = tmp_path / "b.g6"

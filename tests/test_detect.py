@@ -326,7 +326,7 @@ def test_odd_wheel_budget_independent_of_labelling():
 
 def is_prime_piece(rows):
     """Connected, with a connected complement."""
-    g = Graph(len(rows), tuple(rows))
+    g = Graph(tuple(rows))
     return is_connected(g) and is_connected(complement(g))
 
 

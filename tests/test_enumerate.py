@@ -232,8 +232,8 @@ def test_children_canonicalize_one_set_per_parent_orbit(
     assert len(all_graphs(7)) == KNOWN_CLASS_COUNTS[7]
     assert sum(map(len, canonicalized.values())) == ALL_7_CHILD_CANON
     for parent_code, sets in canonicalized.items():
-        n, rows = kernels.code_to_rows(parent_code)
-        parent = Graph(n, rows)
+        parent = Graph(kernels.code_to_rows(parent_code))
+        n = parent.order
         auts = [
             p for p in itertools.permutations(range(n))
             if is_automorphism(parent, p)
@@ -518,7 +518,7 @@ def test_parent_read_prune_is_the_prune(fresh_caches):
         by_degrees = {}
         for level in levels[:-1]:
             for code in level:
-                rows = kernels.code_to_rows(code)[1]
+                rows = kernels.code_to_rows(code)
                 by_degrees.setdefault(tuple(r.bit_count() for r in rows), rows)
         for rows in by_degrees.values():
             passed += _prune_agrees(

@@ -380,51 +380,6 @@ def test_certify_equitable_rejects():
             certify_equitable(g, part)
 
 
-def test_equitable_partition_rejects_a_colouring_of_the_wrong_length():
-    # a 6-entry colouring of the 4-vertex path would give a cell holding
-    # vertices 4 and 5, outside the graph
-    for colours in ([0] * 6, [0, 1, 0], []):
-        with pytest.raises(ValueError, match="colouring has"):
-            equitable_partition(path_graph(4), colours)
-    with pytest.raises(ValueError, match="colouring has"):
-        equitable_partition(build_graph(0, []), [0])
-
-
-def test_equitable_partition_from_a_colouring():
-    rng = random.Random(15)
-    for _ in range(40):
-        n = rng.randint(1, 30)
-        g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.6]))
-        assert equitable_partition(g, [7] * n) == equitable_partition(g)
-        colours = [rng.choice([-3, 0, 5]) for _ in range(n)]
-        part = equitable_partition(g, colours)
-        assert_equitable(g, part)
-        certify_equitable(g, part)
-        # finer than the colouring, with the colour classes in colour order
-        assert all(
-            (colours[u] < colours[v]) == (part.cell_of[u] < part.cell_of[v])
-            for u in range(n) for v in range(n)
-            if colours[u] != colours[v]
-        )
-        assert all(
-            colours[u] == colours[v]
-            for u in range(n) for v in range(n)
-            if part.cell_of[u] == part.cell_of[v]
-        )
-        # the same colouring of a relabelled graph gives the relabelled cells
-        perm = list(range(n))
-        rng.shuffle(perm)
-        moved = [0] * n
-        for v in range(n):
-            moved[perm[v]] = colours[v]
-        other = equitable_partition(relabel(g, perm), moved)
-        assert other.quotient == part.quotient
-        assert all(other.cell_of[perm[v]] == part.cell_of[v] for v in range(n))
-    # an end of a path split off makes the partition discrete
-    part = equitable_partition(path_graph(6), [0, 1, 1, 1, 1, 1])
-    assert sorted(part.cell_of) == [0, 1, 2, 3, 4, 5]
-
-
 def test_is_automorphism():
     c5 = primitive("cycle", 5)
     assert is_automorphism(c5, (1, 2, 3, 4, 0))

@@ -76,15 +76,15 @@ def test_graph6_round_trip(g):
     assert (text[0] == "~") == (g.order > 62)
     assert decode_graph6(text) == g
     assert read_graph_text(text + "\n") == g
-    code = pack_code(g.order, g.rows)
-    assert code_to_rows(code) == (g.order, g.rows)
+    code = pack_code(g.rows)
+    assert code_to_rows(code) == g.rows
     # One bit string under two framings: graph6 pads it at the back to
     # 6-bit chunks, the code at the front to whole bytes.
     nbits = g.order * (g.order - 1) // 2
     g6 = "".join(format(ord(ch) - 63, "06b") for ch in text[header:])
     packed = "".join(format(b, "08b") for b in code[1:])
     pad = len(packed) - nbits
-    assert g6[:nbits] == packed[pad:] == triangle_bits(g.order, g.rows)
+    assert g6[:nbits] == packed[pad:] == triangle_bits(g.rows)
     assert set(g6[nbits:] + packed[:pad]) <= {"0"}
 
 
@@ -109,8 +109,8 @@ def test_graph_code_ignores_labelling(data):
         # The union code is the packed disjoint union of the canonically
         # labelled pieces, in code order, single vertices included.
         codes = sorted(graph_code(c.graph) for c in components(g))
-        union = disjoint_union([Graph(*code_to_rows(c)) for c in codes])
-        assert union_code(codes) == pack_code(union.order, union.rows)
+        union = disjoint_union([Graph(code_to_rows(c)) for c in codes])
+        assert union_code(codes) == pack_code(union.rows)
 
 
 def maps_to(g, u, v):

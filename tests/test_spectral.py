@@ -150,6 +150,15 @@ def test_matrix_radius_rejects_negative():
         matrix_radius([[1, -1], [0, 1]])
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+def test_radius_rejects_a_tol_that_is_not_positive(tol):
+    # no residual can meet a tol <= 0; no iteration may start
+    with pytest.raises(ValueError, match="tol must be positive"):
+        matrix_radius([[0, 1], [1, 0]], tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        spectral_radius(primitive("complete", 2), tol)
+
+
 @pytest.mark.parametrize("k, n", [(4, 22), (6, 30)])
 def test_quotient_six_classes_of_balanced_candidate(k, n):
     g = spex_candidate(CandidateSpec(n, k, 0, standard_member("V", k, n // 2), True))

@@ -287,6 +287,10 @@ def test_truncation_stability_samples():
 
 def test_default_horizon():
     assert default_horizon(primitive("cycle", 5), primitive("cycle", 9)) == 18
+    # at least 2, so the empty graph compares at the default horizon
+    empty = build_graph(0, [])
+    assert default_horizon(empty) == default_horizon() == 2
+    assert walk_compare(empty, empty).relation is Relation.EQUIV
 
 
 def test_ex_infinity_trivia():
@@ -462,9 +466,10 @@ def test_ex_infinity_order_zero_members():
         ex_infinity_trace([k2], 0)
     with pytest.raises(ValueError):
         ex_infinity_trace([empty, k2], 0)
-    # all members of order 0: the default horizon is 0 levels
-    with pytest.raises(ValueError):
-        ex_infinity_trace([empty, empty])
+    # all members of order 0: the default horizon is still 2 levels
+    trace = ex_infinity_trace([empty, empty])
+    assert trace.profiles == ((0, 0), (0, 0))
+    assert trace.survivors == (empty, empty)
     with pytest.raises(ValueError):
         ex_infinity_trace([empty], 0)
 
