@@ -1,12 +1,13 @@
 """Command-line surface.
 
-Exit status: 0 success/PASS, 1 FAIL, 2 usage error, 3 budget exhausted.
-Graph inputs are files in graph6 or edge-list form (sniffed); outputs
-honor --format.  All numeric output is full precision, locale-free.
+Exit status: 0 success/PASS, 1 FAIL, 2 usage error, 3 search or iteration
+budget exhausted.  Graph inputs are files in graph6 or edge-list form
+(sniffed); outputs honor --format.  All numeric output is full precision,
+locale-free.
 
-`verify` and `brute-spex` take their claims, jobs and per-claim defaults
-from `oddwheel.verify.CLAIMS`, the one place to register a claim; this
-module only maps flags to job keywords.
+Each command takes only the flags its handler reads.  The flags of
+`verify` and `brute-spex` are the job keywords in `oddwheel.verify.CLAIMS`,
+the one place to register a claim; a claim rejects the flags of the others.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from oddwheel.detect import (
 )
 from oddwheel.families import (
     FamilySpec,
+    G_KIND,
+    U_KIND,
+    V_KIND,
     auto_left_sizes,
     bipartite_candidate,
     core_component,
@@ -33,16 +37,12 @@ from oddwheel.families import (
     matching_embedded_candidate,
     odd_wheel,
     primitive,
+    standard_member,
 )
-from oddwheel.formats import (
-    FormatError,
-    encode_edge_list,
-    encode_graph6,
-    read_graph_text,
-)
-from oddwheel.graphs import Graph, GraphError
+from oddwheel.formats import encode_edge_list, encode_graph6, read_graph_text
+from oddwheel.graphs import Graph
 from oddwheel.kernels import BudgetExceededError
-from oddwheel.spectral import spectral_radius
+from oddwheel.spectral import DEFAULT_TOL, SpectralError, spectral_radius
 from oddwheel.verify import CLAIMS, REQUIRED, run_claim
 from oddwheel.walks import default_horizon, walk_compare, walk_profile
 
@@ -50,6 +50,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+_EXIT_OF = {"PASS": EXIT_OK, "FAIL": EXIT_FAIL, "BUDGET": EXIT_BUDGET}
 
 
 def _read_graph(path: str) -> Graph:
@@ -76,15 +77,40 @@ def _graph_text(g: Graph, fmt: str) -> str:
     return encode_graph6(g) + "\n"
 
 
-def _common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=1e-10)
-    sub.add_argument("--max-walk", type=int, default=None)
-    sub.add_argument("--budget", type=int, default=None)
-    sub.add_argument(
-        "--format", choices=["graph6", "edgelist", "json"], default="graph6"
-    )
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--seed", type=int, default=0)
+GRAPH_FORMATS = ["graph6", "edgelist", "json"]
+
+
+class _GraphFile(str):
+    """Graph file path, read in `_cmd_verify` so its errors say why."""
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+# A claim keyword's flag is `--` plus the keyword with dashes and its value
+# an int, except as these two tables say.
+_CLAIM_FLAGS = {"order_cap": "--cap"}
+_CLAIM_TYPES = {
+    "tol": float,
+    "n_values": _int_list,
+    "h1": _GraphFile,
+    "h2": _GraphFile,
+}
+
+
+def _claim_flags(claims) -> dict[str, str]:
+    """Flag of each job keyword of `claims`, in registration order."""
+    return {
+        name: _CLAIM_FLAGS.get(name, "--" + name.replace("_", "-"))
+        for c in claims for name in c.params
+    }
+
+
+def _add_claim_flags(p: argparse.ArgumentParser, claims) -> None:
+    # Each defaults to None, so an omitted flag takes the claim's default.
+    for name, flag in _claim_flags(claims).items():
+        p.add_argument(flag, dest=name, type=_CLAIM_TYPES.get(name, int))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,6 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("construct", help="emit a named graph or candidate")
+    p.set_defaults(run=_cmd_construct)
     p.add_argument(
         "what",
         choices=[
@@ -102,107 +129,105 @@ def build_parser() -> argparse.ArgumentParser:
             "candidate", "matching-candidate",
         ],
     )
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--s", type=int, default=None,
+    p.add_argument("--k", type=int)
+    p.add_argument("--m", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--s", type=int,
                    help="side imbalance; omitted = residue-appropriate size")
-    p.add_argument("--family", choices=["U", "V"], default=None)
-    p.add_argument("--member", type=int, default=0,
-                   help="index into the family enumeration for the embedding")
+    p.add_argument("--family", choices=[U_KIND, V_KIND])
+    p.add_argument("--member", type=int,
+                   help="index into the family enumeration for the "
+                        "embedding; omitted = the standard member")
     p.add_argument("--no-r-edge", action="store_true")
-    _common(p)
+    p.add_argument("--budget", type=int)
+    p.add_argument("--format", choices=GRAPH_FORMATS, default="graph6")
 
     p = subs.add_parser("check", help="odd-wheel / cycle / path / star queries")
+    p.set_defaults(run=_cmd_check)
     p.add_argument("kind", choices=["odd-wheel", "cycle", "path", "star"])
     p.add_argument("graph")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--len", type=int, default=None, dest="length")
-    _common(p)
+    p.add_argument("--k", type=int)
+    p.add_argument("--len", type=int, dest="length")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = subs.add_parser("spectral", help="radius and Perron vector, JSON")
+    p.set_defaults(run=_cmd_spectral)
     p.add_argument("graph")
-    _common(p)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = subs.add_parser("walks", help="walk profile to level L")
+    p.set_defaults(run=_cmd_walks)
     p.add_argument("graph")
-    _common(p)
+    p.add_argument("--max-walk", type=int)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = subs.add_parser("compare", help="walk-count order of two graphs")
+    p.set_defaults(run=_cmd_compare)
     p.add_argument("graph1")
     p.add_argument("graph2")
-    _common(p)
+    p.add_argument("--max-walk", type=int)
 
     p = subs.add_parser("enumerate", help="family members as a graph6 stream")
-    p.add_argument("--kind", choices=["U", "V", "GFAM"], required=True)
+    p.set_defaults(run=_cmd_enumerate)
+    p.add_argument("--kind", choices=[U_KIND, V_KIND, G_KIND], required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--order", type=int, required=True)
-    _common(p)
+    p.add_argument("--budget", type=int)
+    p.add_argument("--format", choices=GRAPH_FORMATS, default="graph6")
 
     p = subs.add_parser("verify", help="run a verification job")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("claim", choices=sorted(CLAIMS))
-    p.add_argument("--delta", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None, dest="order_cap")
-    p.add_argument("--base-order", type=int, default=None)
-    p.add_argument("--t-size", type=int, default=None)
-    p.add_argument("--h1", default=None, help="graph file for thm-3.1")
-    p.add_argument("--h2", default=None, help="graph file for thm-3.1")
-    p.add_argument("--pairs", type=int, default=None)
-    p.add_argument("--max-order", type=int, default=None)
-    p.add_argument("--n-values", default=None,
-                   help="comma-separated n list for claim-1-thm-1.4")
-    _common(p)
+    _add_claim_flags(p, CLAIMS.values())
 
     p = subs.add_parser("brute-spex", help="exhaustive small-n maximizers")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _common(p)
-    p.set_defaults(claim="brute-spex")
+    _add_claim_flags(p, [CLAIMS["brute-spex"]])
+    p.set_defaults(run=_cmd_verify, claim="brute-spex")
 
-    subs.add_parser("info", help="kernel backend, version, platform, JSON")
+    # Every command but info writes its result to --out, else stdout.
+    for p in subs.choices.values():
+        p.add_argument("--out")
+
+    p = subs.add_parser("info", help="kernel backend, version, platform, JSON")
+    p.set_defaults(run=_cmd_info)
 
     return parser
 
 
 def _cmd_construct(args) -> int:
     what = args.what
-    if what == "odd-wheel":
+    if what in ("odd-wheel", "core"):
         if args.k is None:
-            raise SystemExit2("--k required for odd-wheel")
-        g = odd_wheel(args.k)
-    elif what == "core":
-        if args.k is None:
-            raise SystemExit2("--k required for core")
-        g = core_component(args.k)
+            raise ValueError(f"--k required for {what}")
+        g = (odd_wheel if what == "odd-wheel" else core_component)(args.k)
     elif what in ("complete", "cycle", "matching", "empty"):
         if args.m is None:
-            raise SystemExit2("--m required for primitives")
+            raise ValueError("--m required for primitives")
         g = primitive(what, args.m)
     elif what == "matching-candidate":
         if args.n is None:
-            raise SystemExit2("--n required")
+            raise ValueError("--n required")
         g = matching_embedded_candidate(args.n)
     else:  # candidate
         if args.n is None or args.k is None:
-            raise SystemExit2("--n and --k required for candidate")
+            raise ValueError("--n and --k required for candidate")
         n, k = args.n, args.k
         family = args.family or ("V" if k % 2 == 0 and n % 4 == 2 else "U")
         if args.s is not None:
             left = n // 2 + args.s
         else:
             left = n // 2 if family == "V" else auto_left_sizes(n, k)[-1]
-        pool = enumerate_family(
-            FamilySpec(family, k, left), budget=args.budget
-        )
-        if not pool:
-            raise SystemExit2(f"family {family}_{{{k},{left}}} is empty")
-        if not 0 <= args.member < len(pool):
-            raise SystemExit2(
-                f"--member out of range (family has {len(pool)} members)"
+        if args.member is None:
+            inner = standard_member(family, k, left)
+        else:
+            pool = enumerate_family(
+                FamilySpec(family, k, left), budget=args.budget
             )
-        inner = pool[args.member]
+            if not 0 <= args.member < len(pool):
+                raise ValueError(
+                    f"--member out of range (family has {len(pool)} members)"
+                )
+            inner = pool[args.member]
         g = bipartite_candidate(n, left, inner, not args.no_r_edge)
     _emit(_graph_text(g, args.format), args.out)
     return EXIT_OK
@@ -210,25 +235,22 @@ def _cmd_construct(args) -> int:
 
 def _cmd_check(args) -> int:
     g = _read_graph(args.graph)
-    budget = args.budget if args.budget is not None else DEFAULT_BUDGET
+    if args.kind in ("odd-wheel", "star") and args.k is None:
+        raise ValueError("--k required")
     if args.kind == "odd-wheel":
-        if args.k is None:
-            raise SystemExit2("--k required")
-        found = contains_odd_wheel(g, args.k, budget)
+        found = contains_odd_wheel(g, args.k, args.budget)
         _emit(f"odd-wheel k={args.k}: {'present' if found else 'absent'}\n",
               args.out)
     elif args.kind == "cycle":
         if args.length is None:
-            raise SystemExit2("--len required")
-        found = contains_cycle_of_length(g, args.length, budget)
+            raise ValueError("--len required")
+        found = contains_cycle_of_length(g, args.length, args.budget)
         _emit(f"cycle len={args.length}: "
               f"{'present' if found else 'absent'}\n", args.out)
     elif args.kind == "path":
-        order = longest_path_order(g, budget)
+        order = longest_path_order(g, args.budget)
         _emit(f"longest path order: {order}\n", args.out)
     else:
-        if args.k is None:
-            raise SystemExit2("--k required")
         _emit(f"star-free k={args.k}: {is_star_free(g, args.k)}\n", args.out)
     return EXIT_OK
 
@@ -249,9 +271,7 @@ def _cmd_spectral(args) -> int:
 
 def _cmd_walks(args) -> int:
     g = _read_graph(args.graph)
-    levels = args.max_walk
-    if levels is None:
-        levels = default_horizon(g)
+    levels = default_horizon(g) if args.max_walk is None else args.max_walk
     profile = walk_profile(g, levels)
     if args.format == "json":
         text = json.dumps(
@@ -286,36 +306,30 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _claim_arg(args, name: str):
-    """The value given for job keyword `name`, or None if its flag was
-    omitted; graph files are read and --n-values (else --n) is a list."""
-    if name in ("h1", "h2"):
-        path = getattr(args, name)
-        return None if path is None else _read_graph(path)
-    if name == "n_values":
-        if args.n_values:
-            return [int(x) for x in args.n_values.split(",")]
-        return None if args.n is None else [args.n]
-    return getattr(args, name)
-
-
 def _cmd_verify(args) -> int:
     claim = CLAIMS[args.claim]
-    required = [name for name, v in claim.params.items() if v is REQUIRED]
-    if any(getattr(args, name) is None for name in required):
-        flags = " and ".join(f"--{name}" for name in required)
-        raise SystemExit2(f"{args.claim} needs {flags}")
+    flags = _claim_flags(CLAIMS.values())
+    unread = [
+        flag for name, flag in flags.items()
+        if name not in claim.params and getattr(args, name, None) is not None
+    ]
+    if unread:
+        raise ValueError(f"{args.claim} does not take {', '.join(unread)}")
+    missing = [
+        flags[name] for name, default in claim.params.items()
+        if default is REQUIRED and getattr(args, name) is None
+    ]
+    if missing:
+        raise ValueError(f"{args.claim} needs {' and '.join(missing)}")
     kwargs = {}
     for name, default in claim.params.items():
-        value = _claim_arg(args, name)
+        value = getattr(args, name)
+        if isinstance(value, _GraphFile):
+            value = _read_graph(value)
         kwargs[name] = default if value is None else value
     report = run_claim(args.claim, **kwargs)
     _emit(report.to_json() + "\n", args.out)
-    if report.outcome == "PASS":
-        return EXIT_OK
-    if report.outcome == "BUDGET":
-        return EXIT_BUDGET
-    return EXIT_FAIL
+    return _EXIT_OF[report.outcome]
 
 
 def _cmd_info(args) -> int:
@@ -329,42 +343,27 @@ def _cmd_info(args) -> int:
     return EXIT_OK
 
 
-class SystemExit2(Exception):
-    """Usage error carrying the message for exit status 2."""
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "construct": _cmd_construct,
-        "check": _cmd_check,
-        "spectral": _cmd_spectral,
-        "walks": _cmd_walks,
-        "compare": _cmd_compare,
-        "enumerate": _cmd_enumerate,
-        "verify": _cmd_verify,
-        "brute-spex": _cmd_verify,
-        "info": _cmd_info,
-    }
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2), or 0 after --help
+        return exc.code
     try:
         # The enumerators and the detectors reject a negative budget with a
         # ValueError; the command line rejects it first, naming the option.
         budget = getattr(args, "budget", None)
         if budget is not None and budget < 0:
-            raise SystemExit2(f"--budget must be non-negative, got {budget}")
-        return handlers[args.command](args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (GraphError, FormatError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+            raise ValueError(f"--budget must be non-negative, got {budget}")
+        return args.run(args)
+    # Usage errors; a GraphError or FormatError is also a ValueError.
+    except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except SpectralError as exc:  # its iteration budget, or a certificate
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 
 

@@ -4,12 +4,23 @@ import platform
 import pytest
 
 import oddwheel
+from oddwheel import cli
 from oddwheel.cli import main
-from oddwheel.families import odd_wheel, primitive
+from oddwheel.families import (
+    V_KIND,
+    bipartite_candidate,
+    odd_wheel,
+    primitive,
+    standard_member,
+)
 from oddwheel.formats import decode_graph6, encode_graph6
 from oddwheel.graphs import disjoint_union
+from oddwheel.spectral import SpectralError
 from oddwheel.verify import (
     CLAIMS,
+    REQUIRED,
+    Claim,
+    VerificationReport,
     brute_spex,
     verify_bounded_order,
     verify_claim1,
@@ -56,12 +67,26 @@ def test_construct_candidate_and_check(tmp_path, capsys):
 
 @pytest.mark.parametrize("n, side", [(514, 257), (1002, 501)])
 def test_construct_candidate_side_above_code_limit(capsys, n, side):
-    # The side is rejected before any enumeration, naming both sizes.
+    # --member indexes the enumeration, whose canonical codes stop at order
+    # 255: the side is rejected before any enumeration, naming both sizes.
     code, out, err = run_cli(
-        capsys, "construct", "candidate", "--n", str(n), "--k", "4"
+        capsys, "construct", "candidate", "--n", str(n), "--k", "4",
+        "--member", "0",
     )
     assert code == 2 and out == ""
     assert f"family order {side}" in err and "exceeds 255" in err
+
+
+def test_construct_candidate_defaults_to_the_standard_member(capsys):
+    # without --member no family is enumerated, so any order builds
+    code, out, _ = run_cli(
+        capsys, "construct", "candidate", "--n", "1002", "--k", "4"
+    )
+    assert code == 0
+    inner = standard_member(V_KIND, 4, 501)
+    assert decode_graph6(out.strip()) == bipartite_candidate(
+        1002, 501, inner, True
+    )
 
 
 def test_check_cycle_and_path(tmp_path, capsys):
@@ -87,7 +112,7 @@ def test_walks_csv(tmp_path, capsys):
     path = tmp_path / "k3.g6"
     path.write_text(encode_graph6(primitive("complete", 3)) + "\n")
     code, out, _ = run_cli(
-        capsys, "walks", str(path), "--max-walk", "3", "--format", "edgelist"
+        capsys, "walks", str(path), "--max-walk", "3", "--format", "csv"
     )
     assert code == 0
     assert out.splitlines() == ["level,count", "1,6", "2,12", "3,24"]
@@ -181,7 +206,7 @@ def test_brute_spex_cli_rejects_order_below_one(capsys, n):
         ("check", "path", "W5"),
         ("construct", "candidate", "--n", "22", "--k", "4"),
         ("verify", "lemma-3.2", "--delta", "3", "--cap", "8"),
-        ("brute-spex", "--n", "5", "--k", "2"),
+        ("verify", "lemma-3.3"),
     ],
 )
 def test_negative_budget_is_usage_error(tmp_path, capsys, argv):
@@ -249,7 +274,8 @@ CLI_JOBS = [
      lambda: verify_spex_structure(12, 3)),
     (("verify", "claim-1-thm-1.4", "--k", "4", "--n-values", "22,26"),
      lambda: verify_claim1(4, [22, 26])),
-    (("verify", "claim-1-thm-1.4", "--n", "22"), lambda: verify_claim1(4, [22])),
+    (("verify", "claim-1-thm-1.4", "--n-values", "22"),
+     lambda: verify_claim1(4, [22])),
     (("verify", "claim-1-thm-1.4"), lambda: verify_claim1(4, [22, 102])),
     (("verify", "fact-1", "--k", "3", "--n", "20", "--tol", "1e-4"),
      lambda: verify_fact1(3, 20, 1e-4)),
@@ -308,7 +334,7 @@ def test_verify_missing_input_is_usage_error(tmp_path, capsys, argv):
         ("verify", "lemma-3.3", "--delta", "0", "--n", "0"),
         ("verify", "fact-1", "--k", "0", "--n", "0"),
         ("verify", "claim-1-thm-1.4", "--k", "0", "--n-values", "22"),
-        ("verify", "claim-1-thm-1.4", "--n", "0"),
+        ("verify", "claim-1-thm-1.4", "--n-values", "0"),
     ],
 )
 def test_verify_explicit_zero_is_not_replaced(capsys, argv):
@@ -343,6 +369,63 @@ def test_verify_fact1_without_a_candidate_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "verify", "fact-1", "--k", "3", "--n", "9")
     assert code == 2 and out == ""
     assert "k=3, n=9:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("spectral", "G", "--max-walk", "3"), "--max-walk"),
+        (("check", "path", "G", "--tol", "1e-4"), "--tol"),
+        (("walks", "G", "--format", "graph6"), "--format"),
+        (("brute-spex", "--n", "5", "--k", "2", "--budget", "5"), "--budget"),
+        (("verify", "fact-1", "--delta", "3"), "--delta"),
+        (("verify", "claim-1-thm-1.4", "--n", "22"), "--n"),
+    ],
+)
+def test_flag_the_command_does_not_read_is_usage_error(
+    tmp_path, capsys, argv, flag
+):
+    # these flags were once accepted and silently ignored
+    path = tmp_path / "c5.g6"
+    path.write_text(encode_graph6(primitive("cycle", 5)) + "\n")
+    argv = [str(path) if a == "G" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and flag in err
+
+
+def test_claim_flags_come_from_the_claim_table(monkeypatch, capsys):
+    def job(order_cap, wheel_size):
+        return VerificationReport(
+            "dummy", {"order_cap": order_cap, "wheel_size": wheel_size}, "PASS"
+        )
+
+    monkeypatch.setitem(
+        CLAIMS, "dummy",
+        Claim("a test claim", job, {"order_cap": 1, "wheel_size": REQUIRED}),
+    )
+    code, out, _ = run_cli(capsys, "verify", "dummy", "--wheel-size", "9")
+    assert code == 0
+    assert json.loads(out)["parameters"] == {"order_cap": 1, "wheel_size": 9}
+    code, out, _ = run_cli(
+        capsys, "verify", "dummy", "--wheel-size", "9", "--cap", "4"
+    )
+    assert json.loads(out)["parameters"] == {"order_cap": 4, "wheel_size": 9}
+    code, out, err = run_cli(capsys, "verify", "dummy")
+    assert code == 2 and "dummy needs --wheel-size" in err
+    code, out, err = run_cli(capsys, "verify", "fact-1", "--wheel-size", "9")
+    assert code == 2 and "fact-1 does not take --wheel-size" in err
+
+
+def test_spectral_error_exits_three(tmp_path, capsys, monkeypatch):
+    def stalled(g, tol):
+        raise SpectralError("iteration budget 3 exhausted")
+
+    monkeypatch.setattr(cli, "spectral_radius", stalled)
+    path = tmp_path / "k5.g6"
+    path.write_text(encode_graph6(primitive("complete", 5)) + "\n")
+    code, out, err = run_cli(capsys, "spectral", str(path))
+    assert code == 3 and out == ""
+    assert err == "error: iteration budget 3 exhausted\n"
 
 
 def test_info(capsys):

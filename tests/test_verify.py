@@ -11,7 +11,14 @@ from oddwheel import verify as verify_mod
 from oddwheel import walks
 from oddwheel.cli import main
 from oddwheel.enumerate import BudgetExceededError
-from oddwheel.families import FamilySpec, enumerate_family, primitive
+from oddwheel.families import (
+    FamilySpec,
+    U_KIND,
+    bipartite_candidate,
+    enumerate_family,
+    primitive,
+    standard_member,
+)
 from oddwheel.formats import encode_graph6
 from oddwheel.graphs import build_graph, components, disjoint_union
 from oddwheel.spectral import SpectralResult
@@ -452,6 +459,20 @@ def test_fact1():
     rep = verify_fact1(3, 100)
     assert rep.outcome == "PASS" and rep.evidence["margin"] > 0
     assert "finite-n" in rep.notes
+
+
+@pytest.mark.parametrize("k, n, left", [(3, 1000, 500), (4, 1002, 501)])
+def test_fact1_at_order_1000(k, n, left):
+    # Power iteration on the n x n matrix stalls above tol at these orders;
+    # the report's radius must be the candidate's, as a dense solver gives it.
+    rep = verify_fact1(k, n)
+    assert rep.outcome == "PASS" and rep.evidence["candidate_order"] == n
+    g = bipartite_candidate(n, left, standard_member(U_KIND, k, left), True)
+    a = np.zeros((n, n))
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = 1.0
+    dense = float(np.linalg.eigvalsh(a)[-1])
+    assert rep.evidence["radius"] == pytest.approx(dense, abs=1e-9)
 
 
 def test_fact1_rejects_n_below_the_member_minimum():
