@@ -49,6 +49,7 @@ from oddwheel.families import (  # noqa: E402
 from oddwheel.graphs import (  # noqa: E402
     Graph,
     automorphism_generators,
+    build_graph,
     equitable_partition,
 )
 from oddwheel.spectral import (  # noqa: E402
@@ -142,7 +143,9 @@ def layer_rows():
     """(name, inputs, seconds) of the per-layer table, best of three
     passes each; inputs are built before any timing."""
     candidates = [
-        bipartite_candidate(n, left, standard_member(U_KIND, 4, left), True)
+        bipartite_candidate(
+            standard_member(U_KIND, 4, left), build_graph(n - left, [(0, 1)])
+        )
         for n in range(22, 403, 4)
         for left in (n // 2, n // 2 + 1)
     ]
@@ -204,7 +207,7 @@ def cycle_rows(rng, quick):
     rows = [("exhaustive, order 4-6", small, small)]
     for n, k in ((50, 4), (50, 5)):
         graphs = [
-            bipartite_candidate(n, left, inner, True)
+            bipartite_candidate(inner, build_graph(n - left, [(0, 1)]))
             for left in (n // 2 - 1, n // 2, n // 2 + 1)
             for inner in enumerate_family(FamilySpec(U_KIND, k, left))
         ]

@@ -40,7 +40,7 @@ from oddwheel.families import (
     standard_member,
 )
 from oddwheel.formats import encode_edge_list, encode_graph6, read_graph_text
-from oddwheel.graphs import Graph
+from oddwheel.graphs import Graph, build_graph
 from oddwheel.kernels import BudgetExceededError
 from oddwheel.spectral import DEFAULT_TOL, SpectralError, spectral_radius
 from oddwheel.verify import CLAIMS, REQUIRED, run_claim
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         "what",
         choices=[
             "odd-wheel", "core", "complete", "cycle", "matching", "empty",
-            "candidate", "matching-candidate",
+            "candidate",
         ],
     )
     p.add_argument("--k", type=int)
@@ -204,13 +204,19 @@ def _cmd_construct(args) -> int:
         if args.m is None:
             raise ValueError("--m required for primitives")
         g = primitive(what, args.m)
-    elif what == "matching-candidate":
-        if args.n is None:
-            raise ValueError("--n required")
-        g = matching_embedded_candidate(args.n)
-    else:  # candidate
-        if args.n is None or args.k is None:
-            raise ValueError("--n and --k required for candidate")
+    elif args.n is None or args.k is None:
+        raise ValueError("--n and --k required for candidate")
+    elif args.k == 2:  # a maximum matching on each side, nothing more
+        unread = [flag for flag, given in (
+            ("--family", args.family is not None),
+            ("--member", args.member is not None),
+            ("--no-r-edge", args.no_r_edge)) if given]
+        if unread:
+            raise ValueError("the k=2 candidate does not take "
+                             + ", ".join(unread))
+        left = None if args.s is None else args.n // 2 + args.s
+        g = matching_embedded_candidate(args.n, left)
+    else:  # candidate: a family member on L
         n, k = args.n, args.k
         family = args.family or ("V" if k % 2 == 0 and n % 4 == 2 else "U")
         if args.s is not None:
@@ -228,7 +234,8 @@ def _cmd_construct(args) -> int:
                     f"--member out of range (family has {len(pool)} members)"
                 )
             inner = pool[args.member]
-        g = bipartite_candidate(n, left, inner, not args.no_r_edge)
+        r_edges = [] if args.no_r_edge else [(0, 1)]
+        g = bipartite_candidate(inner, build_graph(n - left, r_edges))
     _emit(_graph_text(g, args.format), args.out)
     return EXIT_OK
 

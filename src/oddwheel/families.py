@@ -291,31 +291,18 @@ class CandidateSpec:
         return self.n // 2 + self.s
 
 
-def bipartite_candidate(
-    n: int, left: int, inner: Graph, r_edge: bool
-) -> Graph:
-    """K_{left,n-left} with `inner` embedded in L (vertices 0..left-1)
-    and, when r_edge, one edge joining the first two R vertices.  Every
-    candidate with a family member embedded is built here."""
-    right = n - left
-    if left <= 0 or right <= 0:
+def bipartite_candidate(h_left: Graph, h_right: Graph) -> Graph:
+    """K_{|L|,|R|} with `h_left` on L (vertices 0..|L|-1) and `h_right` on
+    R (the rest), each keeping its labels: the join of the two sides, whose
+    orders are the side sizes.  Every candidate is built here."""
+    left, right = h_left.order, h_right.order
+    if not left or not right:
         raise ValueError("both sides must be non-empty")
-    if inner.order != left:
-        raise GraphError(
-            f"inner graph has order {inner.order}, expected |L| = {left}"
-        )
-    if r_edge and right < 2:
-        raise ValueError("R edge needs at least two right vertices")
     l_mask = (1 << left) - 1
     r_mask = ((1 << right) - 1) << left
-    rows = [0] * n
-    for v in range(left):
-        rows[v] = r_mask | inner.rows[v]
-    for v in range(left, n):
-        rows[v] = l_mask
-    if r_edge:
-        rows[left] |= 1 << (left + 1)
-        rows[left + 1] |= 1 << left
+    rows = [r_mask | r for r in h_left.rows]
+    # An R vertex without R neighbours reuses the one L mask: no new int.
+    rows += [l_mask | r << left if r else l_mask for r in h_right.rows]
     return Graph(tuple(rows))
 
 
@@ -323,9 +310,15 @@ def spex_candidate(spec: CandidateSpec) -> Graph:
     if spec.n % 2:
         raise ValueError(
             "spex_candidate uses |L| = n/2 + s; build odd orders through "
-            "bipartite_candidate with an explicit left size"
+            "bipartite_candidate"
         )
-    return bipartite_candidate(spec.n, spec.left_size(), spec.inner, spec.r_edge)
+    left = spec.left_size()
+    if spec.inner.order != left:
+        raise GraphError(
+            f"inner graph has order {spec.inner.order}, expected |L| = {left}"
+        )
+    r_edges = [(0, 1)] if spec.r_edge else []
+    return bipartite_candidate(spec.inner, build_graph(spec.n - left, r_edges))
 
 
 def matching_embedded_candidate(n: int, left: int | None = None) -> Graph:
@@ -337,19 +330,19 @@ def matching_embedded_candidate(n: int, left: int | None = None) -> Graph:
         if n < 4:
             raise ValueError("candidate needs at least 4 vertices")
         left = auto_left_sizes(n, 2)[0]
-    right = n - left
-    edges = [(i, j) for i in range(left) for j in range(left, n)]
-    edges += [(2 * i, 2 * i + 1) for i in range(left // 2)]
-    edges += [(left + 2 * i, left + 2 * i + 1) for i in range(right // 2)]
-    return build_graph(n, edges)
+    h_left, h_right = (
+        build_graph(m, [(2 * i, 2 * i + 1) for i in range(m // 2)])
+        for m in (left, n - left)
+    )
+    return bipartite_candidate(h_left, h_right)
 
 
 def auto_left_sizes(n: int, k: int) -> list[int]:
     """Candidate side sizes |L| for the extremal graphs, by residue of n.
 
-    For even k >= 4 and n = 2 mod 4 two sizes compete (n/2 carrying a
-    nearly regular embedding, n/2+1 a regular one); every other case pins
-    a single size.
+    Entry 0 is the predicted side.  Entry 1, present only for even k >= 4
+    and n = 2 mod 4, is its competitor: there n/2 carries a nearly
+    regular embedding and n/2+1 a regular one.
     """
     if k < 2:
         raise ValueError("k >= 2 required")
@@ -357,9 +350,7 @@ def auto_left_sizes(n: int, k: int) -> list[int]:
         return [n // 2 + 1] if n % 4 == 2 else [(n + 1) // 2]
     if k % 2 == 1:
         return [(n + 1) // 2]
-    if n % 4 == 0:
-        return [n // 2]
-    if n % 4 == 1:
+    if n % 4 in (0, 1):
         return [n // 2]
     if n % 4 == 2:
         return [n // 2, n // 2 + 1]

@@ -34,6 +34,7 @@ from oddwheel.graphs import (
     EquitablePartition,
     Graph,
     _component_mask,
+    build_graph,
     certify_equitable,
     components,
     equitable_partition,
@@ -460,7 +461,9 @@ def claim1_comparison(
     if n % 4 != 2 or n < 4 * k:
         raise ValueError("n must be 2 mod 4 and >= 4k")
     balanced, unbalanced = (
-        bipartite_candidate(n, left, standard_member(U_KIND, k, left), True)
+        bipartite_candidate(
+            standard_member(U_KIND, k, left), build_graph(n - left, [(0, 1)])
+        )
         for left in (n // 2, n // 2 + 1)
     )
     m1 = quotient(balanced).quotient

@@ -284,8 +284,9 @@ def verify_spex_structure(
         else:
             for left in sweep:
                 pool = enumerate_family(FamilySpec(U_KIND, k, left), budget)
+                r_side = build_graph(n - left, [(0, 1)])
                 for idx, inner in enumerate(pool):
-                    g = bipartite_candidate(n, left, inner, True)
+                    g = bipartite_candidate(inner, r_side)
                     candidates.append((f"L={left} member{idx}", left, g))
     except BudgetExceededError as exc:
         return VerificationReport("spex-structure", params, BUDGET, {}, str(exc))
@@ -324,13 +325,8 @@ def verify_spex_structure(
         if max_radius - r["radius"] <= 100 * max(max_resid, r["residual"])
     ]
     predicted = [
-        r["candidate"] for r in rows if r["left"] in predicted_lefts
+        r["candidate"] for r in rows if r["left"] == predicted_lefts[0]
     ]
-    if k >= 4 and k % 2 == 0 and n % 4 == 2:
-        # the balanced nearly regular embedding is the predicted winner
-        predicted = [
-            r["candidate"] for r in rows if r["left"] == n // 2
-        ]
 
     evidence: dict = {
         "candidates": rows,
@@ -351,7 +347,7 @@ def verify_spex_structure(
         vradii = []
         qmats = set()
         for inner in vfam:
-            g = bipartite_candidate(n, n // 2, inner, True)
+            g = bipartite_candidate(inner, build_graph(n - n // 2, [(0, 1)]))
             qmats.add(quotient(g).quotient)
             vradii.append(spectral_radius(g, tol).radius)
         # The candidates are connected, so each radius is the Perron root
@@ -521,7 +517,9 @@ def verify_fact1(k: int, n: int, tol: float = 1e-10) -> VerificationReport:
         # at this odd order; at k = 2 there is none, so no candidate.
         left = n // 2
     try:
-        g = bipartite_candidate(n, left, standard_member(U_KIND, k, left), True)
+        g = bipartite_candidate(
+            standard_member(U_KIND, k, left), build_graph(n - left, [(0, 1)])
+        )
     except ValueError as exc:
         raise ValueError(
             f"fact-1 has no candidate at k={k}, n={n}: {exc}"

@@ -9,12 +9,13 @@ from oddwheel.cli import main
 from oddwheel.families import (
     V_KIND,
     bipartite_candidate,
+    matching_embedded_candidate,
     odd_wheel,
     primitive,
     standard_member,
 )
 from oddwheel.formats import decode_graph6, encode_graph6
-from oddwheel.graphs import disjoint_union
+from oddwheel.graphs import build_graph, disjoint_union
 from oddwheel.spectral import SpectralError
 from oddwheel.verify import (
     CLAIMS,
@@ -85,8 +86,41 @@ def test_construct_candidate_defaults_to_the_standard_member(capsys):
     assert code == 0
     inner = standard_member(V_KIND, 4, 501)
     assert decode_graph6(out.strip()) == bipartite_candidate(
-        1002, 501, inner, True
+        inner, build_graph(501, [(0, 1)])
     )
+
+
+@pytest.mark.parametrize("n", [20, 21, 22, 23])
+def test_construct_candidate_k2_is_the_matching_candidate(capsys, n):
+    code, out, _ = run_cli(
+        capsys, "construct", "candidate", "--n", str(n), "--k", "2"
+    )
+    assert code == 0
+    assert decode_graph6(out.strip()) == matching_embedded_candidate(n)
+
+
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (("--member", "0"), "--member"),
+        (("--family", "U"), "--family"),
+        (("--no-r-edge",), "--no-r-edge"),
+    ],
+)
+def test_construct_candidate_k2_rejects_member_flags(capsys, extra, flag):
+    # the k = 2 candidate embeds no family member and no R edge
+    code, out, err = run_cli(
+        capsys, "construct", "candidate", "--n", "20", "--k", "2", *extra
+    )
+    assert code == 2 and out == ""
+    assert flag in err
+
+
+def test_construct_matching_candidate_is_gone(capsys):
+    code, out, _ = run_cli(
+        capsys, "construct", "matching-candidate", "--n", "20"
+    )
+    assert code == 2 and out == ""
 
 
 def test_check_cycle_and_path(tmp_path, capsys):

@@ -100,9 +100,9 @@ def test_odd_wheel_against_oracle_random():
 def test_odd_wheel_candidates_free():
     v22 = spex_candidate(CandidateSpec(22, 4, 0, standard_member("V", 4, 11), True))
     assert not contains_odd_wheel(v22, 4)
-    from oddwheel.families import bipartite_candidate
-
-    u20 = bipartite_candidate(20, 10, standard_member("U", 3, 10), True)
+    u20 = bipartite_candidate(
+        standard_member("U", 3, 10), build_graph(10, [(0, 1)])
+    )
     assert not contains_odd_wheel(u20, 3)
 
 
@@ -285,10 +285,12 @@ def test_odd_wheel_against_reference_scan_random():
 @pytest.mark.parametrize(
     "k, g",
     [
-        (3, bipartite_candidate(20, 10, standard_member(U_KIND, 3, 10), True)),
+        (3, bipartite_candidate(
+            standard_member(U_KIND, 3, 10), build_graph(10, [(0, 1)]))),
         (4, spex_candidate(
             CandidateSpec(22, 4, 0, standard_member(V_KIND, 4, 11), True))),
-        (5, bipartite_candidate(22, 11, standard_member(U_KIND, 5, 11), True)),
+        (5, bipartite_candidate(
+            standard_member(U_KIND, 5, 11), build_graph(11, [(0, 1)]))),
     ],
     ids=["k3-n20", "k4-n22", "k5-n22"],
 )

@@ -23,7 +23,9 @@ from oddwheel.families import (
     standard_member,
 )
 from oddwheel.graphs import (
+    Graph,
     GraphError,
+    build_graph,
     classify_degrees,
     complement,
     components,
@@ -288,12 +290,77 @@ def test_v_member_validation(k, order, message):
 
 def test_bipartite_candidate_validation():
     inner = standard_member("U", 3, 10)
-    g = bipartite_candidate(20, 10, inner, True)
+    g = bipartite_candidate(inner, build_graph(10, [(0, 1)]))
     assert g.order == 20 and g.edge_count == 100 + inner.edge_count + 1
+    for h_left, h_right in ((inner, Graph(())), (Graph(()), inner)):
+        with pytest.raises(ValueError, match="both sides must be non-empty"):
+            bipartite_candidate(h_left, h_right)
     with pytest.raises(GraphError):
-        bipartite_candidate(21, 11, inner, True)  # inner order mismatch
-    with pytest.raises(ValueError):
-        bipartite_candidate(11, 10, inner, True)  # one right vertex
+        bipartite_candidate(inner, build_graph(1, [(0, 1)]))  # one R vertex
+
+
+@pytest.mark.parametrize("left", [0, 10])
+def test_matching_candidate_rejects_an_empty_side(left):
+    with pytest.raises(ValueError, match="both sides must be non-empty"):
+        matching_embedded_candidate(10, left)
+
+
+def _four_argument_candidate(n, left, inner, r_edge):
+    # The builder as it stood before it took the two sides as graphs.
+    right = n - left
+    if left <= 0 or right <= 0:
+        raise ValueError("both sides must be non-empty")
+    if inner.order != left:
+        raise GraphError(
+            f"inner graph has order {inner.order}, expected |L| = {left}"
+        )
+    if r_edge and right < 2:
+        raise ValueError("R edge needs at least two right vertices")
+    l_mask = (1 << left) - 1
+    r_mask = ((1 << right) - 1) << left
+    rows = [0] * n
+    for v in range(left):
+        rows[v] = r_mask | inner.rows[v]
+    for v in range(left, n):
+        rows[v] = l_mask
+    if r_edge:
+        rows[left] |= 1 << (left + 1)
+        rows[left + 1] |= 1 << left
+    return Graph(tuple(rows))
+
+
+def _edge_list_matching_candidate(n, left):
+    # The k = 2 candidate as it was built from an edge list.
+    right = n - left
+    edges = [(i, j) for i in range(left) for j in range(left, n)]
+    edges += [(2 * i, 2 * i + 1) for i in range(left // 2)]
+    edges += [(left + 2 * i, left + 2 * i + 1) for i in range(right // 2)]
+    return build_graph(n, edges)
+
+
+def test_two_sided_builder_matches_the_old_builders():
+    # The matching candidate on every side size for n = 4..119, and the
+    # standard U members at k = 3..8 on every side the spex-structure
+    # sweep visits, with and without the R edge.
+    for n in range(4, 120):
+        for left in range(1, n):
+            assert matching_embedded_candidate(n, left).rows == (
+                _edge_list_matching_candidate(n, left).rows
+            )
+    for k in range(3, 9):
+        for n in range(4, 120):
+            for left in {n // 2 - 1, n // 2, n - n // 2, n // 2 + 1}:
+                try:
+                    inner = standard_member(U_KIND, k, left)
+                except ValueError:
+                    continue  # no standard member on this side
+                for r_edge in (False, True):
+                    if r_edge and n - left < 2:
+                        continue  # an R edge needs two R vertices
+                    r_side = build_graph(n - left, [(0, 1)] if r_edge else [])
+                    assert bipartite_candidate(inner, r_side).rows == (
+                        _four_argument_candidate(n, left, inner, r_edge).rows
+                    )
 
 
 # sha256 of the graph6 lines (each ending in a newline) of the graphs in

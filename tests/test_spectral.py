@@ -180,7 +180,9 @@ def test_quotient_six_classes_of_balanced_candidate(k, n):
 
 @pytest.mark.parametrize("k, n", [(4, 22), (6, 30)])
 def test_quotient_three_classes_of_unbalanced_candidate(k, n):
-    g = bipartite_candidate(n, n // 2 + 1, standard_member("U", k, n // 2 + 1), True)
+    g = bipartite_candidate(
+        standard_member("U", k, n // 2 + 1), build_graph(n // 2 - 1, [(0, 1)])
+    )
     qs = quotient(g)
     h = n // 2
     assert [list(row) for row in qs.quotient] == [
@@ -261,7 +263,9 @@ def test_bracket_rejects_a_width_that_is_not_positive(width):
 def test_matrix_radius_agrees_with_exact_root():
     # same comparison route the sign test uses, at one desk-scale point
     n, k = 102, 4
-    g = bipartite_candidate(n, n // 2 + 1, standard_member("U", k, n // 2 + 1), True)
+    g = bipartite_candidate(
+        standard_member("U", k, n // 2 + 1), build_graph(n // 2 - 1, [(0, 1)])
+    )
     m = quotient(g).quotient
     res = matrix_radius(m, tol=1e-11)
     cp = char_poly(m)
@@ -294,8 +298,9 @@ def test_claim1_graphs_are_the_two_candidates(k, n):
     assert res.graph1 == spex_candidate(
         CandidateSpec(n, k, 0, standard_member(V_KIND, k, n // 2), True)
     )
+    unbalanced_left = standard_member(U_KIND, k, n // 2 + 1)
     assert res.graph2 == bipartite_candidate(
-        n, n // 2 + 1, standard_member(U_KIND, k, n // 2 + 1), True
+        unbalanced_left, build_graph(n // 2 - 1, [(0, 1)])
     )
 
 

@@ -467,7 +467,9 @@ def test_fact1_at_order_1000(k, n, left):
     # the report's radius must be the candidate's, as a dense solver gives it.
     rep = verify_fact1(k, n)
     assert rep.outcome == "PASS" and rep.evidence["candidate_order"] == n
-    g = bipartite_candidate(n, left, standard_member(U_KIND, k, left), True)
+    g = bipartite_candidate(
+        standard_member(U_KIND, k, left), build_graph(n - left, [(0, 1)])
+    )
     a = np.zeros((n, n))
     for u, v in g.edges():
         a[u, v] = a[v, u] = 1.0
