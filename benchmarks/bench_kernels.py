@@ -10,9 +10,13 @@ layers of the claim-1 sweep and the GFAM pass on their own inputs:
 `equitable_partition` on the 192 claim-1 candidates (k = 4, n = 22, 26,
 ..., 402) and on the GFAM(5, 19) members, and `char_poly` and
 `bracket_largest_root` (width 1e-12, from the quotient's Perron root)
-over the 96 three-class claim-1 quotients, `ex_infinity_trace` over the
+over the 96 three-class claim-1 quotients, `certify_equitable` on the 192
+claim-1 candidates and their partitions, `ex_infinity_trace` over the
 GFAM(5, 19) members, and `all_graphs(7)` and
 `connected_with_degrees(10, 5, False)` from empty enumeration caches.
+The wheel-scan table times `contains_odd_wheel` (k = 4, best of three)
+on the unbalanced k = 4 candidate (|L| = n/2 + 1, the U standard member
+on L, one R edge) at n = 1,002 and 3,002, and at 10,002 without --quick.
 The cycle-decision table gives, in us per call, the backtracking
 kernel on the whole graph, the detector's
 decision (`detect._decide`: the kernel up to `detect.KERNEL_ORDER`
@@ -50,6 +54,7 @@ from oddwheel.graphs import (  # noqa: E402
     Graph,
     automorphism_generators,
     build_graph,
+    certify_equitable,
     equitable_partition,
 )
 from oddwheel.spectral import (  # noqa: E402
@@ -149,6 +154,7 @@ def layer_rows():
         for n in range(22, 403, 4)
         for left in (n // 2, n // 2 + 1)
     ]
+    certified = [(g, equitable_partition(g)) for g in candidates]
     members = enumerate_family(FamilySpec(G_KIND, 5, 19))
     matrices = [quotient(g).quotient for g in candidates[1::2]]
     polys = [(char_poly(m), matrix_radius(m).radius) for m in matrices]
@@ -171,6 +177,8 @@ def layer_rows():
          timeit(each(equitable_partition, [(g,) for g in candidates]))),
         ("equitable_partition, GFAM(5, 19) members", len(members),
          timeit(each(equitable_partition, [(g,) for g in members]))),
+        ("certify_equitable, claim-1 candidates", len(certified),
+         timeit(each(certify_equitable, certified))),
         ("char_poly, claim-1 3-class quotients", len(matrices),
          timeit(each(char_poly, [(m,) for m in matrices]))),
         ("bracket_largest_root, claim-1 f2", len(polys),
@@ -182,6 +190,25 @@ def layer_rows():
         ("connected_with_degrees(10, 5), cold", 1,
          timeit(cold(lambda: connected_with_degrees(10, 5, False)))),
     ]
+
+
+def unbalanced_candidate(n):
+    """The unbalanced k = 4 candidate of order n: the U standard member on
+    L, |L| = n/2 + 1, and one R edge."""
+    left = n // 2 + 1
+    return bipartite_candidate(
+        standard_member(U_KIND, 4, left), build_graph(n - left, [(0, 1)])
+    )
+
+
+def wheel_rows(orders):
+    """(n, seconds) of `contains_odd_wheel(g, 4)` on the unbalanced k = 4
+    candidate of each order, best of three; the graph is built first."""
+    rows = []
+    for n in orders:
+        g = unbalanced_candidate(n)
+        rows.append((n, timeit(lambda: detect.contains_odd_wheel(g, 4))))
+    return rows
 
 
 def hub_neighbourhoods(graphs, k):
@@ -272,6 +299,12 @@ def main():
     print(f"{'layer':42} {'inputs':>7} {'total (s)':>10}")
     for name, count, seconds in layer_rows():
         print(f"{name:42} {count:7d} {seconds:10.4f}")
+
+    print()
+    print(f"{'wheel scan, unbalanced k = 4':28} {'time (s)':>10}")
+    for n, seconds in wheel_rows((1002, 3002) if args.quick
+                                 else (1002, 3002, 10002)):
+        print(f"{'n = ' + format(n, ','):28} {seconds:10.4f}")
 
     print()
     print(f"{'cycle decision (us per call)':28} {'inputs':>7} "

@@ -107,6 +107,25 @@ def _claim_flags(claims) -> dict[str, str]:
     }
 
 
+def _reject_unread(args, flags: dict[str, str], reads, what: str) -> None:
+    """Reject each flag of `flags` (flag by destination, each defaulting
+    to None) that is given although `what` does not read it."""
+    unread = [
+        flag for dest, flag in flags.items()
+        if dest not in reads and getattr(args, dest, None) is not None
+    ]
+    if unread:
+        raise ValueError(f"{what} does not take {', '.join(unread)}")
+
+
+def _set_kind_flags(p: argparse.ArgumentParser, actions) -> None:
+    # The flags that only some kinds of the command read, by destination;
+    # each defaults to None, so a flag given shows.
+    p.set_defaults(
+        kind_flags={a.dest: a.option_strings[0] for a in actions}
+    )
+
+
 def _add_claim_flags(p: argparse.ArgumentParser, claims) -> None:
     # Each defaults to None, so an omitted flag takes the claim's default.
     for name, flag in _claim_flags(claims).items():
@@ -129,26 +148,35 @@ def build_parser() -> argparse.ArgumentParser:
             "candidate",
         ],
     )
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--s", type=int,
-                   help="side imbalance; omitted = residue-appropriate size")
-    p.add_argument("--family", choices=[U_KIND, V_KIND])
-    p.add_argument("--member", type=int,
-                   help="index into the family enumeration for the "
-                        "embedding; omitted = the standard member")
-    p.add_argument("--no-r-edge", action="store_true")
-    p.add_argument("--budget", type=int)
+    _set_kind_flags(p, [
+        p.add_argument("--k", type=int),
+        p.add_argument("--m", type=int),
+        p.add_argument("--n", type=int),
+        p.add_argument(
+            "--s", type=int,
+            help="side imbalance; omitted = residue-appropriate size",
+        ),
+        p.add_argument("--family", choices=[U_KIND, V_KIND]),
+        p.add_argument(
+            "--member", type=int,
+            help="index into the family enumeration for the embedding; "
+                 "omitted = the standard member",
+        ),
+        p.add_argument("--no-r-edge", action="store_true", default=None),
+        p.add_argument("--budget", type=int),
+    ])
     p.add_argument("--format", choices=GRAPH_FORMATS, default="graph6")
 
     p = subs.add_parser("check", help="odd-wheel / cycle / path / star queries")
     p.set_defaults(run=_cmd_check)
     p.add_argument("kind", choices=["odd-wheel", "cycle", "path", "star"])
     p.add_argument("graph")
-    p.add_argument("--k", type=int)
-    p.add_argument("--len", type=int, dest="length")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    _set_kind_flags(p, [
+        p.add_argument("--k", type=int),
+        p.add_argument("--len", type=int, dest="length"),
+        p.add_argument("--budget", type=int,
+                       help=f"node expansions; omitted = {DEFAULT_BUDGET}"),
+    ])
 
     p = subs.add_parser("spectral", help="radius and Perron vector, JSON")
     p.set_defaults(run=_cmd_spectral)
@@ -197,26 +225,33 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_construct(args) -> int:
     what = args.what
     if what in ("odd-wheel", "core"):
+        _reject_unread(args, args.kind_flags, ("k",), what)
         if args.k is None:
             raise ValueError(f"--k required for {what}")
         g = (odd_wheel if what == "odd-wheel" else core_component)(args.k)
     elif what in ("complete", "cycle", "matching", "empty"):
+        _reject_unread(args, args.kind_flags, ("m",), what)
         if args.m is None:
             raise ValueError("--m required for primitives")
         g = primitive(what, args.m)
-    elif args.n is None or args.k is None:
-        raise ValueError("--n and --k required for candidate")
     elif args.k == 2:  # a maximum matching on each side, nothing more
-        unread = [flag for flag, given in (
-            ("--family", args.family is not None),
-            ("--member", args.member is not None),
-            ("--no-r-edge", args.no_r_edge)) if given]
-        if unread:
-            raise ValueError("the k=2 candidate does not take "
-                             + ", ".join(unread))
+        _reject_unread(
+            args, args.kind_flags, ("n", "k", "s"), "the k=2 candidate"
+        )
+        if args.n is None:
+            raise ValueError("--n and --k required for candidate")
         left = None if args.s is None else args.n // 2 + args.s
         g = matching_embedded_candidate(args.n, left)
     else:  # candidate: a family member on L
+        reads = ("n", "k", "s", "family", "member", "no_r_edge")
+        # the budget bounds the family enumeration that --member indexes
+        _reject_unread(
+            args, args.kind_flags,
+            reads if args.member is None else reads + ("budget",),
+            "candidate" if args.member is None else "candidate --member",
+        )
+        if args.n is None or args.k is None:
+            raise ValueError("--n and --k required for candidate")
         n, k = args.n, args.k
         family = args.family or ("V" if k % 2 == 0 and n % 4 == 2 else "U")
         if args.s is not None:
@@ -241,21 +276,28 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    _reject_unread(args, args.kind_flags, {
+        "odd-wheel": ("k", "budget"),
+        "cycle": ("length", "budget"),
+        "path": ("budget",),
+        "star": ("k",),
+    }[args.kind], args.kind)
     g = _read_graph(args.graph)
     if args.kind in ("odd-wheel", "star") and args.k is None:
         raise ValueError("--k required")
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
     if args.kind == "odd-wheel":
-        found = contains_odd_wheel(g, args.k, args.budget)
+        found = contains_odd_wheel(g, args.k, budget)
         _emit(f"odd-wheel k={args.k}: {'present' if found else 'absent'}\n",
               args.out)
     elif args.kind == "cycle":
         if args.length is None:
             raise ValueError("--len required")
-        found = contains_cycle_of_length(g, args.length, args.budget)
+        found = contains_cycle_of_length(g, args.length, budget)
         _emit(f"cycle len={args.length}: "
               f"{'present' if found else 'absent'}\n", args.out)
     elif args.kind == "path":
-        order = longest_path_order(g, args.budget)
+        order = longest_path_order(g, budget)
         _emit(f"longest path order: {order}\n", args.out)
     else:
         _emit(f"star-free k={args.k}: {is_star_free(g, args.k)}\n", args.out)
@@ -316,12 +358,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify(args) -> int:
     claim = CLAIMS[args.claim]
     flags = _claim_flags(CLAIMS.values())
-    unread = [
-        flag for name, flag in flags.items()
-        if name not in claim.params and getattr(args, name, None) is not None
-    ]
-    if unread:
-        raise ValueError(f"{args.claim} does not take {', '.join(unread)}")
+    _reject_unread(args, flags, claim.params, args.claim)
     missing = [
         flags[name] for name, default in claim.params.items()
         if default is REQUIRED and getattr(args, name) is None

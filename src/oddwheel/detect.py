@@ -12,9 +12,22 @@ class preserves the existence of every such subgraph.  On the near
 complete-bipartite candidate graphs this shrinks the search space from
 hundreds of vertices to a handful.
 
-The odd-wheel scan reduces each hub's neighbourhood on the hub's
-neighbour mask, before any subgraph is built, and builds only the kept
-vertices' subgraph, through `Graph.subgraph`.  Reduced graphs are
+The odd-wheel scan applies this twice.  A wheel W_{2k+1} is a subgraph on
+2k + 1 vertices, so the whole graph first keeps the lowest 2k + 1
+members of each twin class (`twin_classes`): the kept graph holds a wheel
+iff the graph does.  A class no larger is kept whole, and a graph with
+more than n - 2k - 1 classes has no larger class, so then nothing is
+cut.  Then one hub per class is scanned, its lowest member.  Swapping two
+kept twins is an automorphism of the graph that maps the kept set to
+itself, so it is one of the kept graph too, and it maps the wheels
+centred at one twin onto those centred at the other.  On the candidates,
+K_{L,R} with sparse graphs in the parts, R is one class cut to 2k + 1
+vertices, so each L hub's neighbourhood has O(k) vertices however large
+n is, and each K_k filler in L is one class with one hub.
+
+Each hub's neighbourhood is then reduced on the hub's neighbour mask in
+the kept graph, before any subgraph is built, and only the kept
+vertices' subgraph is built, through `Graph.subgraph`.  Reduced graphs are
 labelled by decreasing degree: the cycle search anchors each cycle at its
 lowest label and then drops that anchor, so a vertex joined to everything
 is searched first and then removed instead of widening every later
@@ -53,7 +66,7 @@ from __future__ import annotations
 from math import comb
 
 from oddwheel import kernels
-from oddwheel.graphs import Graph, _pieces, bits_of
+from oddwheel.graphs import Graph, _pieces, bits_of, twin_classes
 from oddwheel.kernels import BudgetExceededError, _Budget
 
 DEFAULT_BUDGET = 10_000_000
@@ -309,34 +322,47 @@ def contains_odd_wheel(
     """True iff g contains W_{2k+1}, i.e. some vertex whose neighborhood
     induces a cycle on 2k vertices.
 
-    Hubs are taken in decreasing degree order; hubs of degree below 2k
-    cannot work.  Each hub's neighbourhood is twin-reduced on its
-    neighbour mask and labelled by degree, and each distinct reduced
-    neighbourhood is decided once per call: the decision is
-    deterministic, so a repeat has the same answer.  The reduction
-    depends only on the rows, the neighbour mask and the cap, so a hub
-    whose neighbour mask was already reduced is skipped.  The budget
-    covers the whole call: all searches draw on one count of `budget`
-    node expansions.  An overrun is only an error when no hub certifies
-    containment; once the budget is spent, neighbourhoods that still
-    need a search overrun at once, but the others are still decided.
+    The scan runs on g with each twin class cut to its lowest 2k + 1
+    members, and takes one hub per class (module docstring).  Hubs are
+    taken in decreasing degree order; hubs of degree below 2k cannot
+    work.  Each hub's neighbourhood is twin-reduced on its neighbour mask
+    and labelled by degree, and each distinct reduced neighbourhood is
+    decided once per call: the decision is deterministic, so a repeat
+    has the same answer.  The budget covers the whole call: all searches
+    draw on one count of `budget` node expansions.  An overrun is only an
+    error when no hub certifies containment; once the budget is spent,
+    neighbourhoods that still need a search overrun at once, but the
+    others are still decided.
     """
     if k < 2:
         raise ValueError("odd wheels need k >= 2")
     left = _Budget(budget)
     length = 2 * k
-    hubs = sorted(range(g.order), key=g.degree, reverse=True)
+    rows = g.rows
+    if max(map(int.bit_count, rows), default=0) < length:
+        return False  # no hub: nothing to scan, no classes needed
+    masks = twin_classes(rows).masks
+    kept = -1  # every vertex
+    # A class above 2k + 1 members leaves at most n - 2k - 1 classes.
+    if len(masks) + length < g.order:
+        for cls in masks:
+            if cls.bit_count() > length + 1:
+                top = cls
+                for _ in range(length + 1):
+                    top &= top - 1
+                kept ^= top
+    # Each class's lowest vertex; stable, so ties keep label order.
+    hubs = sorted(
+        [rows[(cls & -cls).bit_length() - 1] & kept for cls in masks],
+        key=int.bit_count,
+        reverse=True,
+    )
     exhausted = False
-    reduced: set[int] = set()
     decided: set[tuple[int, ...]] = set()
-    for v in hubs:
-        if g.degree(v) < length:
+    for mask in hubs:
+        if mask.bit_count() < length:
             break
-        mask = g.rows[v]
-        if mask in reduced:
-            continue
-        reduced.add(mask)
-        nbhd = _reduced(g.rows, mask, length)
+        nbhd = _reduced(rows, mask, length)
         if nbhd.rows in decided:
             continue
         decided.add(nbhd.rows)

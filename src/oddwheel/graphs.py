@@ -257,11 +257,64 @@ def components(g: Graph) -> list[Component]:
     Each piece is returned relabeled 0..k-1 together with the tuple of
     original labels (position i holds the original label of new vertex i).
     """
+    pieces = list(_pieces(g.rows))
+    if len(pieces) == 1:  # connected: the graph is its own piece, as labelled
+        return [Component(g, tuple(range(g.order)))]
     out: list[Component] = []
-    for comp in _pieces(g.rows):
+    for comp in pieces:
         labels = tuple(bits_of(comp))
         out.append(Component(g.subgraph(labels), labels))
     return out
+
+
+class TwinClasses(NamedTuple):
+    """Twin classes of a graph: open twins have equal rows, closed twins
+    equal rows plus self.  Classes are numbered by their lowest vertex."""
+
+    class_of: list[int]  # class index of each vertex
+    masks: list[int]  # vertex mask of each class
+
+
+def twin_classes(rows) -> TwinClasses:
+    """The twin classes of the graph with adjacency `rows`, in one pass.
+
+    In a simple graph the twin relation is an equivalence.  A vertex v
+    with an open twin u and a closed twin w would have w in rows[v] =
+    rows[u], so u in rows[w], which is inside rows[v] plus v: u would be
+    in its own row.  So each class is an independent set or a clique, and
+    any permutation of a class is an automorphism.
+
+    Open keys (rows) and closed keys (rows plus self) have a dict each,
+    so a row never meets a closed key.  Rows need not be simple (`Graph`
+    takes a loop or an asymmetric bit): a vertex joins a class through a
+    row equal to the first member's, or through an equal row plus self
+    with both loop-free.  Either way, in every vertex set that holds both
+    of them or neither, it has the first member's neighbour count, which
+    is what colour refinement and `certify_equitable` rely on.
+    """
+    opens: dict[int, int] = {}
+    closeds: dict[int, int] = {}
+    class_of: list[int] = []
+    masks: list[int] = []
+    low = 1  # 1 << v
+    for r in rows:
+        i = opens.get(r)
+        if i is None:
+            if r & low:  # a loop: equal rows only
+                i = opens[r] = len(masks)
+                masks.append(low)
+            else:
+                i = closeds.get(r | low)
+                if i is None:
+                    i = opens[r] = closeds[r | low] = len(masks)
+                    masks.append(low)
+                else:
+                    masks[i] |= low
+        else:
+            masks[i] |= low
+        class_of.append(i)
+        low <<= 1
+    return TwinClasses(class_of, masks)
 
 
 def is_connected(g: Graph) -> bool:
@@ -312,28 +365,42 @@ def equitable_partition(g: Graph) -> EquitablePartition:
     order.  Callers certify the result with `certify_equitable` before
     they rely on it.
 
-    There is one refinement loop, `_refine`; here every cell starts fresh,
-    and the search nodes of `automorphism_generators` enter it with only
-    the vertex they split off fresh.  The quotient rows are read once at
-    the end, from the lowest vertex of each cell.
+    The rounds count per twin class (`twin_classes`), from its lowest
+    vertex's row.  Twins lie in one cell from the start, and while they
+    do they have the same count in every cell, so they never part: the
+    cells, their order and the quotient are the ones the rounds give
+    vertex by vertex.  There is one refinement loop, `_refine`; here
+    every cell starts fresh, and the search nodes of
+    `automorphism_generators` enter it with only the vertex they split
+    off fresh.  The quotient rows are read once at the end, from the
+    lowest vertex of each cell.
     """
     if g.order == 0:
         return EquitablePartition((), (), ())
     rows = g.rows
+    class_of, masks = twin_classes(rows)
     cells = [(1 << g.order) - 1]
-    cells, cell_of = _refine(rows, cells, [0] * g.order, cells)
+    cells, cell_of = _refine(
+        [rows[(m & -m).bit_length() - 1] for m in masks], masks, cells,
+        [0] * len(masks), cells,
+    )
     reps = [rows[(c & -c).bit_length() - 1] for c in cells]
     return EquitablePartition(
         tuple(cells),
-        tuple(cell_of),
+        tuple([cell_of[i] for i in class_of]),
         tuple([tuple([(r & c).bit_count() for c in cells]) for r in reps]),
     )
 
 
-def _refine(rows, cells, cell_of, fresh):
+def _refine(rows, units, cells, cell_of, fresh):
     """Refine the partition (cells, cell_of) until it is equitable, with
     `fresh` the cells it may not yet be equitable against; return the new
     (cells, cell_of) lists.
+
+    The items refined are sets of vertices that share every count: twin
+    classes, or single vertices.  `units` holds each item's vertex mask,
+    `rows` one member's row and `cell_of` its cell index; the cells are
+    vertex masks.
 
     A round counts only against the fresh cells, which are then the cells
     the round made.  By induction, every current cell has one count
@@ -343,18 +410,18 @@ def _refine(rows, cells, cell_of, fresh):
     is one of those, so its column is constant within each current cell:
     it can split no cell, and among the signatures of one parent cell it
     compares equal, so leaving it out changes neither the split nor the
-    order.  A discrete partition ends the refinement at once, as no cell
-    of one vertex can split.
+    order.  A partition with one item per cell ends the refinement at
+    once, as no such cell can split.
     """
     n = len(rows)
-    base = n + 1  # above every neighbour count
     while True:
-        # Signature of v: its cell, then its neighbour count in each fresh
-        # cell, as the digits of one integer in base n + 1 (the cell, any
-        # integer, leading), so signatures order as the tuples of their
-        # digits do.
+        # Signature of an item: its cell, then its neighbour count in each
+        # fresh cell c, as the digits of one integer, the count in c in
+        # base |c| + 1 and the cell, any integer, leading; so signatures
+        # order as the tuples of their digits do.
         sigs = cell_of
         for c in fresh:
+            base = c.bit_count() + 1
             sigs = [s * base + (r & c).bit_count() for s, r in zip(sigs, rows)]
         keys = sorted(set(sigs))
         if len(keys) == len(cells):
@@ -363,8 +430,8 @@ def _refine(rows, cells, cell_of, fresh):
         cell_of = [index[s] for s in sigs]
         old = set(cells)
         cells = [0] * len(keys)
-        for v, i in enumerate(cell_of):
-            cells[i] |= 1 << v
+        for unit, i in zip(units, cell_of):
+            cells[i] |= unit
         if len(cells) == n:
             return cells, cell_of
         fresh = [c for c in cells if c not in old]
@@ -393,10 +460,11 @@ def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
     )
 
 
-def _individualize(rows, node, v: int):
+def _individualize(rows, units, node, v: int):
     """The search node below `node`, a (cells, cell_of) pair of an
     equitable partition, with v split off its cell as a cell just ahead of
-    the rest of it, refined from there.
+    the rest of it, refined from there; `units` holds 1 << u for each
+    vertex u.
 
     Only {v} is fresh.  Every other cell's count is constant on each cell
     already, and the count against the rest of v's cell is its whole
@@ -409,7 +477,7 @@ def _individualize(rows, node, v: int):
     cells = [*cells[:i], 1 << v, cells[i] ^ (1 << v), *cells[i + 1:]]
     cell_of = [j + (j >= i) for j in cell_of]
     cell_of[v] = i
-    return _refine(rows, cells, cell_of, [1 << v])
+    return _refine(rows, units, cells, cell_of, [1 << v])
 
 
 def _target_cell(cells) -> int:
@@ -437,7 +505,7 @@ def set_orbit(s: int, gens: Sequence[Sequence[int]]) -> set[int]:
 
 
 def _leaf_below(
-    g: Graph, node, w: int, first_leaf
+    g: Graph, units, node, w: int, first_leaf
 ) -> tuple[int, ...] | None:
     """Depth-first search of the subtree below `node` with w split off,
     for a leaf that read position by position against the first leaf
@@ -445,7 +513,7 @@ def _leaf_below(
     stack = [(node, w)]
     while stack:
         above, x = stack.pop()
-        part = _individualize(g.rows, above, x)
+        part = _individualize(g.rows, units, above, x)
         cells = part[0]
         below = _target_cell(cells)
         if below:
@@ -484,11 +552,12 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     recursion, no closures.
     """
     rows = g.rows
+    units = [1 << v for v in range(g.order)]
     part = equitable_partition(g)
     node = part.cells, part.cell_of
     path = [node]
     while cell := _target_cell(node[0]):
-        node = _individualize(rows, node, _lowest(cell))
+        node = _individualize(rows, units, node, _lowest(cell))
         path.append(node)
     first_leaf = node[1]
     gens: list[tuple[int, ...]] = []
@@ -499,7 +568,7 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
         for w in bits_of(cell & ~orbit):
             if (orbit >> w) & 1:
                 continue
-            perm = _leaf_below(g, node, w, first_leaf)
+            perm = _leaf_below(g, units, node, w, first_leaf)
             if perm is not None:
                 gens.append(perm)
                 orbit = sum(set_orbit(1 << v, gens))
@@ -510,7 +579,16 @@ def certify_equitable(g: Graph, part: EquitablePartition) -> None:
     """Check exactly that `part` partitions the vertices of g, with
     cell_of and the cell masks in agreement and no cell empty, and that
     every vertex has its cell's row of neighbour counts; raise GraphError
-    otherwise."""
+    otherwise.
+
+    The counts are taken once per twin class and cell (`twin_classes`):
+    a twin in the cell of its class's lowest vertex has that vertex's
+    counts, which holds for open twins (equal rows) and for loop-free
+    closed twins alike, and that vertex's row of the quotient.  A class
+    split across cells has every member counted.  A failure names the
+    lowest vertex that fails, as a vertex-by-vertex count would: every
+    twin skipped fails with its class's lowest vertex.
+    """
     cells, cell_of, q = part
     c = len(cells)
     if len(cell_of) != g.order or len(q) != c or any(len(r) != c for r in q):
@@ -522,13 +600,21 @@ def certify_equitable(g: Graph, part: EquitablePartition) -> None:
         masks[i] |= 1 << v
     if masks != list(cells) or not all(masks):
         raise GraphError("cell masks disagree with cell_of or a cell is empty")
+    counted = 0
+    for cls in twin_classes(g.rows).masks:
+        low = cls & -cls
+        whole = not cls & ~cells[cell_of[low.bit_length() - 1]]
+        counted |= low if whole else cls
+    verts = list(bits_of(counted))
+    rows = [g.rows[v] for v in verts]
+    wants = [q[cell_of[v]] for v in verts]
     for j, mask in enumerate(cells):
-        want = [row[j] for row in q]
-        got = [(r & mask).bit_count() for r in g.rows]
-        if got != [want[i] for i in cell_of]:
-            v = next(v for v, i in enumerate(cell_of) if got[v] != want[i])
+        got = [(r & mask).bit_count() for r in rows]
+        want = [w[j] for w in wants]
+        if got != want:
+            i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
             raise GraphError(
-                f"partition is not equitable: vertex {v} has {got[v]} "
-                f"neighbours in cell {j}, its cell's row says "
-                f"{want[cell_of[v]]}"
+                f"partition is not equitable: vertex {verts[i]} has "
+                f"{got[i]} neighbours in cell {j}, its cell's row says "
+                f"{want[i]}"
             )

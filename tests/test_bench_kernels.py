@@ -36,3 +36,9 @@ def test_per_call_helpers_run(bench):
     for call in (bench.kernel_call, bench.decision_call, bench.rule_call):
         assert [call(*item) for item in items] == [1, 1]
         assert bench.us_per_call(call, items, 1) > 0
+
+
+def test_wheel_rows_run(bench):
+    rows = bench.wheel_rows([22, 26])
+    assert [n for n, _ in rows] == [22, 26]
+    assert all(seconds > 0 for _, seconds in rows)

@@ -414,6 +414,22 @@ def test_verify_fact1_without_a_candidate_is_usage_error(capsys):
         (("brute-spex", "--n", "5", "--k", "2", "--budget", "5"), "--budget"),
         (("verify", "fact-1", "--delta", "3"), "--delta"),
         (("verify", "claim-1-thm-1.4", "--n", "22"), "--n"),
+        (("construct", "core", "--k", "4", "--n", "9", "--family", "U"),
+         "core does not take --n, --family"),
+        (("construct", "cycle", "--m", "5", "--k", "3"),
+         "cycle does not take --k"),
+        (("construct", "candidate", "--n", "22", "--k", "4", "--budget", "5"),
+         "candidate does not take --budget"),
+        (("construct", "candidate", "--n", "22", "--k", "2", "--budget", "5"),
+         "the k=2 candidate does not take --budget"),
+        (("check", "odd-wheel", "G", "--k", "4", "--len", "5"),
+         "odd-wheel does not take --len"),
+        (("check", "cycle", "G", "--len", "5", "--k", "2"),
+         "cycle does not take --k"),
+        (("check", "path", "G", "--k", "2", "--len", "5"),
+         "path does not take --k, --len"),
+        (("check", "star", "G", "--k", "2", "--budget", "5"),
+         "star does not take --budget"),
     ],
 )
 def test_flag_the_command_does_not_read_is_usage_error(
@@ -425,6 +441,26 @@ def test_flag_the_command_does_not_read_is_usage_error(
     argv = [str(path) if a == "G" else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and flag in err
+
+
+def test_construct_candidate_member_reads_the_budget(fresh_caches, capsys):
+    # the budget bounds the family enumeration that --member indexes
+    code, out, err = run_cli(
+        capsys, "construct", "candidate", "--n", "22", "--k", "4",
+        "--member", "0", "--budget", "0",
+    )
+    assert code == 3 and out == "" and "budget exhausted" in err
+
+
+def test_check_budget_defaults_to_the_detector_budget(tmp_path, capsys):
+    path = tmp_path / "w5.g6"
+    path.write_text(encode_graph6(odd_wheel(2)) + "\n")
+    code, out, _ = run_cli(capsys, "check", "odd-wheel", str(path), "--k", "2")
+    assert code == 0 and "present" in out
+    code, out, err = run_cli(
+        capsys, "check", "odd-wheel", str(path), "--k", "2", "--budget", "0"
+    )
+    assert code == 3 and "budget exhausted" in err
 
 
 def test_claim_flags_come_from_the_claim_table(monkeypatch, capsys):

@@ -376,16 +376,34 @@ def test_odd_wheel_searches_each_neighbourhood_once(monkeypatch):
     assert big and all(is_prime_piece(rows) for rows in big)
 
 
-def test_odd_wheel_reduces_each_neighbour_mask_once(monkeypatch):
-    # The reduction is a function of (rows, mask, cap), so hubs with one
-    # neighbour mask (twins) are reduced once, and the answer stays.
-    n, k = 202, 4
-    g = relabelled(
-        spex_candidate(
-            CandidateSpec(n, k, 0, standard_member(V_KIND, k, n // 2), True)
-        ),
-        7,
-    )
+def brute_twin_classes(g):
+    """Twin classes by definition: u and v are twins iff their rows agree
+    off {u, v}; each class as a sorted list, by lowest member."""
+    classes = []
+    for v in range(g.order):
+        for cls in classes:
+            u = cls[0]
+            off = ~((1 << u) | (1 << v))
+            if g.rows[u] & off == g.rows[v] & off:
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
+def capped_hub_masks(g, k):
+    """The neighbour masks of one hub per twin class (its lowest member)
+    in g with each class cut to its lowest 2k + 1 members, for the hubs of
+    degree >= 2k there."""
+    classes = brute_twin_classes(g)
+    kept = sum(1 << v for cls in classes for v in cls[: 2 * k + 1])
+    masks = [g.rows[cls[0]] & kept for cls in classes]
+    return [m for m in masks if m.bit_count() >= 2 * k]
+
+
+def recorded_reductions(monkeypatch):
+    """The neighbour masks `_reduced` is called on, as they come."""
     masks = []
     reduce = detect._reduced
 
@@ -394,10 +412,28 @@ def test_odd_wheel_reduces_each_neighbour_mask_once(monkeypatch):
         return reduce(rows, alive, cap)
 
     monkeypatch.setattr(detect, "_reduced", recording)
+    return masks
+
+
+def test_odd_wheel_reduces_each_neighbour_mask_once(monkeypatch):
+    # One hub per twin class of the capped graph (each class cut to its
+    # lowest 2k + 1 members), each hub's mask reduced once, and the answer
+    # stays.  The 103 distinct neighbour masks of this input fall into 29
+    # hub classes: the 99 R vertices off the R edge are one class, and
+    # each K_4 filler of L is one.
+    n, k = 202, 4
+    g = relabelled(
+        spex_candidate(
+            CandidateSpec(n, k, 0, standard_member(V_KIND, k, n // 2), True)
+        ),
+        7,
+    )
+    masks = recorded_reductions(monkeypatch)
     assert not contains_odd_wheel(g, k)
-    distinct = {g.rows[v] for v in range(n) if g.degree(v) >= 2 * k}
-    assert len(masks) == len(set(masks)) == len(distinct)
-    assert len(distinct) < sum(1 for v in range(n) if g.degree(v) >= 2 * k)
+    hubs = capped_hub_masks(g, k)
+    assert len(masks) == len(set(masks)) == len(hubs) == 29
+    assert set(masks) == set(hubs)
+    assert len({g.rows[v] for v in range(n)}) == 103
     # two twin hubs over a path on 2k vertices: one reduction, no wheel;
     # closing the path into a cycle makes both hubs wheel hubs
     path = [(v, v + 1) for v in range(2, 2 * k + 1)]
@@ -407,6 +443,80 @@ def test_odd_wheel_reduces_each_neighbour_mask_once(monkeypatch):
     assert not contains_odd_wheel(twins, k)
     assert masks == [twins.rows[0]] and twins.rows[0] == twins.rows[1]
     assert contains_odd_wheel(twins.add_edges([(2, 2 * k + 1)]), k)
+
+
+def unbalanced_k4_candidate(n):
+    left = n // 2 + 1
+    return bipartite_candidate(
+        standard_member(U_KIND, 4, left), build_graph(n - left, [(0, 1)])
+    )
+
+
+def test_odd_wheel_scan_work_per_hub_is_flat_in_n(monkeypatch):
+    # On the unbalanced k = 4 candidate the R class is cut to 9 members,
+    # so each L hub's reduction sees its 3 filler neighbours and 11 R
+    # vertices at every n, and the distinct neighbourhoods decided are the
+    # same four.  Only the number of hub classes (one per K_4 filler)
+    # grows with n.
+    decided = []
+    decide = detect._decide
+
+    def recording_decide(nbhd, length, budget):
+        decided.append(nbhd.order)
+        return decide(nbhd, length, budget)
+
+    masks = recorded_reductions(monkeypatch)
+    monkeypatch.setattr(detect, "_decide", recording_decide)
+    l_hubs = []
+    for n in (1002, 10002):
+        g = unbalanced_k4_candidate(n)
+        masks.clear()
+        decided.clear()
+        assert not contains_odd_wheel(g, 4)
+        left = n // 2 + 1
+        # the two R hub classes see all of L, and the R edge's ends each
+        # other too; every L hub reduces to one of two 13-vertex graphs
+        assert decided == [left + 1, left, 13, 13]
+        small = [m for m in masks if m.bit_count() < left]
+        assert len(masks) == len(set(masks)) == len(small) + 2
+        assert {m.bit_count() for m in small} == {14}
+        l_hubs.append(len(small))
+    assert l_hubs[1] > 9 * l_hubs[0]
+
+
+def blow_up(rng, k):
+    """A seeded G(m, 1/2), m = 4..8, with one vertex replaced by 2k + 2 to
+    2k + 5 open or closed twins, relabelled at random."""
+    m = rng.randint(4, 8)
+    base = [
+        (u, v) for u in range(m) for v in range(u + 1, m)
+        if rng.random() < 0.5
+    ]
+    x = rng.randrange(m)
+    size = rng.randint(2 * k + 2, 2 * k + 5)
+    copies = [x] + list(range(m, m + size - 1))
+    edges = set(base)
+    for u, v in base:
+        for end, other in ((u, v), (v, u)):
+            if end == x:
+                edges.update((min(c, other), max(c, other)) for c in copies)
+    if rng.random() < 0.5:
+        edges.update(itertools.combinations(copies, 2))
+    return relabelled(build_graph(m + size - 1, sorted(edges)), rng.random())
+
+
+def test_odd_wheel_against_reference_scan_on_twin_blow_ups():
+    # A class above 2k + 1 members, which the whole-graph cap cuts.
+    rng = random.Random(28)
+    seen = {(k, answer): 0 for k in (2, 3) for answer in (False, True)}
+    for _ in range(80):
+        for k in (2, 3):
+            g = blow_up(rng, k)
+            assert max(map(len, brute_twin_classes(g))) > 2 * k + 1
+            want = reference_contains_odd_wheel(g, k)
+            assert contains_odd_wheel(g, k) == want
+            seen[k, want] += 1
+    assert all(seen.values()), seen
 
 
 def old_twin_kept(rows, cap):

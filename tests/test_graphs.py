@@ -19,6 +19,7 @@ from oddwheel.graphs import (
     is_connected,
     join,
     permute_mask,
+    twin_classes,
 )
 from oddwheel.families import primitive
 
@@ -378,6 +379,77 @@ def test_certify_equitable_rejects():
     for part in bad:
         with pytest.raises(GraphError):
             certify_equitable(g, part)
+
+
+def brute_twin_classes(g):
+    """u and v are twins iff their rows agree off {u, v}; the classes as
+    vertex masks, by lowest member."""
+    masks = []
+    for v in range(g.order):
+        for i, m in enumerate(masks):
+            u = (m & -m).bit_length() - 1
+            off = ~((1 << u) | (1 << v))
+            if g.rows[u] & off == g.rows[v] & off:
+                masks[i] |= 1 << v
+                break
+        else:
+            masks.append(1 << v)
+    return masks
+
+
+def test_twin_classes_are_the_twin_classes():
+    rng = random.Random(28)
+    graphs = [g for n in range(8) for g in all_graphs(n)]
+    graphs += [primitive("complete", 20), build_graph(20, []),
+               complete_bipartite(3, 17), star(16)]
+    graphs += [
+        relabel(g, rng.sample(range(g.order), g.order))
+        for g in graphs[-4:] for _ in range(3)
+    ]
+    for g in graphs:
+        classes = twin_classes(g.rows)
+        assert classes.masks == brute_twin_classes(g)
+        assert classes.class_of == [
+            next(i for i, m in enumerate(classes.masks) if (m >> v) & 1)
+            for v in range(g.order)
+        ]
+        for m in classes.masks:
+            # a clique or an independent set; swapping two members is an
+            # automorphism
+            u = (m & -m).bit_length() - 1
+            inside = {(g.rows[v] & m).bit_count() for v in bits(m)}
+            assert inside in ({0}, {m.bit_count() - 1})
+            for v in bits(m & (m - 1)):
+                perm = list(range(g.order))
+                perm[u], perm[v] = v, u
+                assert is_automorphism(g, perm)
+
+
+def bits(mask):
+    return [v for v in range(mask.bit_length()) if (mask >> v) & 1]
+
+
+def test_twin_classes_of_rows_that_are_not_simple():
+    # `Graph` takes any rows.  Open twins need equal rows; closed twins
+    # need both loop-free, so a looped vertex and its neighbour with the
+    # same closed row, or a row equal to another's closed row through an
+    # asymmetric bit, stay apart.
+    looped = (0b111, 0b101, 0b011)  # K_3 with a loop at 0
+    assert twin_classes(looped).masks == [0b001, 0b110]
+    # 1 sees 0 and 0 sees 2, but neither back: row 1 is row 0 plus 0
+    asymmetric = (0b100, 0b101, 0b010)
+    assert twin_classes(asymmetric).masks == [0b001, 0b010, 0b100]
+    # loop-free closed twins through asymmetric bits elsewhere still join
+    assert twin_classes((0b100, 0b101, 0b011)).masks == [0b001, 0b110]
+    two_loops = (0b011, 0b011, 0b000)  # equal rows: open twins
+    assert twin_classes(two_loops).masks == [0b011, 0b100]
+
+
+def test_components_of_a_connected_graph_is_the_graph():
+    g = PETERSEN
+    (piece,) = components(g)
+    assert piece.graph is g and piece.labels == tuple(range(10))
+    assert components(build_graph(0, [])) == []
 
 
 def test_is_automorphism():

@@ -1,6 +1,7 @@
 """Colour refinement, the automorphism search and root bracketing against
 the straightforward versions they replaced: refinement that counts every
-vertex against every cell in every round, the search that refined every
+vertex against every cell in every round, refinement and certification
+vertex by vertex instead of per twin class, the search that refined every
 node afresh from an individualized colouring, and bisection on `Fraction`
 midpoints through `CharPoly.evaluate`.  The faster code must return the
 same values bit for bit: partitions, search nodes, automorphism
@@ -18,8 +19,10 @@ from oddwheel.enumerate import all_graphs, connected_with_degrees
 from oddwheel.graphs import (
     EquitablePartition,
     Graph,
+    GraphError,
     automorphism_generators,
     bits_of,
+    certify_equitable,
     equitable_partition,
     is_automorphism,
     permute_mask,
@@ -64,6 +67,66 @@ def oracle_equitable_partition(g, colours=None):
     return EquitablePartition(
         tuple(cells), tuple(cell_of), tuple(key[1:] for key in keys)
     )
+
+
+def per_vertex_equitable_partition(g):
+    """`equitable_partition` as it was before its rounds counted per twin
+    class: each round counts every vertex against each fresh cell."""
+    if g.order == 0:
+        return EquitablePartition((), (), ())
+    rows = g.rows
+    n = len(rows)
+    base = n + 1
+    cells = fresh = [(1 << n) - 1]
+    cell_of = [0] * n
+    while True:
+        sigs = cell_of
+        for c in fresh:
+            sigs = [s * base + (r & c).bit_count() for s, r in zip(sigs, rows)]
+        keys = sorted(set(sigs))
+        if len(keys) == len(cells):
+            break
+        index = {key: i for i, key in enumerate(keys)}
+        cell_of = [index[s] for s in sigs]
+        old = set(cells)
+        cells = [0] * len(keys)
+        for v, i in enumerate(cell_of):
+            cells[i] |= 1 << v
+        if len(cells) == n:
+            break
+        fresh = [c for c in cells if c not in old]
+    reps = [rows[(c & -c).bit_length() - 1] for c in cells]
+    return EquitablePartition(
+        tuple(cells),
+        tuple(cell_of),
+        tuple(tuple((r & c).bit_count() for c in cells) for r in reps),
+    )
+
+
+def per_vertex_certify(g, part):
+    """`certify_equitable` as it was before it counted per twin class:
+    every vertex against every cell."""
+    cells, cell_of, q = part
+    c = len(cells)
+    if len(cell_of) != g.order or len(q) != c or any(len(r) != c for r in q):
+        raise GraphError("partition shape does not match the graph")
+    masks = [0] * c
+    for v, i in enumerate(cell_of):
+        if not 0 <= i < c:
+            raise GraphError(f"vertex {v} has no cell")
+        masks[i] |= 1 << v
+    if masks != list(cells) or not all(masks):
+        raise GraphError("cell masks disagree with cell_of or a cell is empty")
+    for j, mask in enumerate(cells):
+        want = [row[j] for row in q]
+        got = [(r & mask).bit_count() for r in g.rows]
+        if got != [want[i] for i in cell_of]:
+            v = next(v for v, i in enumerate(cell_of) if got[v] != want[i])
+            raise GraphError(
+                f"partition is not equitable: vertex {v} has {got[v]} "
+                f"neighbours in cell {j}, its cell's row says "
+                f"{want[cell_of[v]]}"
+            )
 
 
 def oracle_colouring(part, v):
@@ -259,6 +322,7 @@ def test_individualized_nodes_match_colour_refinement():
     # than one vertex split off: refined from the parent, the cells and
     # cell_of equal refinement from the individualized colouring.
     for g in ir_graphs():
+        units = [1 << u for u in range(g.order)]
         part = equitable_partition(g)
         node = part.cells, part.cell_of
         while True:
@@ -269,13 +333,13 @@ def test_individualized_nodes_match_colour_refinement():
                     want = oracle_equitable_partition(
                         g, oracle_colouring(part, v)
                     )
-                    got = graphs_mod._individualize(g.rows, node, v)
+                    got = graphs_mod._individualize(g.rows, units, node, v)
                     assert got == (list(want.cells), list(want.cell_of))
             cell = graphs_mod._target_cell(node[0])
             if not cell:
                 break
             v = graphs_mod._lowest(cell)
-            node = graphs_mod._individualize(g.rows, node, v)
+            node = graphs_mod._individualize(g.rows, units, node, v)
             part = oracle_equitable_partition(g, oracle_colouring(part, v))
 
 
@@ -347,3 +411,123 @@ def test_bracket_matches_oracle_property():
         assert bracket_largest_root(poly, approx, width) == want
 
     check()
+
+
+def threshold_graph(steps):
+    """Each step adds a vertex, isolated (0) or joined to all before (1)."""
+    rows = []
+    for v, joined in enumerate(steps):
+        if joined:
+            rows = [r | 1 << v for r in rows]
+            rows.append((1 << v) - 1)
+        else:
+            rows.append(0)
+    return Graph(tuple(rows))
+
+
+def not_simple(rng, graphs):
+    """Each graph with a loop at one vertex, and with one asymmetric bit;
+    `Graph` takes both."""
+    out = [
+        Graph((0b111, 0b101, 0b011)),  # a closed twin pair, one looped
+        Graph((0b100, 0b101, 0b010)),  # row 1 is row 0 plus vertex 0
+    ]
+    for g in graphs:
+        if g.order < 2:
+            continue
+        rows = list(g.rows)
+        v = rng.randrange(g.order)
+        rows[v] |= 1 << v
+        out.append(Graph(tuple(rows)))
+        rows = list(g.rows)
+        u, v = rng.sample(range(g.order), 2)
+        rows[u] ^= 1 << v
+        out.append(Graph(tuple(rows)))
+    return out
+
+
+def test_equitable_partition_matches_per_vertex_refinement(claim1_results):
+    rng = random.Random(28)
+    small = [g for n in range(8) for g in all_graphs(n)]
+    candidates = [
+        g for res in claim1_results for g in (res.graph1, res.graph2)
+    ]
+    assert len(small) == 1253 and len(candidates) == 192
+    named = [
+        Graph(tuple(((1 << 20) - 1) ^ (1 << u) for u in range(20))),  # K_20
+        Graph((0,) * 20),
+        Graph(tuple(  # K_{3,17}
+            ((1 << 20) - 8) if u < 3 else 0b111 for u in range(20)
+        )),
+        threshold_graph([rng.random() < 0.5 for _ in range(30)]),
+    ]
+    for g in small + candidates + named + not_simple(rng, small[200:600]):
+        assert equitable_partition(g) == per_vertex_equitable_partition(g)
+
+
+def verdict(certify, g, part):
+    try:
+        certify(g, part)
+    except GraphError as exc:
+        return str(exc)
+    return None
+
+
+def partition_of(g, cells):
+    """The partition with these cells, its quotient read off each cell's
+    lowest vertex: equitable or not, as the cells make it."""
+    cell_of = [0] * g.order
+    for i, c in enumerate(cells):
+        for v in bits_of(c):
+            cell_of[v] = i
+    reps = [g.rows[(c & -c).bit_length() - 1] for c in cells]
+    return EquitablePartition(
+        tuple(cells), tuple(cell_of),
+        tuple(tuple((r & c).bit_count() for c in cells) for r in reps),
+    )
+
+
+def corrupted(rng, g, part):
+    """Seeded corruptions of an equitable partition: a vertex moved to
+    another cell (the quotient kept, or read off the new cells), a wrong
+    quotient entry, and a twin class split across two cells."""
+    out = []
+    cells = list(part.cells)
+    v = rng.randrange(g.order)
+    home = part.cell_of[v]
+    to = rng.randrange(len(cells) + 1)
+    moved = [c & ~(1 << v) for c in cells] + [0]
+    moved[to if to != home else len(cells)] |= 1 << v
+    moved = [c for c in moved if c]
+    out.append(partition_of(g, moved))
+    if len(moved) == len(cells):
+        out.append(partition_of(g, moved)._replace(quotient=part.quotient))
+    q = [list(row) for row in part.quotient]
+    i, j = rng.randrange(len(q)), rng.randrange(len(q))
+    q[i][j] += rng.choice((-1, 1))
+    out.append(part._replace(quotient=tuple(map(tuple, q))))
+    twins = [m for m in graphs_mod.twin_classes(g.rows).masks if m & (m - 1)]
+    if twins:
+        m = rng.choice(twins)
+        members = list(bits_of(m))
+        split = sum(1 << u for u in rng.sample(
+            members, rng.randint(1, len(members) - 1)))
+        out.append(partition_of(g, [c & ~split for c in cells] + [split]))
+    return out
+
+
+def test_certify_equitable_matches_per_vertex_certifier(claim1_results):
+    rng = random.Random(2028)
+    graphs = [g for n in range(1, 7) for g in all_graphs(n)]
+    graphs += [g for res in claim1_results for g in (res.graph1, res.graph2)]
+    seen = {"accepted": 0, "rejected": 0, "split accepted": 0}
+    for g in graphs:
+        part = equitable_partition(g)
+        assert verdict(certify_equitable, g, part) is None
+        for bad in corrupted(rng, g, part):
+            want = verdict(per_vertex_certify, g, bad)
+            assert verdict(certify_equitable, g, bad) == want
+            seen["accepted" if want is None else "rejected"] += 1
+            if want is None and len(bad.cells) > len(part.cells):
+                seen["split accepted"] += 1
+    assert all(seen.values()), seen
