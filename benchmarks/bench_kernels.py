@@ -17,6 +17,12 @@ GFAM(5, 19) members, and `all_graphs(7)` and
 The wheel-scan table times `contains_odd_wheel` (k = 4, best of three)
 on the unbalanced k = 4 candidate (|L| = n/2 + 1, the U standard member
 on L, one R edge) at n = 1,002 and 3,002, and at 10,002 without --quick.
+The codec table gives, in us per call, `encode_graph6` over the
+GFAM(5, 19) members, `union_code` over their sort keys (the canonical
+codes of each member's pieces), `code_to_rows` over the codes of
+`all_graphs(7)` and `decode_graph6` on the seed-0 input of the
+`candidates` workload (an order-202 graph6 line, written by
+`perfbench/workloads.py`), each the best of three passes.
 The cycle-decision table gives, in us per call, the backtracking
 kernel on the whole graph, the detector's
 decision (`detect._decide`: the kernel up to `detect.KERNEL_ORDER`
@@ -34,14 +40,21 @@ import argparse
 import pathlib
 import random
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.append(str(ROOT / "perfbench"))
 
 from oddwheel import detect, kernels  # noqa: E402
 from oddwheel import enumerate as enum_mod  # noqa: E402
-from oddwheel.enumerate import all_graphs, connected_with_degrees  # noqa: E402
+from oddwheel.enumerate import (  # noqa: E402
+    all_graphs,
+    connected_with_degrees,
+    union_code,
+)
 from oddwheel.families import (  # noqa: E402
     G_KIND,
     U_KIND,
@@ -50,11 +63,13 @@ from oddwheel.families import (  # noqa: E402
     enumerate_family,
     standard_member,
 )
+from oddwheel.formats import decode_graph6, encode_graph6  # noqa: E402
 from oddwheel.graphs import (  # noqa: E402
     Graph,
     automorphism_generators,
     build_graph,
     certify_equitable,
+    components,
     equitable_partition,
 )
 from oddwheel.spectral import (  # noqa: E402
@@ -64,6 +79,7 @@ from oddwheel.spectral import (  # noqa: E402
     quotient,
 )
 from oddwheel.walks import ex_infinity_trace  # noqa: E402
+from workloads import write_inputs  # noqa: E402
 
 
 def random_rows(rng, n, p):
@@ -250,6 +266,37 @@ def us_per_call(fn, items, reps):
     )
 
 
+def candidate_line(seed):
+    """The graph6 line of the `candidates` workload's input at `seed`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_inputs("candidates", seed, pathlib.Path(tmp))
+        return pathlib.Path(path).read_text(encoding="ascii").strip()
+
+
+def codec_rows(members, codes, line):
+    """(name, inputs, us per call) of the codec table: `encode_graph6`
+    and `union_code` over `members` (the GFAM(5, 19) members), the latter
+    on each member's canonical piece codes (its sort key in
+    `enumerate_family`), `code_to_rows` over `codes` (those of
+    `all_graphs(7)`) and `decode_graph6` on `line` (the order-202
+    `candidates` input); best of three passes, with the inputs built
+    first."""
+    keys = [
+        [kernels.canon_code(c.graph.rows) for c in components(g)]
+        for g in members
+    ]
+    return [
+        ("encode_graph6, GFAM(5, 19)", len(members),
+         us_per_call(encode_graph6, [(g,) for g in members], 3)),
+        ("union_code, GFAM(5, 19) keys", len(keys),
+         us_per_call(union_code, [(key,) for key in keys], 3)),
+        ("code_to_rows, all_graphs(7)", len(codes),
+         us_per_call(kernels.code_to_rows, [(c,) for c in codes], 3)),
+        ("decode_graph6, order-202 input", 1,
+         us_per_call(decode_graph6, [(line,)] * 10, 3)),
+    ]
+
+
 def kernel_call(g, length):
     return kernels.has_cycle_of_length(g.rows, length)
 
@@ -305,6 +352,13 @@ def main():
     for n, seconds in wheel_rows((1002, 3002) if args.quick
                                  else (1002, 3002, 10002)):
         print(f"{'n = ' + format(n, ','):28} {seconds:10.4f}")
+
+    print()
+    print(f"{'codec (us per call)':32} {'inputs':>7} {'us':>10}")
+    members = enumerate_family(FamilySpec(G_KIND, 5, 19))
+    codes = [kernels.pack_code(g.rows) for g in all_graphs(7)]
+    for name, count, us in codec_rows(members, codes, candidate_line(0)):
+        print(f"{name:32} {count:7d} {us:10.1f}")
 
     print()
     print(f"{'cycle decision (us per call)':28} {'inputs':>7} "

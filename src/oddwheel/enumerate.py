@@ -148,18 +148,23 @@ def graph_code(g: Graph) -> bytes:
 def union_code(piece_codes: list[bytes]) -> bytes:
     """`graph_code` of a disjoint union, from the canonical codes of its
     connected pieces: the pieces in sorted code order, each labelled after
-    the ones before it.  Column offset + j of the union's triangle bits
-    is offset zeros, then column j of the piece at that offset."""
-    cols: list[str] = []
-    offset = 0
-    for piece in sorted(piece_codes):
-        m, bits = kernels.code_bits(piece)
-        cols.extend(
-            "0" * offset + bits[j * (j - 1) // 2 : j * (j + 1) // 2]
-            for j in range(m)
-        )
-        offset += m
-    return kernels.frame_code(offset, int("".join(cols) or "0", 2))
+    the ones before it.  Column offset + j of the union's triangle value
+    is offset zeros, then column j of the piece at that offset, so it is
+    the piece's column, as an int, shifted into place."""
+    pieces = sorted(piece_codes)
+    order = sum([piece[0] for piece in pieces])
+    shift = order * (order - 1) // 2  # union bits after column c
+    value = c = 0
+    for piece in pieces:
+        m = piece[0]
+        bits = int.from_bytes(piece[1:], "big")
+        rest = m * (m - 1) // 2  # piece bits after column j
+        for j in range(m):
+            shift -= c
+            rest -= j
+            value |= ((bits >> rest) & ((1 << j) - 1)) << shift
+            c += 1
+    return kernels.frame_code(order, value)
 
 
 def _vertex_key(rows: list[int], v: int, degs: list[int]) -> tuple:

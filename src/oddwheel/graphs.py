@@ -119,24 +119,41 @@ def bits_of(mask: int):
         mask ^= low
 
 
-def triangle_bits(rows: Sequence[int]) -> str:
-    """The upper triangle of the adjacency matrix as a '0'/'1' string,
-    column by column: bits (0,1), (0,2), (1,2), (0,3), ...  Column j holds
-    the adjacencies of vertex j to vertices 0..j-1, lowest first.
-
-    This one string is the body of a graph6 line (`formats`) and of a
-    code (`kernels`); the two differ only in header and padding."""
-    n = len(rows)
-    return "".join(
-        [format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)]
-    )
+# Byte b with its eight bits in reverse order.
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def rows_from_triangle(n: int, bits: str) -> tuple[int, ...]:
-    """The adjacency rows of the order-n graph whose `triangle_bits` are
-    the first n(n-1)/2 characters of `bits`."""
+def _reverse_bits(value: int, width: int) -> int:
+    """The low `width` bits of `value` in reverse order: bit p goes to bit
+    width - 1 - p.  `value` must fit in the whole bytes that hold `width`
+    bits; its bits at width or above are dropped."""
+    size = (width + 7) // 8
+    flipped = value.to_bytes(size, "little").translate(_REVERSED)
+    return int.from_bytes(flipped, "big") >> (8 * size - width)
+
+
+def triangle_value(rows: Sequence[int]) -> int:
+    """The upper triangle of the adjacency matrix as one int of
+    n(n-1)/2 bits, column by column: bits (0,1), (0,2), (1,2), (0,3), ...
+    from the most significant down.  Column j holds the adjacencies of
+    vertex j to vertices 0..j-1, lowest first.
+
+    This one number is the body of a graph6 line (`formats`), of a code
+    (`kernels`) and of a union code (`enumerate.union_code`); they differ
+    only in header and padding."""
+    low_first = 0  # bit p is triangle bit p, counted from the first
+    offset = 0
+    for j in range(1, len(rows)):
+        low_first |= (rows[j] & ((1 << j) - 1)) << offset
+        offset += j
+    return _reverse_bits(low_first, offset)
+
+
+def rows_from_triangle(n: int, value: int) -> tuple[int, ...]:
+    """The adjacency rows of the order-n graph whose `triangle_value` is
+    `value`, which has at most n(n-1)/2 bits."""
     rows = [0] * n
-    pending = int(bits[::-1] or "0", 2)  # bit p is character p
+    pending = _reverse_bits(value, n * (n - 1) // 2)  # first bit lowest
     for j in range(1, n):
         rows[j] = low = pending & ((1 << j) - 1)
         pending >>= j
@@ -375,10 +392,15 @@ def equitable_partition(g: Graph) -> EquitablePartition:
     off fresh.  The quotient rows are read once at the end, from the
     lowest vertex of each cell.
     """
+    return _equitable_partition(g, twin_classes(g.rows))
+
+
+def _equitable_partition(g: Graph, twins: TwinClasses) -> EquitablePartition:
+    """`equitable_partition`, with g's `twin_classes` given."""
     if g.order == 0:
         return EquitablePartition((), (), ())
     rows = g.rows
-    class_of, masks = twin_classes(rows)
+    class_of, masks = twins
     cells = [(1 << g.order) - 1]
     cells, cell_of = _refine(
         [rows[(m & -m).bit_length() - 1] for m in masks], masks, cells,
@@ -589,6 +611,13 @@ def certify_equitable(g: Graph, part: EquitablePartition) -> None:
     lowest vertex that fails, as a vertex-by-vertex count would: every
     twin skipped fails with its class's lowest vertex.
     """
+    _certify_equitable(g, part, twin_classes(g.rows))
+
+
+def _certify_equitable(
+    g: Graph, part: EquitablePartition, twins: TwinClasses
+) -> None:
+    """`certify_equitable`, with g's `twin_classes` given."""
     cells, cell_of, q = part
     c = len(cells)
     if len(cell_of) != g.order or len(q) != c or any(len(r) != c for r in q):
@@ -601,7 +630,7 @@ def certify_equitable(g: Graph, part: EquitablePartition) -> None:
     if masks != list(cells) or not all(masks):
         raise GraphError("cell masks disagree with cell_of or a cell is empty")
     counted = 0
-    for cls in twin_classes(g.rows).masks:
+    for cls in twins.masks:
         low = cls & -cls
         whole = not cls & ~cells[cell_of[low.bit_length() - 1]]
         counted |= low if whole else cls

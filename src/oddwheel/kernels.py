@@ -15,14 +15,15 @@ searches; its callers raise `BudgetExceededError` on the -1.
 
 Canonical form
 --------------
-The canonical code of a graph is the lexicographically minimal
-`graphs.triangle_bits` over all vertex orderings, framed by `frame_code`
-behind one order byte.  `pack_code(rows)` frames the bit string of the
-rows as they stand, without minimizing, and `code_to_rows(code)` reads
-the rows back: rows carry the order as their number, so only the code
-stores it.
+The canonical code of a graph is the least `graphs.triangle_value`
+over all vertex orderings, framed by `frame_code` behind one order byte.
+The value is an int of n(n-1)/2 bits, the triangle's first bit most
+significant, so the least value is the lexicographically least bit
+string.  `pack_code(rows)` frames the value of the rows as they stand,
+without minimizing, and `code_to_rows(code)` reads the rows back: rows
+carry the order as their number, so only the code stores it.
 
-The string is column by column, so it splits into per-position
+The value is column by column, so it splits into per-position
 contributions: placing a vertex w at position j fixes exactly column j,
 which is w's adjacencies to the vertices already placed, first-placed
 first.  So the minimum can be found level by level.
@@ -83,7 +84,7 @@ from math import inf
 from oddwheel.graphs import (
     bits_of,
     rows_from_triangle,
-    triangle_bits,
+    triangle_value,
     twin_classes,
 )
 
@@ -117,7 +118,7 @@ class _Budget:
 
 
 def canon_code(rows) -> bytes:
-    """The minimal triangle bit string over all orderings, framed."""
+    """The least triangle value over all orderings, framed."""
     n = len(rows)
     if n > 255:
         raise ValueError("canonical form limited to order <= 255")
@@ -201,30 +202,22 @@ def canon_code(rows) -> bytes:
 
 
 def frame_code(n: int, value: int) -> bytes:
-    """The order byte, then `value`, the triangle bit string read as a
-    binary number, big-endian and zero-padded at the front to whole
+    """The order byte, then `value`, the `graphs.triangle_value` of an
+    order-n graph, big-endian and zero-padded at the front to whole
     bytes."""
     if n > 255:
         raise ValueError("code format limited to order <= 255")
     return bytes([n]) + value.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
 
 
-def code_bits(code: bytes) -> tuple[int, str]:
-    """The order and the triangle bit string of a code (`frame_code`)."""
-    n = code[0]
-    total = n * (n - 1) // 2
-    # The leading 1 keeps the front zeros of the string; it is cut off.
-    return n, format(int.from_bytes(code[1:], "big") | 1 << total, "b")[1:]
-
-
 def pack_code(rows) -> bytes:
     """The code of a labelled graph as it stands, without minimizing."""
-    return frame_code(len(rows), int(triangle_bits(rows) or "0", 2))
+    return frame_code(len(rows), triangle_value(rows))
 
 
 def code_to_rows(code: bytes) -> tuple[int, ...]:
     """The adjacency rows of the graph a code labels."""
-    return rows_from_triangle(*code_bits(code))
+    return rows_from_triangle(code[0], int.from_bytes(code[1:], "big"))
 
 
 def has_cycle_of_length(rows, length: int, budget=None) -> int:

@@ -33,11 +33,12 @@ from oddwheel.families import (
 from oddwheel.graphs import (
     EquitablePartition,
     Graph,
+    _certify_equitable,
     _component_mask,
+    _equitable_partition,
     build_graph,
-    certify_equitable,
     components,
-    equitable_partition,
+    twin_classes,
 )
 
 
@@ -274,13 +275,15 @@ def matrix_radius(
 def quotient(g: Graph) -> EquitablePartition:
     """The coarsest equitable partition of g and its integer quotient
     matrix, derived by colour refinement (`equitable_partition`) and
-    certified exactly.  Entry (i, j) is the number of neighbours in cell
+    certified exactly (`certify_equitable`), both from one pass of
+    `twin_classes`.  Entry (i, j) is the number of neighbours in cell
     j of every vertex of cell i.  Cells are ordered by their lowest
     vertex, so a constructed candidate's matrix reads in construction
     order; for the balanced candidate that is the core's single vertex,
     its matching-complement block, its edge pair, the rest of L, the
     embedded R edge and the rest of R."""
-    cells, cell_of, q = equitable_partition(g)
+    twins = twin_classes(g.rows)
+    cells, cell_of, q = _equitable_partition(g, twins)
     # a cell's lowest set bit is its lowest vertex
     order = sorted(range(len(cells)), key=lambda i: cells[i] & -cells[i])
     rank = {old: new for new, old in enumerate(order)}
@@ -289,7 +292,7 @@ def quotient(g: Graph) -> EquitablePartition:
         tuple(rank[i] for i in cell_of),
         tuple(tuple(q[i][j] for j in order) for i in order),
     )
-    certify_equitable(g, part)
+    _certify_equitable(g, part, twins)
     return part
 
 

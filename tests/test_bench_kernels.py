@@ -42,3 +42,12 @@ def test_wheel_rows_run(bench):
     rows = bench.wheel_rows([22, 26])
     assert [n for n, _ in rows] == [22, 26]
     assert all(seconds > 0 for _, seconds in rows)
+
+
+def test_codec_rows_run(bench):
+    g = Graph(tuple(C4))
+    line = bench.candidate_line(0)
+    assert line.startswith("~") and len(line) == 4 + (202 * 201 // 2 + 5) // 6
+    rows = bench.codec_rows([g], [bench.kernels.pack_code(K3)], line)
+    assert [count for _, count, _ in rows] == [1, 1, 1, 1]
+    assert all(us > 0 for _, _, us in rows)

@@ -69,16 +69,43 @@ def test_graph6_header_accepted():
 
 
 def test_graph6_malformed():
-    with pytest.raises(FormatError):
-        decode_graph6("")
-    with pytest.raises(FormatError):
-        decode_graph6("D")  # order 5 needs bits
-    with pytest.raises(FormatError):
-        decode_graph6("A_X")  # excess chunk
-    with pytest.raises(FormatError):
-        decode_graph6("A" + chr(30))  # char below offset
-    with pytest.raises(FormatError):
-        decode_graph6("~~A_")  # unsupported huge-order form
+    for text, message in [
+        ("", "empty graph6 string"),
+        # order 5 needs bits
+        ("D", "graph6 body has 0 chunks, expected 2 for order 5"),
+        ("D?", "graph6 body has 1 chunks, expected 2 for order 5"),
+        # excess chunk
+        ("A_X", "graph6 body has 2 chunks, expected 1 for order 2"),
+        ("~??~" + "?" * 325,
+         "graph6 body has 325 chunks, expected 326 for order 63"),
+        # chr(30) is whitespace, stripped at the end of a line
+        ("A" + chr(30), "graph6 body has 0 chunks, expected 1 for order 2"),
+        # chars below and above the offset range
+        ("A" + chr(30) + "_", "invalid graph6 character '\\x1e'"),
+        ("A>", "invalid graph6 character '>'"),
+        ("A" + chr(127), "invalid graph6 character '\\x7f'"),
+        ("D?\u00e9", "invalid graph6 character '\u00e9'"),
+        # unsupported huge-order form
+        ("~~A_", "graph6 orders above 258047 not supported"),
+        ("~", "truncated graph6 order field"),
+        ("~??", "truncated graph6 order field"),
+    ]:
+        with pytest.raises(FormatError) as err:
+            decode_graph6(text)
+        assert str(err.value) == message, text
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 63, 65])
+def test_graph6_padding_bits_are_ignored(n):
+    # n(n-1)/2 is not a multiple of 6 at these orders, so the last
+    # character has padding bits; set, they change nothing.
+    pad = -(n * (n - 1) // 2) % 6
+    assert pad
+    g = build_graph(n, [(u, u + 1) for u in range(n - 1)])
+    text = encode_graph6(g)
+    assert (ord(text[-1]) - 63) & ((1 << pad) - 1) == 0
+    dirty = text[:-1] + chr(ord(text[-1]) | ((1 << pad) - 1))
+    assert decode_graph6(dirty) == g
 
 
 def test_edge_list_roundtrip():

@@ -27,13 +27,15 @@ from oddwheel.graphs import (  # noqa: E402
     components,
     disjoint_union,
     is_automorphism,
-    triangle_bits,
 )
 from oddwheel.kernels import code_to_rows, pack_code  # noqa: E402
 from oddwheel.spectral import (  # noqa: E402
     radius_upper_bounds,
     spectral_radius,
 )
+
+import string_codec as ref  # noqa: E402
+from string_codec import assert_codec_matches  # noqa: E402
 
 # Derandomized, so every run draws the same examples, and no example
 # database.
@@ -54,7 +56,7 @@ def graphs(draw, max_order, min_order=0):
     """A graph of order min_order..max_order at one of a spread of
     densities; the graph6 header boundary (orders 62, 63, 64) is drawn on
     purpose."""
-    boundary = [n for n in (62, 63, 64) if n <= max_order]
+    boundary = [n for n in (62, 63, 64) if min_order <= n <= max_order]
     orders = st.integers(min_order, max_order)
     if boundary:
         orders = st.one_of(orders, st.sampled_from(boundary))
@@ -84,8 +86,16 @@ def test_graph6_round_trip(g):
     g6 = "".join(format(ord(ch) - 63, "06b") for ch in text[header:])
     packed = "".join(format(b, "08b") for b in code[1:])
     pad = len(packed) - nbits
-    assert g6[:nbits] == packed[pad:] == triangle_bits(g.rows)
+    assert g6[:nbits] == packed[pad:] == ref.triangle_bits(g.rows)
     assert set(g6[nbits:] + packed[:pad]) <= {"0"}
+    assert_codec_matches(g)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 62, 63, 64])
+@FIXED
+@given(st.data())
+def test_codec_matches_reference_at_boundary_orders(order, data):
+    assert_codec_matches(data.draw(graphs(order, min_order=order)))
 
 
 @FIXED
