@@ -222,6 +222,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _left_side(n: int, s: int) -> int:
+    """|L| = n//2 + s, checked to leave both sides a vertex."""
+    left = n // 2 + s
+    if not 1 <= left <= n - 1:
+        raise ValueError(
+            f"--s {s} gives |L| = {left} at n={n}; |L| must be in 1..{n - 1}"
+        )
+    return left
+
+
 def _cmd_construct(args) -> int:
     what = args.what
     if what in ("odd-wheel", "core"):
@@ -240,7 +250,7 @@ def _cmd_construct(args) -> int:
         )
         if args.n is None:
             raise ValueError("--n and --k required for candidate")
-        left = None if args.s is None else args.n // 2 + args.s
+        left = None if args.s is None else _left_side(args.n, args.s)
         g = matching_embedded_candidate(args.n, left)
     else:  # candidate: a family member on L
         reads = ("n", "k", "s", "family", "member", "no_r_edge")
@@ -255,7 +265,7 @@ def _cmd_construct(args) -> int:
         n, k = args.n, args.k
         family = args.family or ("V" if k % 2 == 0 and n % 4 == 2 else "U")
         if args.s is not None:
-            left = n // 2 + args.s
+            left = _left_side(n, args.s)
         else:
             left = n // 2 if family == "V" else auto_left_sizes(n, k)[-1]
         if args.member is None:

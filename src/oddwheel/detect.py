@@ -5,33 +5,31 @@ The cycle and path searches are exact; a node-expansion budget guards
 pathological inputs, and an overrun raises BudgetExceededError rather
 than returning a guess.
 
-Cycle queries first collapse twin classes.  Vertices with identical open
-(or closed) neighborhoods are interchangeable inside any subgraph on at
-most `cap` vertices, so keeping min(class size, cap) representatives per
-class preserves the existence of every such subgraph.  On the near
-complete-bipartite candidate graphs this shrinks the search space from
-hundreds of vertices to a handful.
+There is one twin mechanism: `graphs.twin_classes` on a vertex set,
+and a cut of each class to its lowest `cap` members (`_above_lowest`).
+Twins are interchangeable inside any subgraph on at most `cap`
+vertices, so the cut keeps every such subgraph.
 
-The odd-wheel scan applies this twice.  A wheel W_{2k+1} is a subgraph on
-2k + 1 vertices, so the whole graph first keeps the lowest 2k + 1
-members of each twin class (`twin_classes`): the kept graph holds a wheel
-iff the graph does.  A class no larger is kept whole, and a graph with
-more than n - 2k - 1 classes has no larger class, so then nothing is
-cut.  Then one hub per class is scanned, its lowest member.  Swapping two
-kept twins is an automorphism of the graph that maps the kept set to
-itself, so it is one of the kept graph too, and it maps the wheels
-centred at one twin onto those centred at the other.  On the candidates,
-K_{L,R} with sparse graphs in the parts, R is one class cut to 2k + 1
-vertices, so each L hub's neighbourhood has O(k) vertices however large
-n is, and each K_k filler in L is one class with one hub.
+A cycle query, and each odd-wheel hub's neighbourhood, is reduced to a
+fixed point (`_reduced`): classes of the graph induced on what is left,
+cut, until nothing drops.  The kept set does not depend on the order of
+the drops: a vertex with `cap` lower-labelled twins still has them
+after any other vertex is dropped, since a dropped twin of it leaves
+its own `cap` lower twins behind.  Only the kept vertices' subgraph is
+built, labelled by decreasing degree: the cycle search anchors each
+cycle at its lowest label and then drops that anchor, so a vertex
+joined to everything is searched first and then removed instead of
+widening every later anchor's paths.
 
-Each hub's neighbourhood is then reduced on the hub's neighbour mask in
-the kept graph, before any subgraph is built, and only the kept
-vertices' subgraph is built, through `Graph.subgraph`.  Reduced graphs are
-labelled by decreasing degree: the cycle search anchors each cycle at its
-lowest label and then drops that anchor, so a vertex joined to everything
-is searched first and then removed instead of widening every later
-anchor's paths.
+The odd-wheel scan first cuts the whole graph once, with cap 2k + 1: a
+wheel W_{2k+1} has 2k + 1 vertices, so the kept graph holds one iff the
+graph does.  Then one hub per class is scanned, its lowest member.
+Swapping two kept twins is an automorphism of the graph that maps the
+kept set to itself, so it is one of the kept graph too, and it maps the
+wheels centred at one twin onto those centred at the other.  On the
+candidates, K_{L,R} with sparse graphs in the parts, R is one class cut
+to 2k + 1 vertices, so each L hub's neighbourhood has O(k) vertices
+however large n is, and each K_k filler in L is one class with one hub.
 
 Whether a reduced graph holds C_l is decided down its cotree (Corneil,
 Lerchs and Stewart Burlingham, "Complement reducible graphs", Discrete
@@ -91,32 +89,28 @@ class _LargePrime(Exception):
 
 
 def _reduced(rows, alive: int, cap: int) -> Graph:
-    """Twin-reduced subgraph of the graph with adjacency `rows`, induced
-    on the vertex mask `alive`.
+    """The graph with adjacency `rows` induced on the vertex mask `alive`,
+    its twin classes cut to `cap` members until nothing drops (module
+    docstring), labelled by degree (`_by_degree`).  Nothing drops from
+    `cap` vertices or fewer."""
+    while alive.bit_count() > cap:
+        cut = _above_lowest(twin_classes(rows, alive).masks, cap)
+        if not cut:
+            break
+        alive ^= cut
+    return _by_degree(rows, alive)
 
-    Each pass caps one twin family (open, then closed) at `cap` members
-    per class, keeping the lowest labels; its keys are the rows masked to
-    `alive` as it stood when the pass began.  Passes repeat until nothing
-    is dropped.  Only the kept vertices' subgraph is built
-    (`_by_degree`).
-    """
-    while True:
-        before = alive
-        for closed in (False, True):
-            counts: dict[int, int] = {}
-            drop = 0
-            for v in bits_of(alive):
-                key = rows[v] & alive
-                if closed:
-                    key |= 1 << v
-                c = counts.get(key, 0)
-                if c < cap:
-                    counts[key] = c + 1
-                else:
-                    drop |= 1 << v
-            alive &= ~drop
-        if alive == before:
-            return _by_degree(rows, alive)
+
+def _above_lowest(masks, cap: int) -> int:
+    """The members of each class in `masks` above its lowest `cap`, as one
+    vertex mask."""
+    out = 0
+    for cls in masks:
+        if cls.bit_count() > cap:
+            for _ in range(cap):
+                cls &= cls - 1
+            out |= cls
+    return out
 
 
 def _by_degree(rows, mask: int) -> Graph:
@@ -342,15 +336,7 @@ def contains_odd_wheel(
     if max(map(int.bit_count, rows), default=0) < length:
         return False  # no hub: nothing to scan, no classes needed
     masks = twin_classes(rows).masks
-    kept = -1  # every vertex
-    # A class above 2k + 1 members leaves at most n - 2k - 1 classes.
-    if len(masks) + length < g.order:
-        for cls in masks:
-            if cls.bit_count() > length + 1:
-                top = cls
-                for _ in range(length + 1):
-                    top &= top - 1
-                kept ^= top
+    kept = ~_above_lowest(masks, length + 1)
     # Each class's lowest vertex; stable, so ties keep label order.
     hubs = sorted(
         [rows[(cls & -cls).bit_length() - 1] & kept for cls in masks],

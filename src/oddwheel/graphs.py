@@ -5,6 +5,9 @@ bit vectors (Python ints), so degree queries are popcounts and neighborhood
 intersections are single AND operations.  Graphs are immutable: every
 "modification" returns a new value, which lets verification jobs compare
 many variants side by side without defensive copies.
+
+Twin classes (`twin_classes`, of the graph or of a vertex set) and
+certified equitable quotients (`quotient`) are computed here alone.
 """
 
 from __future__ import annotations
@@ -236,7 +239,7 @@ def join(parts: list[Graph]) -> Graph:
     return Graph(tuple(rows))
 
 
-def _component_mask(rows, start: int) -> int:
+def reachable(rows, start: int) -> int:
     """Mask of the vertices reachable from `start` (breadth-first), also
     when the rows are not symmetric (a directed reach)."""
     comp = frontier = 1 << start
@@ -288,12 +291,14 @@ class TwinClasses(NamedTuple):
     """Twin classes of a graph: open twins have equal rows, closed twins
     equal rows plus self.  Classes are numbered by their lowest vertex."""
 
-    class_of: list[int]  # class index of each vertex
+    class_of: list[int]  # class index of each vertex of the set, in order
     masks: list[int]  # vertex mask of each class
 
 
-def twin_classes(rows) -> TwinClasses:
-    """The twin classes of the graph with adjacency `rows`, in one pass.
+def twin_classes(rows, alive: int | None = None) -> TwinClasses:
+    """The twin classes of the graph with adjacency `rows` induced on the
+    vertex mask `alive` (every vertex when None), in one pass over the
+    rows masked to `alive`; class masks keep the labels of `rows`.
 
     In a simple graph the twin relation is an equivalence.  A vertex v
     with an open twin u and a closed twin w would have w in rows[v] =
@@ -313,8 +318,13 @@ def twin_classes(rows) -> TwinClasses:
     closeds: dict[int, int] = {}
     class_of: list[int] = []
     masks: list[int] = []
-    low = 1  # 1 << v
-    for r in rows:
+    if alive is None:
+        rest, keys = (1 << len(rows)) - 1, rows
+    else:
+        rest, keys = alive, [rows[v] & alive for v in bits_of(alive)]
+    for r in keys:
+        low = rest & -rest  # 1 << v, v the next vertex of the set
+        rest ^= low
         i = opens.get(r)
         if i is None:
             if r & low:  # a loop: equal rows only
@@ -330,7 +340,6 @@ def twin_classes(rows) -> TwinClasses:
         else:
             masks[i] |= low
         class_of.append(i)
-        low <<= 1
     return TwinClasses(class_of, masks)
 
 
@@ -379,8 +388,7 @@ def equitable_partition(g: Graph) -> EquitablePartition:
     splits.  New cells are ordered by (parent cell, count row), both
     invariants, so the cell order and the quotient do not depend on the
     vertex labelling, and a cell's refinements take its place in the
-    order.  Callers certify the result with `certify_equitable` before
-    they rely on it.
+    order.  `quotient` certifies the result before anything relies on it.
 
     The rounds count per twin class (`twin_classes`), from its lowest
     vertex's row.  Twins lie in one cell from the start, and while they
@@ -597,27 +605,25 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     return gens
 
 
-def certify_equitable(g: Graph, part: EquitablePartition) -> None:
+def certify_equitable(
+    g: Graph, part: EquitablePartition, twins: TwinClasses | None = None
+) -> None:
     """Check exactly that `part` partitions the vertices of g, with
     cell_of and the cell masks in agreement and no cell empty, and that
     every vertex has its cell's row of neighbour counts; raise GraphError
     otherwise.
 
-    The counts are taken once per twin class and cell (`twin_classes`):
-    a twin in the cell of its class's lowest vertex has that vertex's
-    counts, which holds for open twins (equal rows) and for loop-free
-    closed twins alike, and that vertex's row of the quotient.  A class
-    split across cells has every member counted.  A failure names the
-    lowest vertex that fails, as a vertex-by-vertex count would: every
-    twin skipped fails with its class's lowest vertex.
+    The counts are taken once per twin class and cell (`twins`, or g's
+    `twin_classes` when None): a twin in the cell of its class's lowest
+    vertex has that vertex's counts, which holds for open twins (equal
+    rows) and for loop-free closed twins alike, and that vertex's row of
+    the quotient.  A class split across cells has every member counted.
+    A failure names the lowest vertex that fails, as a vertex-by-vertex
+    count would: every twin skipped fails with its class's lowest
+    vertex.
     """
-    _certify_equitable(g, part, twin_classes(g.rows))
-
-
-def _certify_equitable(
-    g: Graph, part: EquitablePartition, twins: TwinClasses
-) -> None:
-    """`certify_equitable`, with g's `twin_classes` given."""
+    if twins is None:
+        twins = twin_classes(g.rows)
     cells, cell_of, q = part
     c = len(cells)
     if len(cell_of) != g.order or len(q) != c or any(len(r) != c for r in q):
@@ -647,3 +653,28 @@ def _certify_equitable(
                 f"{got[i]} neighbours in cell {j}, its cell's row says "
                 f"{want[i]}"
             )
+
+
+def quotient(g: Graph) -> EquitablePartition:
+    """The coarsest equitable partition of g and its integer quotient
+    matrix, derived by colour refinement (`equitable_partition`) and
+    certified exactly (`certify_equitable`), both from one pass of
+    `twin_classes`.  Entry (i, j) is the number of neighbours in cell
+    j of every vertex of cell i.  Cells are ordered by their lowest
+    vertex, so a constructed candidate's matrix reads in construction
+    order; for the balanced candidate that is the core's single vertex,
+    its matching-complement block, its edge pair, the rest of L, the
+    embedded R edge and the rest of R.  `walks` counts on it and
+    `spectral` re-exports it."""
+    twins = twin_classes(g.rows)
+    cells, cell_of, q = _equitable_partition(g, twins)
+    # a cell's lowest set bit is its lowest vertex
+    order = sorted(range(len(cells)), key=lambda i: cells[i] & -cells[i])
+    rank = {old: new for new, old in enumerate(order)}
+    part = EquitablePartition(
+        tuple(cells[i] for i in order),
+        tuple(rank[i] for i in cell_of),
+        tuple(tuple(q[i][j] for j in order) for i in order),
+    )
+    certify_equitable(g, part, twins)
+    return part

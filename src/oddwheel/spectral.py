@@ -1,5 +1,5 @@
-"""Spectral radii, Perron vectors, equitable quotients derived by colour
-refinement, and exact characteristic polynomials.
+"""Spectral radii, Perron vectors, and exact characteristic polynomials;
+`quotient` is `graphs.quotient`, the certified equitable quotient.
 
 Floating work runs on numpy: graphs are power-iterated; quotient matrices
 take the dense Perron pair of `np.linalg.eig` when its residual meets the
@@ -31,14 +31,11 @@ from oddwheel.families import (
     standard_member,
 )
 from oddwheel.graphs import (
-    EquitablePartition,
     Graph,
-    _certify_equitable,
-    _component_mask,
-    _equitable_partition,
     build_graph,
     components,
-    twin_classes,
+    quotient,
+    reachable,
 )
 
 
@@ -203,7 +200,7 @@ def _pattern_irreducible(a: np.ndarray) -> bool:
     row."""
     rows = [sum(1 << int(j) for j in np.flatnonzero(r)) for r in a > 0]
     full = (1 << len(rows)) - 1
-    return all(_component_mask(rows, s) == full for s in range(len(rows)))
+    return all(reachable(rows, s) == full for s in range(len(rows)))
 
 
 def _dense_pair(a: np.ndarray, tol: float):
@@ -270,30 +267,6 @@ def matrix_radius(
     top = float(np.abs(vec).max())
     perron = tuple(float(v) / top for v in vec)
     return SpectralResult(lam, perron, residual, iters, note)
-
-
-def quotient(g: Graph) -> EquitablePartition:
-    """The coarsest equitable partition of g and its integer quotient
-    matrix, derived by colour refinement (`equitable_partition`) and
-    certified exactly (`certify_equitable`), both from one pass of
-    `twin_classes`.  Entry (i, j) is the number of neighbours in cell
-    j of every vertex of cell i.  Cells are ordered by their lowest
-    vertex, so a constructed candidate's matrix reads in construction
-    order; for the balanced candidate that is the core's single vertex,
-    its matching-complement block, its edge pair, the rest of L, the
-    embedded R edge and the rest of R."""
-    twins = twin_classes(g.rows)
-    cells, cell_of, q = _equitable_partition(g, twins)
-    # a cell's lowest set bit is its lowest vertex
-    order = sorted(range(len(cells)), key=lambda i: cells[i] & -cells[i])
-    rank = {old: new for new, old in enumerate(order)}
-    part = EquitablePartition(
-        tuple(cells[i] for i in order),
-        tuple(rank[i] for i in cell_of),
-        tuple(tuple(q[i][j] for j in order) for i in order),
-    )
-    _certify_equitable(g, part, twins)
-    return part
 
 
 @dataclass(frozen=True)

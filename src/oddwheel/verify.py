@@ -453,7 +453,13 @@ def verify_join_bound(
     slack: float = 1e-9,
 ) -> VerificationReport:
     """Seeded random pairs (H1, H2): the chain join's radius must stay
-    below the Perron root of [[d, |H2|], [|H1|, d']] plus slack."""
+    below the Perron root of [[d, |H2|], [|H1|, d']] plus slack.  At
+    least one pair of orders 1..max_order is drawn."""
+    for name, value in (("pairs", pairs), ("max_order", max_order)):
+        if value < 1:
+            raise ValueError(
+                f"lemma-2.1 needs {name} >= 1, got {name}={value}"
+            )
     rng = random.Random(seed)
     params = {"pairs": pairs, "max_order": max_order, "seed": seed}
     worst = None
@@ -486,7 +492,6 @@ def verify_join_bound(
                 },
                 "join bound violated",
             )
-    assert worst is not None
     return VerificationReport(
         "lemma-2.1",
         params,

@@ -5,10 +5,10 @@ All counts are exact Python integers: totals grow like radius**level and
 overflow any fixed width well inside desk scale, and the lexicographic
 order the selection rests on does not survive a single rounding.
 
-Counts run on the coarsest equitable partition of the graph
-(`equitable_partition` in graphs.py), certified exactly before use: the number
-of walks from a vertex is constant on each cell, so with c cells and
-integer quotient Q, level l costs the nonzero entries of Q (at most c**2)
+Counts run on the coarsest equitable partition of the graph, derived and
+certified exactly by `graphs.quotient` before use: the number of walks
+from a vertex is constant on each cell, so with c cells and integer
+quotient Q, level l costs the nonzero entries of Q (at most c**2)
 big-integer products, W^l = s^T Q^l 1 with s the cell sizes, instead of
 one addition per edge end (Godsil & Royle, Algebraic Graph Theory, ch. 9).
 The adjacency matrix of a disjoint union is block diagonal, so every
@@ -29,10 +29,9 @@ from oddwheel.graphs import (
     Graph,
     _pieces,
     bits_of,
-    certify_equitable,
     classify_degrees,
     components,
-    equitable_partition,
+    quotient,
 )
 
 
@@ -59,19 +58,16 @@ class OrderResult:
     witness_level: int | None
 
 
-def _cell_walks(
-    g: Graph, part: EquitablePartition, levels: int
-) -> list[list[int]]:
+def _cell_walks(part: EquitablePartition, levels: int) -> list[list[int]]:
     """Walk counts per cell: entry [l-1][i] is the number of walks of
     length l starting at any vertex of cell i.
 
-    The partition is certified equitable first.  Then a vertex of cell i
+    The partition is a certified one from `quotient`: a vertex of cell i
     has quotient[i][j] neighbours in each cell j, so by induction on l its
     count is sum_j quotient[i][j] * (count of length l-1 from cell j):
     the same for every vertex of the cell, and exact in Python ints."""
     if levels < 1:
         raise ValueError("levels >= 1 required")
-    certify_equitable(g, part)
     rows = [[(j, q) for j, q in enumerate(row) if q] for row in part.quotient]
     cur = [1] * len(rows)
     out = []
@@ -84,21 +80,19 @@ def _cell_walks(
 def vertex_walks(g: Graph, levels: int) -> list[tuple[int, ...]]:
     """Per-vertex walk counts: entry [l-1][u] is the number of walks of
     length l starting at u (length-1 counts are the degrees)."""
-    part = equitable_partition(g)
+    part = quotient(g)
     return [
         tuple([row[i] for i in part.cell_of])
-        for row in _cell_walks(g, part, levels)
+        for row in _cell_walks(part, levels)
     ]
 
 
-def _profile_counts(
-    g: Graph, part: EquitablePartition, levels: int
-) -> tuple[int, ...]:
-    """Totals W^1..W^levels from the cell walk counts of `part` (certified
-    in `_cell_walks`), cross-checked through the splitting identity
+def _profile_counts(part: EquitablePartition, levels: int) -> tuple[int, ...]:
+    """Totals W^1..W^levels from the cell walk counts of the certified
+    partition `part`, cross-checked through the splitting identity
     W^l = sum_u w^i(u) * w^(l-i)(u) at i = l // 2, both summed over the
     cells weighted by cell size."""
-    table = _cell_walks(g, part, levels)
+    table = _cell_walks(part, levels)
     sizes = [cell.bit_count() for cell in part.cells]
     counts = tuple(sum([s * w for s, w in zip(sizes, row)]) for row in table)
     for level in range(2, levels + 1):
@@ -118,7 +112,7 @@ def _profile_counts(
 def walk_profile(g: Graph, levels: int) -> WalkProfile:
     """Graph totals W^1..W^levels, counted on the coarsest equitable
     partition and cross-checked through the splitting identity."""
-    return WalkProfile(_profile_counts(g, equitable_partition(g), levels))
+    return WalkProfile(_profile_counts(quotient(g), levels))
 
 
 def closed_form_profile(
@@ -258,8 +252,8 @@ def ex_infinity_trace(
     by its rows as placed in the member.  For a piece of two or more
     vertices the union of those rows is its vertex set, so the key fixes
     the labelled piece; every one-vertex piece is K_1.  A piece not seen
-    before is relabelled, refined, certified and counted once
-    (`_profile_counts`, with its splitting self-check); a member's totals
+    before is relabelled, refined and certified (`quotient`) and counted
+    once (`_profile_counts`, with its splitting self-check); a member's totals
     are the elementwise sum of its pieces', starting from zeros, so an
     order-0 member has all-zero totals.  Members with equal totals share
     one tuple."""
@@ -280,9 +274,8 @@ def ex_infinity_trace(
             key = tuple([rows[v] for v in verts])
             counts = by_piece.get(key)
             if counts is None:
-                piece = g.subgraph(verts)
                 counts = by_piece[key] = _profile_counts(
-                    piece, equitable_partition(piece), levels
+                    quotient(g.subgraph(verts)), levels
                 )
             total = list(map(add, total, counts))
         total = tuple(total)

@@ -17,7 +17,7 @@ import pytest
 import oddwheel
 from oddwheel import detect
 from oddwheel import enumerate as enum_mod
-from oddwheel import kernels
+from oddwheel import graphs, kernels, spectral, walks
 from oddwheel.families import odd_wheel, primitive
 from oddwheel.formats import read_graph_text
 from oddwheel.graphs import disjoint_union
@@ -124,3 +124,26 @@ def test_traced_hub_scan_counts_subgraphs():
         tracer.uninstall()
     assert detect.contains_odd_wheel is original
     assert tracer.metrics()["detect.hubs_scanned"] == 1
+
+
+def test_walks_and_spectral_share_the_traced_quotient():
+    # The tracer wraps `spectral.quotient` wherever a module holds that
+    # object.  It is `graphs.quotient`, which `walks` calls too, so the
+    # one traced layer times every certified quotient.
+    assert spectral.quotient is graphs.quotient
+    assert walks.quotient is graphs.quotient
+    assert oddwheel.quotient is graphs.quotient
+    tracer = load("tracer").Tracer()
+    tracer.install()
+    try:
+        g = odd_wheel(2)
+        walks.walk_profile(g, 4)
+        walks.vertex_walks(g, 4)
+        walks.ex_infinity_trace([disjoint_union([g, primitive("cycle", 5)])])
+        spectral.matrix_radius(spectral.quotient(g).quotient, 1e-10)
+    finally:
+        tracer.uninstall()
+    assert walks.quotient is graphs.quotient
+    # one per walk count, one per piece, one direct
+    assert tracer.metrics()["spectral.quotient.self_s"] > 0
+    assert tracer.calls["spectral.quotient"] == 5

@@ -399,6 +399,52 @@ def test_verify_too_small_n_is_usage_error(capsys, argv, named):
     assert code == 2 and out == "" and named in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("--pairs", "0"), "pairs=0"),
+        (("--pairs", "-2"), "pairs=-2"),
+        (("--max-order", "0"), "max_order=0"),
+    ],
+)
+def test_verify_join_bound_without_a_pair_is_usage_error(capsys, argv, named):
+    # no pair drawn, or no order to draw from: a usage error, not a FAIL
+    code, out, err = run_cli(capsys, "verify", "lemma-2.1", *argv)
+    assert code == 2 and out == "" and named in err
+    keyword, value = named.split("=")
+    with pytest.raises(ValueError, match=named):
+        verify_join_bound(**{keyword: int(value)})
+
+
+@pytest.mark.parametrize(
+    "k, s, left",
+    [
+        ("2", "11", 22),
+        ("2", "-11", 0),
+        ("3", "11", 22),
+        ("4", "20", 31),
+        ("4", "-11", 0),
+    ],
+)
+def test_construct_candidate_side_out_of_range(capsys, k, s, left):
+    # |L| = n//2 + s must leave both sides a vertex; the message names
+    # the flag, n and |L| on every branch (k = 2, odd k, even k)
+    code, out, err = run_cli(
+        capsys, "construct", "candidate", "--n", "22", "--k", k, "--s", s
+    )
+    assert code == 2 and out == ""
+    assert f"--s {s} gives |L| = {left} at n=22" in err
+
+
+@pytest.mark.parametrize("s, left", [("10", 21), ("-10", 1)])
+def test_construct_candidate_side_at_the_ends_of_the_range(capsys, s, left):
+    code, out, _ = run_cli(
+        capsys, "construct", "candidate", "--n", "22", "--k", "2", "--s", s
+    )
+    assert code == 0
+    assert decode_graph6(out.strip()) == matching_embedded_candidate(22, left)
+
+
 def test_verify_fact1_without_a_candidate_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "verify", "fact-1", "--k", "3", "--n", "9")
     assert code == 2 and out == ""

@@ -588,6 +588,43 @@ def test_reduced_keeps_the_old_vertex_set():
             assert _reduced(g.rows, alive, cap) == g.subgraph(order)
 
 
+def drop_one_at_a_time(rows, alive, cap, rng):
+    """The vertex set left when, one vertex at a time and in a random
+    order, a vertex with `cap` lower-labelled twins in the graph induced on
+    what is left is dropped, until no vertex has (twins as in
+    `brute_twin_classes`: rows equal off the pair)."""
+    while True:
+        verts = [v for v in range(len(rows)) if (alive >> v) & 1]
+        droppable = [
+            v for v in verts
+            if sum(
+                u < v
+                and rows[u] & alive & ~(1 << v) == rows[v] & alive & ~(1 << u)
+                for u in verts
+            ) >= cap
+        ]
+        if not droppable:
+            return alive
+        alive ^= 1 << rng.choice(droppable)
+
+
+def test_reduced_does_not_depend_on_the_order_of_drops():
+    # A vertex with `cap` lower-labelled twins keeps that many after any
+    # other vertex is dropped, so every order of single drops ends at the
+    # set `_reduced` keeps with its whole-class passes.
+    rng = random.Random(30)
+    for n in range(7):
+        for g in all_graphs(n):
+            for alive in range(1 << n):
+                for cap in range(1, 5):
+                    kept = drop_one_at_a_time(g.rows, alive, cap, rng)
+                    order = sorted(
+                        (v for v in range(n) if (kept >> v) & 1),
+                        key=lambda v: (-(g.rows[v] & kept).bit_count(), v),
+                    )
+                    assert _reduced(g.rows, alive, cap) == g.subgraph(order)
+
+
 def test_budget_covers_the_whole_call():
     # Two prime neighbourhoods without C_10 (two labellings of the
     # Petersen graph, so they reduce to different graphs), each under

@@ -429,6 +429,43 @@ def bits(mask):
     return [v for v in range(mask.bit_length()) if (mask >> v) & 1]
 
 
+def pairwise_twin_classes(rows, alive):
+    """The twin classes of the graph induced on `alive`, pair by pair:
+    u and v are open twins when their rows masked to `alive` are equal,
+    closed twins when those rows plus self are; each vertex's class is the
+    mask of all its twins and itself, in the original labels, and the
+    distinct classes are listed by lowest member."""
+    masked = {v: rows[v] & alive for v in bits(alive)}
+    classes = []
+    for v, rv in masked.items():
+        cls = sum(
+            1 << u for u, ru in masked.items()
+            if ru == rv or ru | (1 << u) == rv | (1 << v)
+        )
+        if cls not in classes:
+            classes.append(cls)
+    return classes
+
+
+def test_twin_classes_on_a_vertex_set():
+    for n in range(7):
+        full = (1 << n) - 1
+        for g in all_graphs(n):
+            assert twin_classes(g.rows) == twin_classes(g.rows, full)
+            for alive in range(1 << n):
+                classes = twin_classes(g.rows, alive)
+                # the classes partition `alive` and are the pairwise ones,
+                # so those do not overlap either: the relation is an
+                # equivalence on the induced graph
+                assert sum(classes.masks) == alive
+                assert classes.masks == pairwise_twin_classes(g.rows, alive)
+                masks = classes.masks
+                assert classes.class_of == [
+                    next(i for i, m in enumerate(masks) if (m >> v) & 1)
+                    for v in bits(alive)
+                ]
+
+
 def test_twin_classes_of_rows_that_are_not_simple():
     # `Graph` takes any rows.  Open twins need equal rows; closed twins
     # need both loop-free, so a looped vertex and its neighbour with the

@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from oddwheel import graphs as graphs_mod
-from oddwheel import spectral as spectral_mod
 from oddwheel.enumerate import all_graphs, connected_with_degrees
 from oddwheel.graphs import (
     EquitablePartition,
@@ -363,7 +362,7 @@ def test_claim1_quotients_match_oracle(claim1_results, monkeypatch):
     got = [quotient(g) for g, _ in candidates]
     assert [part.quotient for part in got] == [m for _, m in candidates]
     monkeypatch.setattr(
-        spectral_mod,
+        graphs_mod,
         "_equitable_partition",
         lambda g, twins: oracle_equitable_partition(g),
     )

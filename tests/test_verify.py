@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oddwheel import verify as verify_mod
-from oddwheel import walks
+from oddwheel import graphs, walks
 from oddwheel.cli import main
 from oddwheel.enumerate import BudgetExceededError
 from oddwheel.families import (
@@ -138,19 +138,20 @@ def test_walk_lemma_golden(key):
 
 
 def test_walk_lemma_counts_each_placed_piece_once(monkeypatch):
+    # certifications counted where `quotient` makes them
     tables, certified = [], []
-    cell_walks, certify = walks._cell_walks, walks.certify_equitable
+    cell_walks, certify = walks._cell_walks, graphs.certify_equitable
 
-    def counting_table(g, part, levels):
+    def counting_table(part, levels):
         tables.append(levels)
-        return cell_walks(g, part, levels)
+        return cell_walks(part, levels)
 
-    def counting_certify(g, part):
+    def counting_certify(g, part, twins=None):
         certified.append(g.rows)
-        return certify(g, part)
+        return certify(g, part, twins)
 
     monkeypatch.setattr(walks, "_cell_walks", counting_table)
-    monkeypatch.setattr(walks, "certify_equitable", counting_certify)
+    monkeypatch.setattr(graphs, "certify_equitable", counting_certify)
     rep = verify_walk_lemma(3, 17)
     family = enumerate_family(FamilySpec("GFAM", 3, 17))
     # each connected piece as placed in its member, relabelled 0..k-1

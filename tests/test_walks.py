@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oddwheel import walks
+from oddwheel import graphs, walks
 from oddwheel.enumerate import graph_code
 from oddwheel.families import (
     V_KIND,
@@ -24,6 +24,7 @@ from oddwheel.graphs import (
     components,
     disjoint_union,
     equitable_partition,
+    quotient,
 )
 from oddwheel.walks import (
     Relation,
@@ -127,18 +128,31 @@ def test_candidate_walks_are_unchanged_under_relabelling():
         assert hashlib.sha256(text.encode()).hexdigest() == CANDIDATE_PROFILE_SHA
 
 
-def test_walk_step_rejects_a_non_equitable_partition():
+def test_walk_step_rejects_a_non_equitable_partition(monkeypatch):
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    part = equitable_partition(g)
-    assert _cell_walks(g, part, 3) == [[1, 2], [2, 3], [3, 5]]
-    with pytest.raises(GraphError):
-        # one cell for P_4, whose degrees differ
-        _cell_walks(g, EquitablePartition((15,), (0, 0, 0, 0), ((2,),)), 3)
-    with pytest.raises(GraphError):
-        # the right cells with a wrong quotient
-        _cell_walks(g, part._replace(quotient=((1, 1), (1, 1))), 3)
+    part = quotient(g)
+    assert _cell_walks(part, 3) == [[1, 2], [2, 3], [3, 5]]
     with pytest.raises(ValueError):
-        _cell_walks(g, part, 0)
+        _cell_walks(part, 0)
+    # Every walk count reads its partition through `quotient`, which
+    # certifies what the refinement returns; hand it wrong partitions.
+    for wrong in (
+        # one cell for P_4, whose degrees differ
+        EquitablePartition((15,), (0, 0, 0, 0), ((2,),)),
+        # the right cells with a wrong quotient
+        part._replace(quotient=((1, 1), (1, 1))),
+    ):
+        monkeypatch.setattr(
+            graphs, "_equitable_partition", lambda g, twins: wrong
+        )
+        for count in (
+            quotient,
+            lambda g: walk_profile(g, 3),
+            lambda g: vertex_walks(g, 3),
+            lambda g: ex_infinity_trace([g], 3),
+        ):
+            with pytest.raises(GraphError):
+                count(g)
 
 
 def test_k3_profile():
@@ -386,20 +400,21 @@ def test_ex_infinity_profiles_match_walk_profile_per_member():
 
 def _counting_walk_steps(monkeypatch):
     """Record the levels of every walk table and the graph of every
-    certification that `ex_infinity_trace` makes."""
+    certification that `ex_infinity_trace` makes (in `quotient`, through
+    `graphs.certify_equitable`)."""
     tables, certified = [], []
-    cell_walks, certify = walks._cell_walks, walks.certify_equitable
+    cell_walks, certify = walks._cell_walks, graphs.certify_equitable
 
-    def counting_table(g, part, levels):
+    def counting_table(part, levels):
         tables.append(levels)
-        return cell_walks(g, part, levels)
+        return cell_walks(part, levels)
 
-    def counting_certify(g, part):
+    def counting_certify(g, part, twins=None):
         certified.append(g)
-        return certify(g, part)
+        return certify(g, part, twins)
 
     monkeypatch.setattr(walks, "_cell_walks", counting_table)
-    monkeypatch.setattr(walks, "certify_equitable", counting_certify)
+    monkeypatch.setattr(graphs, "certify_equitable", counting_certify)
     return tables, certified
 
 
@@ -481,7 +496,7 @@ def test_ex_infinity_certifies_members_that_share_a_profile(monkeypatch):
     copy = build_graph(4, [(1, 0), (0, 2), (2, 3)])
     part = equitable_partition(p4)
     assert equitable_partition(copy).quotient == part.quotient
-    monkeypatch.setattr(walks, "equitable_partition", lambda g: part)
+    monkeypatch.setattr(graphs, "_equitable_partition", lambda g, twins: part)
     assert ex_infinity_trace([p4, p4], 4).profiles[1] == (6, 10, 16, 26)
     with pytest.raises(GraphError):
         ex_infinity_trace([p4, copy])
