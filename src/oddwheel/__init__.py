@@ -56,7 +56,6 @@ from oddwheel.walks import (
     Relation,
     WalkProfile,
     closed_form_profile,
-    ex_infinity,
     ex_infinity_trace,
     extract_deficient_structure,
     vertex_walks,

@@ -263,22 +263,34 @@ def _cmd_construct(args) -> int:
         if args.n is None or args.k is None:
             raise ValueError("--n and --k required for candidate")
         n, k = args.n, args.k
-        family = args.family or ("V" if k % 2 == 0 and n % 4 == 2 else "U")
+        lefts = auto_left_sizes(n, k)
+        family = args.family or ("V" if len(lefts) == 2 else "U")
         if args.s is not None:
             left = _left_side(n, args.s)
         else:
-            left = n // 2 if family == "V" else auto_left_sizes(n, k)[-1]
-        if args.member is None:
-            inner = standard_member(family, k, left)
-        else:
-            pool = enumerate_family(
-                FamilySpec(family, k, left), budget=args.budget
+            left = n // 2 if family == "V" else lefts[-1]
+        if not args.no_r_edge and n - left < 2:
+            raise ValueError(
+                f"the R edge needs |R| >= 2; n={n} and |L| = {left} leave "
+                f"|R| = {n - left} (--no-r-edge builds without it)"
             )
-            if not 0 <= args.member < len(pool):
-                raise ValueError(
-                    f"--member out of range (family has {len(pool)} members)"
+        try:
+            pool = (
+                [standard_member(family, k, left)] if args.member is None
+                else enumerate_family(
+                    FamilySpec(family, k, left), budget=args.budget
                 )
-            inner = pool[args.member]
+            )
+        except ValueError as exc:
+            raise ValueError(
+                f"no {family} member at |L| = {left} for k={k}: {exc}"
+            ) from exc
+        member = args.member or 0
+        if not 0 <= member < len(pool):
+            raise ValueError(
+                f"--member out of range (family has {len(pool)} members)"
+            )
+        inner = pool[member]
         r_edges = [] if args.no_r_edge else [(0, 1)]
         g = bipartite_candidate(inner, build_graph(n - left, r_edges))
     _emit(_graph_text(g, args.format), args.out)

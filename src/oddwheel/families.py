@@ -295,15 +295,9 @@ def bipartite_candidate(h_left: Graph, h_right: Graph) -> Graph:
     """K_{|L|,|R|} with `h_left` on L (vertices 0..|L|-1) and `h_right` on
     R (the rest), each keeping its labels: the join of the two sides, whose
     orders are the side sizes.  Every candidate is built here."""
-    left, right = h_left.order, h_right.order
-    if not left or not right:
+    if not h_left.order or not h_right.order:
         raise ValueError("both sides must be non-empty")
-    l_mask = (1 << left) - 1
-    r_mask = ((1 << right) - 1) << left
-    rows = [r_mask | r for r in h_left.rows]
-    # An R vertex without R neighbours reuses the one L mask: no new int.
-    rows += [l_mask | r << left if r else l_mask for r in h_right.rows]
-    return Graph(tuple(rows))
+    return join([h_left, h_right])
 
 
 def spex_candidate(spec: CandidateSpec) -> Graph:

@@ -181,17 +181,7 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if order < 0:
         raise GraphError("order must be non-negative")
-    rows = [0] * order
-    for u, v in edges:
-        _check_endpoint(u, order)
-        _check_endpoint(v, order)
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
-        if (rows[u] >> v) & 1:
-            raise GraphError(f"duplicate edge ({u},{v})")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph(tuple(rows))
+    return Graph((0,) * order).add_edges(edges)
 
 
 def complement(g: Graph) -> Graph:
@@ -219,23 +209,27 @@ def join(parts: list[Graph]) -> Graph:
     Only consecutive parts are connected; an all-pairs join is expressible
     by nesting.  join([K1, M, K2]) therefore leaves the K1 vertex and the
     K2 vertices non-adjacent, which several constructions depend on.
+
+    One pass: each row is its part's row shifted into place, OR'd with
+    the vertex masks of the neighbouring parts.
     """
-    g = disjoint_union(parts)
-    rows = list(g.rows)
-    offsets = []
-    off = 0
+    if not parts:
+        raise GraphError("join of an empty list")
+    masks = [0]  # vertex mask of each part, between two empty ends
+    offset = 0
     for p in parts:
-        offsets.append(off)
-        off += p.order
-    for i in range(len(parts) - 1):
-        a0, a1 = offsets[i], offsets[i] + parts[i].order
-        b0, b1 = offsets[i + 1], offsets[i + 1] + parts[i + 1].order
-        bmask = ((1 << (b1 - b0)) - 1) << b0
-        amask = ((1 << (a1 - a0)) - 1) << a0
-        for u in range(a0, a1):
-            rows[u] |= bmask
-        for v in range(b0, b1):
-            rows[v] |= amask
+        masks.append(((1 << p.order) - 1) << offset)
+        offset += p.order
+    masks.append(0)
+    rows: list[int] = []
+    offset = 0
+    for i, p in enumerate(parts):
+        outer = masks[i] | masks[i + 2]
+        if offset:  # a row with no neighbour in its part reuses `outer`
+            rows += [outer | r << offset if r else outer for r in p.rows]
+        else:  # the first part's rows are in place already
+            rows += [outer | r for r in p.rows]
+        offset += p.order
     return Graph(tuple(rows))
 
 
@@ -380,7 +374,9 @@ class EquitablePartition(NamedTuple):
     quotient: tuple[tuple[int, ...], ...]
 
 
-def equitable_partition(g: Graph) -> EquitablePartition:
+def equitable_partition(
+    g: Graph, twins: TwinClasses | None = None
+) -> EquitablePartition:
     """The coarsest equitable partition of g, by colour refinement.
 
     The start is one cell.  Every round splits each cell by its
@@ -390,23 +386,20 @@ def equitable_partition(g: Graph) -> EquitablePartition:
     vertex labelling, and a cell's refinements take its place in the
     order.  `quotient` certifies the result before anything relies on it.
 
-    The rounds count per twin class (`twin_classes`), from its lowest
-    vertex's row.  Twins lie in one cell from the start, and while they
-    do they have the same count in every cell, so they never part: the
-    cells, their order and the quotient are the ones the rounds give
-    vertex by vertex.  There is one refinement loop, `_refine`; here
-    every cell starts fresh, and the search nodes of
+    The rounds count per twin class (`twins`, or g's `twin_classes` when
+    None), from its lowest vertex's row.  Twins lie in one cell from the
+    start, and while they do they have the same count in every cell, so
+    they never part: the cells, their order and the quotient are the ones
+    the rounds give vertex by vertex.  There is one refinement loop,
+    `_refine`; here every cell starts fresh, and the search nodes of
     `automorphism_generators` enter it with only the vertex they split
     off fresh.  The quotient rows are read once at the end, from the
     lowest vertex of each cell.
     """
-    return _equitable_partition(g, twin_classes(g.rows))
-
-
-def _equitable_partition(g: Graph, twins: TwinClasses) -> EquitablePartition:
-    """`equitable_partition`, with g's `twin_classes` given."""
     if g.order == 0:
         return EquitablePartition((), (), ())
+    if twins is None:
+        twins = twin_classes(g.rows)
     rows = g.rows
     class_of, masks = twins
     cells = [(1 << g.order) - 1]
@@ -667,7 +660,7 @@ def quotient(g: Graph) -> EquitablePartition:
     embedded R edge and the rest of R.  `walks` counts on it and
     `spectral` re-exports it."""
     twins = twin_classes(g.rows)
-    cells, cell_of, q = _equitable_partition(g, twins)
+    cells, cell_of, q = equitable_partition(g, twins)
     # a cell's lowest set bit is its lowest vertex
     order = sorted(range(len(cells)), key=lambda i: cells[i] & -cells[i])
     rank = {old: new for new, old in enumerate(order)}

@@ -26,6 +26,7 @@ import numpy as np
 
 from oddwheel.families import (
     U_KIND,
+    auto_left_sizes,
     bipartite_candidate,
     core_component,
     standard_member,
@@ -64,6 +65,7 @@ class SpectralResult:
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**6
+CLAIM1_WIDTH = Fraction(1, 10**12)  # claim 1's bracket on the root of f2
 
 
 def _power_iteration(a: np.ndarray, tol: float, max_iter: int):
@@ -423,33 +425,32 @@ class Claim1Result:
     graph2: Graph = field(repr=False)
 
 
-def claim1_comparison(
-    k: int,
-    n: int,
-    tol: float = DEFAULT_TOL,
-    width: Fraction = Fraction(1, 10**12),
-) -> Claim1Result:
+def claim1_comparison(k: int, n: int) -> Claim1Result:
     """Build both candidates from scratch, derive their quotient matrices
     from the graphs, and compare Perron roots: numerically for the record,
-    and by the exact rational sign of f1 at the bracketed root of f2."""
-    if k < 4 or k % 2:
-        raise ValueError("k must be even and >= 4")
-    if n % 4 != 2 or n < 4 * k:
-        raise ValueError("n must be 2 mod 4 and >= 4k")
+    and by the exact rational sign of f1 at the bracketed root of f2.  The
+    sides are the two that `auto_left_sizes(n, k)` names (even k >= 4,
+    n = 2 mod 4), at n >= 4k."""
+    lefts = auto_left_sizes(n, k)
+    if len(lefts) == 1 or n < 4 * k:
+        raise ValueError(
+            f"claim 1 needs two competing side sizes and n >= 4k; k={k}, "
+            f"n={n} give |L| in {lefts}"
+        )
     balanced, unbalanced = (
         bipartite_candidate(
             standard_member(U_KIND, k, left), build_graph(n - left, [(0, 1)])
         )
-        for left in (n // 2, n // 2 + 1)
+        for left in lefts
     )
     m1 = quotient(balanced).quotient
     m2 = quotient(unbalanced).quotient
 
-    r1 = matrix_radius(m1, tol)
-    r2 = matrix_radius(m2, tol)
+    r1 = matrix_radius(m1)
+    r2 = matrix_radius(m2)
     f1 = char_poly(m1)
     f2 = char_poly(m2)
-    lo, hi = bracket_largest_root(f2, r2.radius, width)
+    lo, hi = bracket_largest_root(f2, r2.radius, CLAIM1_WIDTH)
     v_lo = f1.evaluate(lo)
     v_hi = f1.evaluate(hi)
     if v_lo < 0 and v_hi < 0:

@@ -56,6 +56,7 @@ from oddwheel.walks import Relation, ex_infinity_trace, walk_compare
 PASS = "PASS"
 FAIL = "FAIL"
 BUDGET = "BUDGET"
+JOIN_BOUND_SLACK = 1e-9  # lemma-2.1: how far a radius may read above the bound
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -178,11 +179,9 @@ def verify_walk_lemma(
     trace = ex_infinity_trace(family)
     got = {graph_code(g) for g in trace.survivors}
     want = {graph_code(g) for g in target}
-    profiles = trace.profiles
-    if len(profiles[0]) < 6:
-        profiles = ex_infinity_trace(family, 6).profiles
-    w5 = sorted(p[4] for p in profiles)
-    w6 = sorted(p[5] for p in profiles)
+    # GFAM orders are >= 3*delta + 4 >= 13: the horizon 2n has six levels
+    w5 = sorted(p[4] for p in trace.profiles)
+    w6 = sorted(p[5] for p in trace.profiles)
     evidence = {
         "family_size": len(family),
         "target_size": len(target),
@@ -218,11 +217,8 @@ def verify_one_set(
     if base_order <= t_size:
         raise ValueError("base_order must exceed t_size")
     params = {"base_order": base_order, "t_size": t_size, "h1": h1, "h2": h2}
-    base = join([primitive("complete", base_order - t_size),
-                 primitive("empty", t_size)])
-    offset = base_order - t_size
-    g1 = base.add_edges((u + offset, v + offset) for u, v in h1.edges())
-    g2 = base.add_edges((u + offset, v + offset) for u, v in h2.edges())
+    dominating = primitive("complete", base_order - t_size)
+    g1, g2 = (join([dominating, h]) for h in (h1, h2))
     rel = walk_compare(h1, h2)
     r1 = spectral_radius(g1, tol)
     r2 = spectral_radius(g2, tol)
@@ -342,12 +338,13 @@ def verify_spex_structure(
         )
 
     tie_ok = True
-    if k >= 4 and k % 2 == 0 and n % 4 == 2:
-        vfam = enumerate_family(FamilySpec(V_KIND, k, n // 2), budget)
+    if len(predicted_lefts) == 2:  # the V side competes (`auto_left_sizes`)
+        left = predicted_lefts[0]
+        vfam = enumerate_family(FamilySpec(V_KIND, k, left), budget)
         vradii = []
         qmats = set()
         for inner in vfam:
-            g = bipartite_candidate(inner, build_graph(n - n // 2, [(0, 1)]))
+            g = bipartite_candidate(inner, build_graph(n - left, [(0, 1)]))
             qmats.add(quotient(g).quotient)
             vradii.append(spectral_radius(g, tol).radius)
         # The candidates are connected, so each radius is the Perron root
@@ -450,11 +447,10 @@ def verify_join_bound(
     max_order: int = 30,
     seed: int = 0,
     tol: float = 1e-10,
-    slack: float = 1e-9,
 ) -> VerificationReport:
     """Seeded random pairs (H1, H2): the chain join's radius must stay
-    below the Perron root of [[d, |H2|], [|H1|, d']] plus slack.  At
-    least one pair of orders 1..max_order is drawn."""
+    below the Perron root of [[d, |H2|], [|H1|, d']] plus the slack
+    `JOIN_BOUND_SLACK`.  At least one pair of orders 1..max_order is drawn."""
     for name, value in (("pairs", pairs), ("max_order", max_order)):
         if value < 1:
             raise ValueError(
@@ -478,7 +474,7 @@ def verify_join_bound(
         margin = bound - lhs
         if worst is None or margin < worst[0]:
             worst = (margin, trial, n1, n2)
-        if lhs > bound + slack:
+        if lhs > bound + JOIN_BOUND_SLACK:
             return VerificationReport(
                 "lemma-2.1",
                 params,

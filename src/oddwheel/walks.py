@@ -296,7 +296,3 @@ def ex_infinity_trace(
         survivor_counts=tuple(counts),
         profiles=tuple(profiles),
     )
-
-
-def ex_infinity(family: list[Graph], levels: int | None = None) -> list[Graph]:
-    return list(ex_infinity_trace(family, levels).survivors)

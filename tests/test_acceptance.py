@@ -173,7 +173,7 @@ def test_criterion_05_quotient_comparison_as_specified():
     wrong_order, variant_misses, row_misses, dense_misses = [], [], [], []
     dense_gaps = []
     for n in sizes:
-        res = claim1_comparison(k, n, width=Fraction(1, 10**12))
+        res = claim1_comparison(k, n)
         if not (res.radius1 < res.radius2 and res.sign_at_root == 1):
             wrong_order.append(n)
 
@@ -225,7 +225,7 @@ def test_criterion_05_quotient_comparison_as_specified():
 
 
 def test_criterion_06_join_bound():
-    rep = verify_join_bound(pairs=200, max_order=30, seed=0, slack=1e-9)
+    rep = verify_join_bound(pairs=200, max_order=30, seed=0)
     report(
         "criterion-6 join bound",
         rep.outcome == "PASS",

@@ -436,6 +436,42 @@ def test_construct_candidate_side_out_of_range(capsys, k, s, left):
     assert f"--s {s} gives |L| = {left} at n=22" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # |R| = 1 leaves no room for the R edge
+        (("--n", "22", "--k", "3", "--s", "10"),
+         "the R edge needs |R| >= 2; n=22 and |L| = 21 leave |R| = 1"),
+        (("--n", "22", "--k", "4", "--s", "10"),
+         "the R edge needs |R| >= 2; n=22 and |L| = 21 leave |R| = 1"),
+        (("--n", "3", "--k", "3"),
+         "the R edge needs |R| >= 2; n=3 and |L| = 2 leave |R| = 1"),
+        # no member on the side: the message names |L|, k and the family
+        (("--n", "22", "--k", "3", "--s", "-10"),
+         "no U member at |L| = 1 for k=3: "),
+        (("--n", "3", "--k", "3", "--no-r-edge"),
+         "no U member at |L| = 2 for k=3: "),
+    ],
+)
+def test_construct_candidate_names_the_side_that_cannot_be_built(
+    capsys, argv, message
+):
+    code, out, err = run_cli(capsys, "construct", "candidate", *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_construct_candidate_without_the_r_edge_takes_one_r_vertex(capsys):
+    code, out, _ = run_cli(
+        capsys, "construct", "candidate", "--n", "22", "--k", "3",
+        "--s", "10", "--no-r-edge",
+    )
+    assert code == 0
+    assert decode_graph6(out.strip()) == bipartite_candidate(
+        standard_member("U", 3, 21), build_graph(1, [])
+    )
+
+
 @pytest.mark.parametrize("s, left", [("10", 21), ("-10", 1)])
 def test_construct_candidate_side_at_the_ends_of_the_range(capsys, s, left):
     code, out, _ = run_cli(

@@ -1,8 +1,10 @@
 import hashlib
+import random
 
 import pytest
 
 from oddwheel import enumerate as enum_mod
+from oddwheel import verify as verify_mod
 from oddwheel.enumerate import graph_code
 from oddwheel.formats import encode_graph6
 from oddwheel.families import (
@@ -31,6 +33,7 @@ from oddwheel.graphs import (
     components,
     disjoint_union,
     is_connected,
+    join,
 )
 
 
@@ -361,6 +364,107 @@ def test_two_sided_builder_matches_the_old_builders():
                     assert bipartite_candidate(inner, r_side).rows == (
                         _four_argument_candidate(n, left, inner, r_edge).rows
                     )
+
+
+def _parent_join(parts):
+    # `graphs.join` as it stood before the one-pass join: a disjoint
+    # union, then both masks OR'd in for each consecutive pair of parts.
+    g = disjoint_union(parts)
+    rows = list(g.rows)
+    offsets = []
+    off = 0
+    for p in parts:
+        offsets.append(off)
+        off += p.order
+    for i in range(len(parts) - 1):
+        a0, a1 = offsets[i], offsets[i] + parts[i].order
+        b0, b1 = offsets[i + 1], offsets[i + 1] + parts[i + 1].order
+        bmask = ((1 << (b1 - b0)) - 1) << b0
+        amask = ((1 << (a1 - a0)) - 1) << a0
+        for u in range(a0, a1):
+            rows[u] |= bmask
+        for v in range(b0, b1):
+            rows[v] |= amask
+    return Graph(tuple(rows))
+
+
+def _parent_bipartite_candidate(h_left, h_right):
+    # `bipartite_candidate` with its own row loop, before it was `join`.
+    left, right = h_left.order, h_right.order
+    if not left or not right:
+        raise ValueError("both sides must be non-empty")
+    l_mask = (1 << left) - 1
+    r_mask = ((1 << right) - 1) << left
+    rows = [r_mask | r for r in h_left.rows]
+    rows += [l_mask | r << left if r else l_mask for r in h_right.rows]
+    return Graph(tuple(rows))
+
+
+def test_join_matches_the_parent_builders_on_the_claim1_sides():
+    # The 192 claim-1 side pairs: k = 4, n = 22..402 step 4, |L| = n/2
+    # and n/2 + 1, each with the R edge.
+    pairs = 0
+    for n in range(22, 403, 4):
+        for left in (n // 2, n // 2 + 1):
+            h_left = standard_member(U_KIND, 4, left)
+            h_right = build_graph(n - left, [(0, 1)])
+            want = _parent_bipartite_candidate(h_left, h_right).rows
+            assert _parent_join([h_left, h_right]).rows == want
+            assert join([h_left, h_right]).rows == want
+            assert bipartite_candidate(h_left, h_right).rows == want
+            pairs += 1
+    assert pairs == 192
+
+
+def test_join_matches_the_parent_join_on_seeded_parts():
+    rng = random.Random(31)
+    kinds = {"empty": 0, "complete": 0, "random": 0}
+    for _ in range(3000):
+        parts = []
+        for _ in range(rng.randint(1, 4)):
+            m = rng.randint(0, 9)
+            kind = rng.choice(sorted(kinds))
+            kinds[kind] += 1
+            if kind == "random":
+                p = rng.random()
+                edges = [(u, v) for u in range(m) for v in range(u + 1, m)
+                         if rng.random() < p]
+                parts.append(build_graph(m, edges))
+            else:
+                parts.append(primitive(kind, m))
+        assert join(parts).rows == _parent_join(parts).rows
+    assert min(kinds.values()) > 1000
+    with pytest.raises(GraphError):
+        join([])
+
+
+def test_one_set_hosts_match_the_parent_join(monkeypatch):
+    # `verify_one_set` at (40, 6) joins K_34 to each embedded graph; the
+    # parent joined K_34 to six isolated vertices and added the shifted
+    # edges.  The hosts are the graphs whose radii it takes.
+    c6 = primitive("cycle", 6)
+    c3c3 = disjoint_union([primitive("cycle", 3)] * 2)
+    hosts = []
+    radius = verify_mod.spectral_radius
+    monkeypatch.setattr(
+        verify_mod, "spectral_radius",
+        lambda g, tol: hosts.append(g) or radius(g, tol),
+    )
+    assert verify_mod.verify_one_set(40, 6, c6, c3c3).outcome == "PASS"
+    base = _parent_join([primitive("complete", 34), primitive("empty", 6)])
+    assert [g.rows for g in hosts] == [
+        base.add_edges((u + 34, v + 34) for u, v in h.edges()).rows
+        for h in (c6, c3c3)
+    ]
+
+
+def test_left_sizes_compete_exactly_at_even_k_and_n_2_mod_4():
+    # `auto_left_sizes` alone decides the case split that claim 1,
+    # spex-structure and `construct candidate` read.
+    for k in range(2, 30):
+        for n in range(800):
+            competing = k >= 4 and k % 2 == 0 and n % 4 == 2
+            assert (len(auto_left_sizes(n, k)) == 2) == competing, (n, k)
 
 
 # sha256 of the graph6 lines (each ending in a newline) of the graphs in

@@ -282,10 +282,14 @@ def test_claim1_internal_consistency():
         assert res.radius1 > res.radius2
     else:
         assert res.radius1 < res.radius2
-    with pytest.raises(ValueError):
-        claim1_comparison(5, 22)
-    with pytest.raises(ValueError):
-        claim1_comparison(4, 24)
+
+
+@pytest.mark.parametrize("k, n", [(2, 22), (3, 22), (5, 22), (4, 24), (4, 14)])
+def test_claim1_needs_two_competing_sides_and_n_at_least_4k(k, n):
+    # one side size from `auto_left_sizes` (k = 2, odd k, n = 0 mod 4),
+    # or n < 4k
+    with pytest.raises(ValueError, match=f"k={k}, n={n}"):
+        claim1_comparison(k, n)
 
 
 @pytest.mark.parametrize(

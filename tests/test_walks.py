@@ -31,7 +31,6 @@ from oddwheel.walks import (
     _cell_walks,
     closed_form_profile,
     default_horizon,
-    ex_infinity,
     ex_infinity_trace,
     extract_deficient_structure,
     vertex_walks,
@@ -143,7 +142,7 @@ def test_walk_step_rejects_a_non_equitable_partition(monkeypatch):
         part._replace(quotient=((1, 1), (1, 1))),
     ):
         monkeypatch.setattr(
-            graphs, "_equitable_partition", lambda g, twins: wrong
+            graphs, "equitable_partition", lambda g, twins=None: wrong
         )
         for count in (
             quotient,
@@ -309,20 +308,20 @@ def test_default_horizon():
 
 def test_ex_infinity_trivia():
     c5 = primitive("cycle", 5)
-    assert ex_infinity([c5]) == [c5]
+    assert ex_infinity_trace([c5]).survivors == (c5,)
     # pairwise EQUIV family survives whole
     from oddwheel.enumerate import connected_with_degrees
 
     cubic8 = connected_with_degrees(8, 3, False)
-    assert len(ex_infinity(cubic8)) == len(cubic8)
+    assert len(ex_infinity_trace(cubic8).survivors) == len(cubic8)
     with pytest.raises(ValueError):
-        ex_infinity([])
+        ex_infinity_trace([])
 
 
 def test_ex_infinity_matches_fixed_core_family():
     for delta, n in [(3, 13), (3, 15)]:
         fam = enumerate_family(FamilySpec("GFAM", delta, n))
-        got = {graph_code(g) for g in ex_infinity(fam)}
+        got = {graph_code(g) for g in ex_infinity_trace(fam).survivors}
         want = {
             graph_code(g)
             for g in enumerate_family(FamilySpec("V", delta + 1, n))
@@ -496,7 +495,9 @@ def test_ex_infinity_certifies_members_that_share_a_profile(monkeypatch):
     copy = build_graph(4, [(1, 0), (0, 2), (2, 3)])
     part = equitable_partition(p4)
     assert equitable_partition(copy).quotient == part.quotient
-    monkeypatch.setattr(graphs, "_equitable_partition", lambda g, twins: part)
+    monkeypatch.setattr(
+        graphs, "equitable_partition", lambda g, twins=None: part
+    )
     assert ex_infinity_trace([p4, p4], 4).profiles[1] == (6, 10, 16, 26)
     with pytest.raises(GraphError):
         ex_infinity_trace([p4, copy])
