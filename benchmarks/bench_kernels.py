@@ -59,7 +59,7 @@ from oddwheel.families import (  # noqa: E402
     G_KIND,
     U_KIND,
     FamilySpec,
-    bipartite_candidate,
+    embedded_candidate,
     enumerate_family,
     standard_member,
 )
@@ -67,7 +67,6 @@ from oddwheel.formats import decode_graph6, encode_graph6  # noqa: E402
 from oddwheel.graphs import (  # noqa: E402
     Graph,
     automorphism_generators,
-    build_graph,
     certify_equitable,
     components,
     equitable_partition,
@@ -164,9 +163,7 @@ def layer_rows():
     """(name, inputs, seconds) of the per-layer table, best of three
     passes each; inputs are built before any timing."""
     candidates = [
-        bipartite_candidate(
-            standard_member(U_KIND, 4, left), build_graph(n - left, [(0, 1)])
-        )
+        embedded_candidate(standard_member(U_KIND, 4, left), n)
         for n in range(22, 403, 4)
         for left in (n // 2, n // 2 + 1)
     ]
@@ -211,10 +208,7 @@ def layer_rows():
 def unbalanced_candidate(n):
     """The unbalanced k = 4 candidate of order n: the U standard member on
     L, |L| = n/2 + 1, and one R edge."""
-    left = n // 2 + 1
-    return bipartite_candidate(
-        standard_member(U_KIND, 4, left), build_graph(n - left, [(0, 1)])
-    )
+    return embedded_candidate(standard_member(U_KIND, 4, n // 2 + 1), n)
 
 
 def wheel_rows(orders):
@@ -250,7 +244,7 @@ def cycle_rows(rng, quick):
     rows = [("exhaustive, order 4-6", small, small)]
     for n, k in ((50, 4), (50, 5)):
         graphs = [
-            bipartite_candidate(inner, build_graph(n - left, [(0, 1)]))
+            embedded_candidate(inner, n)
             for left in (n // 2 - 1, n // 2, n // 2 + 1)
             for inner in enumerate_family(FamilySpec(U_KIND, k, left))
         ]

@@ -31,8 +31,8 @@ from oddwheel.families import (
     U_KIND,
     V_KIND,
     auto_left_sizes,
-    bipartite_candidate,
     core_component,
+    embedded_candidate,
     enumerate_family,
     matching_embedded_candidate,
     odd_wheel,
@@ -40,7 +40,7 @@ from oddwheel.families import (
     standard_member,
 )
 from oddwheel.formats import encode_edge_list, encode_graph6, read_graph_text
-from oddwheel.graphs import Graph, build_graph
+from oddwheel.graphs import Graph
 from oddwheel.kernels import BudgetExceededError
 from oddwheel.spectral import DEFAULT_TOL, SpectralError, spectral_radius
 from oddwheel.verify import CLAIMS, REQUIRED, run_claim
@@ -290,9 +290,7 @@ def _cmd_construct(args) -> int:
             raise ValueError(
                 f"--member out of range (family has {len(pool)} members)"
             )
-        inner = pool[member]
-        r_edges = [] if args.no_r_edge else [(0, 1)]
-        g = bipartite_candidate(inner, build_graph(n - left, r_edges))
+        g = embedded_candidate(pool[member], n, not args.no_r_edge)
     _emit(_graph_text(g, args.format), args.out)
     return EXIT_OK
 

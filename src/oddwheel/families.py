@@ -287,9 +287,6 @@ class CandidateSpec:
     inner: Graph
     r_edge: bool
 
-    def left_size(self) -> int:
-        return self.n // 2 + self.s
-
 
 def bipartite_candidate(h_left: Graph, h_right: Graph) -> Graph:
     """K_{|L|,|R|} with `h_left` on L (vertices 0..|L|-1) and `h_right` on
@@ -300,19 +297,25 @@ def bipartite_candidate(h_left: Graph, h_right: Graph) -> Graph:
     return join([h_left, h_right])
 
 
+def embedded_candidate(h_left: Graph, n: int, r_edge: bool = True) -> Graph:
+    """K_{|L|,|R|} with `h_left` on L, its order |L|, and R the other
+    n - |L| vertices, with the edge (0, 1) of R when `r_edge`."""
+    h_right = build_graph(n - h_left.order, [(0, 1)] if r_edge else [])
+    return bipartite_candidate(h_left, h_right)
+
+
 def spex_candidate(spec: CandidateSpec) -> Graph:
     if spec.n % 2:
         raise ValueError(
             "spex_candidate uses |L| = n/2 + s; build odd orders through "
             "bipartite_candidate"
         )
-    left = spec.left_size()
+    left = spec.n // 2 + spec.s
     if spec.inner.order != left:
         raise GraphError(
             f"inner graph has order {spec.inner.order}, expected |L| = {left}"
         )
-    r_edges = [(0, 1)] if spec.r_edge else []
-    return bipartite_candidate(spec.inner, build_graph(spec.n - left, r_edges))
+    return embedded_candidate(spec.inner, spec.n, spec.r_edge)
 
 
 def matching_embedded_candidate(n: int, left: int | None = None) -> Graph:

@@ -391,10 +391,10 @@ def equitable_partition(
     start, and while they do they have the same count in every cell, so
     they never part: the cells, their order and the quotient are the ones
     the rounds give vertex by vertex.  There is one refinement loop,
-    `_refine`; here every cell starts fresh, and the search nodes of
-    `automorphism_generators` enter it with only the vertex they split
-    off fresh.  The quotient rows are read once at the end, from the
-    lowest vertex of each cell.
+    `_refine`; here and at the root of `automorphism_generators` every
+    cell starts fresh, and the search nodes below that root enter it
+    with only the vertex they split off fresh.  The quotient rows are
+    read once at the end, from the lowest vertex of each cell.
     """
     if g.order == 0:
         return EquitablePartition((), (), ())
@@ -556,10 +556,10 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     Congr. Numer. 30 (1981)).  A node of the search tree is the coarsest
     equitable partition finer than its parent's with one vertex of the
     parent's first non-singleton cell split off; a leaf is discrete, and
-    orders the vertices.  A node is refined from its parent by the one
-    refinement loop, with only the split-off vertex fresh
-    (`_individualize`), and is kept as (cells, cell_of) lists without a
-    quotient.  The first path always splits off the lowest vertex.
+    orders the vertices.  Each node is refined by the one loop: the root
+    from one fresh cell, a node below from its parent with only the
+    split-off vertex fresh (`_individualize`).  Nodes are (cells, cell_of)
+    lists without a quotient; the first path splits off the lowest vertex.
     Refinement keeps every cell in its place in the order, and a vertex
     split off goes just ahead of the rest of its cell, so a leaf below a
     node, read position by position against the first leaf, fixes the
@@ -576,8 +576,8 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     """
     rows = g.rows
     units = [1 << v for v in range(g.order)]
-    part = equitable_partition(g)
-    node = part.cells, part.cell_of
+    full = (1 << g.order) - 1
+    node = _refine(rows, units, [full], [0] * g.order, [full])
     path = [node]
     while cell := _target_cell(node[0]):
         node = _individualize(rows, units, node, _lowest(cell))

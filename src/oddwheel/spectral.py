@@ -27,13 +27,12 @@ import numpy as np
 from oddwheel.families import (
     U_KIND,
     auto_left_sizes,
-    bipartite_candidate,
     core_component,
+    embedded_candidate,
     standard_member,
 )
 from oddwheel.graphs import (
     Graph,
-    build_graph,
     components,
     quotient,
     reachable,
@@ -438,9 +437,7 @@ def claim1_comparison(k: int, n: int) -> Claim1Result:
             f"n={n} give |L| in {lefts}"
         )
     balanced, unbalanced = (
-        bipartite_candidate(
-            standard_member(U_KIND, k, left), build_graph(n - left, [(0, 1)])
-        )
+        embedded_candidate(standard_member(U_KIND, k, left), n)
         for left in lefts
     )
     m1 = quotient(balanced).quotient

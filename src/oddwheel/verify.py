@@ -34,7 +34,7 @@ from oddwheel.families import (
     U_KIND,
     V_KIND,
     auto_left_sizes,
-    bipartite_candidate,
+    embedded_candidate,
     enumerate_family,
     matching_embedded_candidate,
     primitive,
@@ -44,6 +44,7 @@ from oddwheel.formats import encode_graph6
 from oddwheel.graphs import Graph, build_graph, join
 from oddwheel.kernels import BudgetExceededError
 from oddwheel.spectral import (
+    DEFAULT_TOL,
     claim1_comparison,
     core_quotient_note,
     matrix_radius,
@@ -208,7 +209,7 @@ def verify_one_set(
     t_size: int,
     h1: Graph,
     h2: Graph,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Embed two graphs into the dominated independent set of a common
     host and check the walk order against the radius order."""
@@ -254,7 +255,7 @@ def verify_one_set(
 
 
 def verify_spex_structure(
-    n: int, k: int, tol: float = 1e-10, budget: int | None = None
+    n: int, k: int, tol: float = DEFAULT_TOL, budget: int | None = None
 ) -> VerificationReport:
     """Sweep side sizes |L| in {n/2-1, n/2, n/2+1} (every family member,
     one R edge), require every candidate odd-wheel-free, and test whether
@@ -280,9 +281,8 @@ def verify_spex_structure(
         else:
             for left in sweep:
                 pool = enumerate_family(FamilySpec(U_KIND, k, left), budget)
-                r_side = build_graph(n - left, [(0, 1)])
                 for idx, inner in enumerate(pool):
-                    g = bipartite_candidate(inner, r_side)
+                    g = embedded_candidate(inner, n)
                     candidates.append((f"L={left} member{idx}", left, g))
     except BudgetExceededError as exc:
         return VerificationReport("spex-structure", params, BUDGET, {}, str(exc))
@@ -344,7 +344,7 @@ def verify_spex_structure(
         vradii = []
         qmats = set()
         for inner in vfam:
-            g = bipartite_candidate(inner, build_graph(n - left, [(0, 1)]))
+            g = embedded_candidate(inner, n)
             qmats.add(quotient(g).quotient)
             vradii.append(spectral_radius(g, tol).radius)
         # The candidates are connected, so each radius is the Perron root
@@ -374,7 +374,7 @@ def verify_spex_structure(
     )
 
 
-def brute_spex(n: int, k: int, tol: float = 1e-10) -> VerificationReport:
+def brute_spex(n: int, k: int, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Exhaustive finite-n maximizer of the radius among W_{2k+1}-free
     graphs; ground truth for the detectors and constructions, explicitly
     not a check of any asymptotic statement.
@@ -446,7 +446,7 @@ def verify_join_bound(
     pairs: int = 200,
     max_order: int = 30,
     seed: int = 0,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Seeded random pairs (H1, H2): the chain join's radius must stay
     below the Perron root of [[d, |H2|], [|H1|, d']] plus the slack
@@ -500,7 +500,9 @@ def fact1_bound(k: int, n: int) -> float:
     return (k - 1 + ((k - 1) ** 2 + n * n - 1) ** 0.5) / 2 + 1 / (2 * n)
 
 
-def verify_fact1(k: int, n: int, tol: float = 1e-10) -> VerificationReport:
+def verify_fact1(
+    k: int, n: int, tol: float = DEFAULT_TOL
+) -> VerificationReport:
     """Finite-n observation: the constructed candidate's radius exceeds
     the lower bound the asymptotic argument relies on.  An n whose side
     |L| is smaller than the smallest U member (k vertices) is rejected,
@@ -518,9 +520,7 @@ def verify_fact1(k: int, n: int, tol: float = 1e-10) -> VerificationReport:
         # at this odd order; at k = 2 there is none, so no candidate.
         left = n // 2
     try:
-        g = bipartite_candidate(
-            standard_member(U_KIND, k, left), build_graph(n - left, [(0, 1)])
-        )
+        g = embedded_candidate(standard_member(U_KIND, k, left), n)
     except ValueError as exc:
         raise ValueError(
             f"fact-1 has no candidate at k={k}, n={n}: {exc}"
@@ -547,6 +547,8 @@ def verify_fact1(k: int, n: int, tol: float = 1e-10) -> VerificationReport:
 def verify_claim1(k: int, n_values: list[int]) -> VerificationReport:
     """Exact-rational comparison of the two quotient matrices at every n:
     requires radius1 > radius2 and a negative sign at the bracketed root."""
+    if not n_values:
+        raise ValueError("claim-1 needs at least one n, got n_values=[]")
     params = {"k": k, "n_values": list(n_values)}
     rows = []
     ok = True
@@ -612,12 +614,12 @@ CLAIMS = {
         "embedding walk-ordered graphs into a dominated independent set "
         "orders the spectral radii the same way",
         verify_one_set, {"base_order": 40, "t_size": 6, "h1": REQUIRED,
-                         "h2": REQUIRED, "tol": 1e-10}),
+                         "h2": REQUIRED, "tol": DEFAULT_TOL}),
     "spex-structure": Claim(
         "predicted bipartite-plus-embedding candidates attain the maximum "
         "spectral radius among the side-size sweep",
         verify_spex_structure,
-        {"n": REQUIRED, "k": REQUIRED, "tol": 1e-10, "budget": None}),
+        {"n": REQUIRED, "k": REQUIRED, "tol": DEFAULT_TOL, "budget": None}),
     "claim-1-thm-1.4": Claim(
         "6-class quotient of the balanced candidate beats the 3-class "
         "quotient of the unbalanced one",
@@ -625,16 +627,16 @@ CLAIMS = {
     "fact-1": Claim(
         "constructed candidates exceed the radius lower bound "
         "(k-1+sqrt((k-1)^2+n^2-1))/2 + 1/(2n)",
-        verify_fact1, {"k": 3, "n": 100, "tol": 1e-10}),
+        verify_fact1, {"k": 3, "n": 100, "tol": DEFAULT_TOL}),
     "lemma-2.1": Claim(
         "the spectral radius of a chain join is at most the Perron root of "
         "the 2x2 degree/size bound matrix",
         verify_join_bound,
-        {"pairs": 200, "max_order": 30, "seed": 0, "tol": 1e-10}),
+        {"pairs": 200, "max_order": 30, "seed": 0, "tol": DEFAULT_TOL}),
     "brute-spex": Claim(
         "finite-n exhaustive maximizer of the spectral radius among "
         "odd-wheel-free graphs",
-        brute_spex, {"n": REQUIRED, "k": REQUIRED, "tol": 1e-10}),
+        brute_spex, {"n": REQUIRED, "k": REQUIRED, "tol": DEFAULT_TOL}),
 }
 
 

@@ -8,7 +8,9 @@ from oddwheel import cli
 from oddwheel.cli import main
 from oddwheel.families import (
     V_KIND,
+    FamilySpec,
     bipartite_candidate,
+    enumerate_family,
     matching_embedded_candidate,
     odd_wheel,
     primitive,
@@ -87,6 +89,36 @@ def test_construct_candidate_defaults_to_the_standard_member(capsys):
     inner = standard_member(V_KIND, 4, 501)
     assert decode_graph6(out.strip()) == bipartite_candidate(
         inner, build_graph(501, [(0, 1)])
+    )
+
+
+@pytest.mark.parametrize(
+    "flags, family, k, left, member",
+    [
+        (("--n", "22", "--k", "3"), "U", 3, 11, 0),
+        (("--n", "22", "--k", "4"), "V", 4, 11, 0),
+        (("--n", "24", "--k", "4", "--s", "1"), "U", 4, 13, 0),
+        (("--n", "23", "--k", "5", "--s", "-1"), "U", 5, 10, 0),
+        (("--n", "26", "--k", "4", "--family", "U", "--s", "1",
+          "--member", "1"), "U", 4, 14, 1),
+    ],
+)
+@pytest.mark.parametrize("r_edge", [True, False])
+def test_construct_candidate_matches_the_parent_construction(
+    capsys, flags, family, k, left, member, r_edge
+):
+    # The member on L and |R| = n - |L| with (0, 1) unless --no-r-edge,
+    # as the command built it before `embedded_candidate`.
+    argv = ["construct", "candidate", *flags]
+    code, out, _ = run_cli(capsys, *argv, *([] if r_edge else ["--no-r-edge"]))
+    assert code == 0
+    n = int(flags[1])
+    inner = (
+        standard_member(family, k, left) if member == 0
+        else enumerate_family(FamilySpec(family, k, left))[member]
+    )
+    assert decode_graph6(out.strip()) == bipartite_candidate(
+        inner, build_graph(n - left, [(0, 1)] if r_edge else [])
     )
 
 

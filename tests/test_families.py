@@ -35,6 +35,7 @@ from oddwheel.graphs import (
     is_connected,
     join,
 )
+from oddwheel.spectral import claim1_comparison
 
 
 def test_primitives():
@@ -154,6 +155,9 @@ def test_spex_candidate_construction():
     assert g.edge_count == 11 * 11 + inner.edge_count + 1
     # r edge sits between the first two right-side vertices
     assert g.has_edge(11, 12)
+    for r_edge in (True, False):
+        spec = CandidateSpec(22, 4, 0, inner, r_edge)
+        assert spex_candidate(spec) == _parent_embedded(inner, 22, r_edge)
     with pytest.raises(GraphError):
         spex_candidate(CandidateSpec(22, 4, 1, inner, True))  # size mismatch
     with pytest.raises(ValueError):
@@ -455,6 +459,73 @@ def test_one_set_hosts_match_the_parent_join(monkeypatch):
     assert [g.rows for g in hosts] == [
         base.add_edges((u + 34, v + 34) for u, v in h.edges()).rows
         for h in (c6, c3c3)
+    ]
+
+
+def _parent_embedded(h_left, n, r_edge=True):
+    # The candidate as each call site spelled it out before
+    # `embedded_candidate`: the member on L, |R| = n - |L| with the R edge.
+    h_right = build_graph(n - h_left.order, [(0, 1)] if r_edge else [])
+    return _parent_bipartite_candidate(h_left, h_right)
+
+
+@pytest.mark.parametrize("n, k", [(26, 3), (50, 4), (50, 5), (30, 6)])
+def test_spex_structure_candidates_match_the_parent_construction(
+    monkeypatch, n, k
+):
+    # Every swept U candidate reaches the wheel scan, and every V member
+    # of the tie check its quotient, with the parent's rows.  The scan is
+    # skipped: the graphs, not the outcome, are under test.
+    scanned, tied = [], []
+    monkeypatch.setattr(
+        verify_mod, "contains_odd_wheel", lambda g, k: scanned.append(g)
+    )
+    quotient = verify_mod.quotient
+    monkeypatch.setattr(
+        verify_mod, "quotient", lambda g: tied.append(g) or quotient(g)
+    )
+    verify_mod.verify_spex_structure(n, k)
+    sweep = sorted({n // 2 - 1, n // 2, n - n // 2, n // 2 + 1})
+    assert [g.rows for g in scanned] == [
+        _parent_embedded(inner, n).rows
+        for left in sweep
+        for inner in enumerate_family(FamilySpec(U_KIND, k, left))
+    ]
+    lefts = auto_left_sizes(n, k)
+    v_members = (
+        enumerate_family(FamilySpec(V_KIND, k, lefts[0]))
+        if len(lefts) == 2 else []
+    )
+    assert [g.rows for g in tied] == [
+        _parent_embedded(inner, n).rows for inner in v_members
+    ]
+    assert bool(tied) == (k % 2 == 0)
+
+
+def test_claim1_sides_match_the_parent_construction():
+    # Both sides of claim 1 at k = 4, n = 22..402 step 4.
+    for n in range(22, 403, 4):
+        res = claim1_comparison(4, n)
+        assert res.graph1.rows == _parent_embedded(
+            standard_member(U_KIND, 4, n // 2), n
+        ).rows
+        assert res.graph2.rows == _parent_embedded(
+            standard_member(U_KIND, 4, n // 2 + 1), n
+        ).rows
+
+
+@pytest.mark.parametrize("k, n, left", [(3, 100, 50), (4, 1002, 501)])
+def test_fact1_candidate_matches_the_parent_construction(
+    monkeypatch, k, n, left
+):
+    built = []
+    quotient = verify_mod.quotient
+    monkeypatch.setattr(
+        verify_mod, "quotient", lambda g: built.append(g) or quotient(g)
+    )
+    assert verify_mod.verify_fact1(k, n).outcome == "PASS"
+    assert [g.rows for g in built] == [
+        _parent_embedded(standard_member(U_KIND, k, left), n).rows
     ]
 
 

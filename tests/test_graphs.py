@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from oddwheel.enumerate import all_graphs
+from oddwheel import graphs as graphs_mod
+from oddwheel.enumerate import all_graphs, connected_with_degrees
 from oddwheel.graphs import (
     EquitablePartition,
     GraphError,
@@ -554,6 +555,59 @@ def test_automorphism_group_orders(g, order):
     gens = automorphism_generators(g)
     assert all(is_automorphism(g, p) for p in gens)
     assert len(generated_group(gens, g.order)) == order
+
+
+def _parent_automorphism_generators(g):
+    # `automorphism_generators` as it stood when its root node came from
+    # `equitable_partition`, twin pass and quotient rows included.
+    rows = g.rows
+    units = [1 << v for v in range(g.order)]
+    part = equitable_partition(g)
+    node = part.cells, part.cell_of
+    path = [node]
+    while cell := graphs_mod._target_cell(node[0]):
+        node = graphs_mod._individualize(
+            rows, units, node, graphs_mod._lowest(cell)
+        )
+        path.append(node)
+    first_leaf = node[1]
+    gens = []
+    for node in reversed(path[:-1]):
+        cell = graphs_mod._target_cell(node[0])
+        v = graphs_mod._lowest(cell)
+        orbit = sum(graphs_mod.set_orbit(1 << v, gens))
+        for w in graphs_mod.bits_of(cell & ~orbit):
+            if (orbit >> w) & 1:
+                continue
+            perm = graphs_mod._leaf_below(g, units, node, w, first_leaf)
+            if perm is not None:
+                gens.append(perm)
+                orbit = sum(graphs_mod.set_orbit(1 << v, gens))
+    return gens
+
+
+def test_automorphism_root_is_the_equitable_partition(monkeypatch):
+    # The search starts from the refinement loop on single vertices, not
+    # from `equitable_partition`; its root and its generators are the
+    # ones that start gave, on the 1,331 graphs of all_graphs(1..7) and
+    # the connected 5- and 3-regular graphs of order 10.
+    graphs = [g for n in range(1, 8) for g in all_graphs(n)]
+    graphs += connected_with_degrees(10, 5, False)
+    graphs += connected_with_degrees(10, 3, False)
+    assert len(graphs) == 1331
+    want = [_parent_automorphism_generators(g) for g in graphs]
+    for g in graphs:
+        part = equitable_partition(g)
+        full = (1 << g.order) - 1
+        units = [1 << v for v in range(g.order)]
+        root = graphs_mod._refine(g.rows, units, [full], [0] * g.order, [full])
+        assert root == (list(part.cells), list(part.cell_of)), g.rows
+
+    def no_partition(*args):
+        raise AssertionError("the search read equitable_partition")
+
+    monkeypatch.setattr(graphs_mod, "equitable_partition", no_partition)
+    assert [automorphism_generators(g) for g in graphs] == want
 
 
 def test_automorphism_generators_of_a_rigid_graph():

@@ -544,6 +544,16 @@ def test_claim1_report_contents():
     assert "k-4" in rep.notes
 
 
+def test_claim1_rejects_an_empty_n_list():
+    # An empty list compares nothing; it is not a PASS.
+    for call in (
+        lambda: verify_claim1(4, []),
+        lambda: run_claim("claim-1-thm-1.4", k=4, n_values=()),
+    ):
+        with pytest.raises(ValueError, match="n_values"):
+            call()
+
+
 def test_run_claim_dispatch():
     rep = run_claim("lemma-3.3", delta=3, n=13)
     assert isinstance(rep, VerificationReport)
