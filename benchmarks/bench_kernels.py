@@ -59,9 +59,8 @@ from oddwheel.families import (  # noqa: E402
     G_KIND,
     U_KIND,
     FamilySpec,
-    embedded_candidate,
+    candidate,
     enumerate_family,
-    standard_member,
 )
 from oddwheel.formats import decode_graph6, encode_graph6  # noqa: E402
 from oddwheel.graphs import (  # noqa: E402
@@ -163,7 +162,7 @@ def layer_rows():
     """(name, inputs, seconds) of the per-layer table, best of three
     passes each; inputs are built before any timing."""
     candidates = [
-        embedded_candidate(standard_member(U_KIND, 4, left), n)
+        candidate(4, n, left)
         for n in range(22, 403, 4)
         for left in (n // 2, n // 2 + 1)
     ]
@@ -208,7 +207,7 @@ def layer_rows():
 def unbalanced_candidate(n):
     """The unbalanced k = 4 candidate of order n: the U standard member on
     L, |L| = n/2 + 1, and one R edge."""
-    return embedded_candidate(standard_member(U_KIND, 4, n // 2 + 1), n)
+    return candidate(4, n, n // 2 + 1)
 
 
 def wheel_rows(orders):
@@ -244,7 +243,7 @@ def cycle_rows(rng, quick):
     rows = [("exhaustive, order 4-6", small, small)]
     for n, k in ((50, 4), (50, 5)):
         graphs = [
-            embedded_candidate(inner, n)
+            candidate(k, n, member=inner)
             for left in (n // 2 - 1, n // 2, n // 2 + 1)
             for inner in enumerate_family(FamilySpec(U_KIND, k, left))
         ]

@@ -21,9 +21,9 @@ from oddwheel.families import (
     FamilySpec,
     auto_left_sizes,
     bipartite_candidate,
+    candidate,
     core_component,
     enumerate_family,
-    matching_embedded_candidate,
     odd_wheel,
     primitive,
     spex_candidate,

@@ -31,10 +31,10 @@ from oddwheel.families import (
     U_KIND,
     V_KIND,
     auto_left_sizes,
+    candidate,
+    check_sides,
     core_component,
-    embedded_candidate,
     enumerate_family,
-    matching_embedded_candidate,
     odd_wheel,
     primitive,
     standard_member,
@@ -244,53 +244,45 @@ def _cmd_construct(args) -> int:
         if args.m is None:
             raise ValueError("--m required for primitives")
         g = primitive(what, args.m)
-    elif args.k == 2:  # a maximum matching on each side, nothing more
-        _reject_unread(
-            args, args.kind_flags, ("n", "k", "s"), "the k=2 candidate"
-        )
-        if args.n is None:
-            raise ValueError("--n and --k required for candidate")
-        left = None if args.s is None else _left_side(args.n, args.s)
-        g = matching_embedded_candidate(args.n, left)
-    else:  # candidate: a family member on L
-        reads = ("n", "k", "s", "family", "member", "no_r_edge")
-        # the budget bounds the family enumeration that --member indexes
-        _reject_unread(
-            args, args.kind_flags,
-            reads if args.member is None else reads + ("budget",),
-            "candidate" if args.member is None else "candidate --member",
-        )
+    else:  # candidate; from k = 3 on, a family member on L and the R edge
+        reads, label = ("n", "k", "s"), "the k=2 candidate"
+        if args.k != 2:
+            reads += ("family", "member", "no_r_edge")
+            label = "candidate"
+            if args.member is not None:
+                # the budget bounds the family enumeration --member indexes
+                reads += ("budget",)
+                label = "candidate --member"
+        _reject_unread(args, args.kind_flags, reads, label)
         if args.n is None or args.k is None:
             raise ValueError("--n and --k required for candidate")
-        n, k = args.n, args.k
-        lefts = auto_left_sizes(n, k)
-        family = args.family or ("V" if len(lefts) == 2 else "U")
-        if args.s is not None:
-            left = _left_side(n, args.s)
-        else:
-            left = n // 2 if family == "V" else lefts[-1]
-        if not args.no_r_edge and n - left < 2:
-            raise ValueError(
-                f"the R edge needs |R| >= 2; n={n} and |L| = {left} leave "
-                f"|R| = {n - left} (--no-r-edge builds without it)"
-            )
-        try:
-            pool = (
-                [standard_member(family, k, left)] if args.member is None
-                else enumerate_family(
-                    FamilySpec(family, k, left), budget=args.budget
+        n, k, r_edge = args.n, args.k, not args.no_r_edge
+        lefts = auto_left_sizes(n, k)  # rejects k < 2 before --s is read
+        left = None if args.s is None else _left_side(n, args.s)
+        member = None
+        if k != 2:
+            family = args.family or ("V" if len(lefts) == 2 else "U")
+            if left is None:
+                left = n // 2 if family == "V" else lefts[-1]
+            check_sides(k, n, left, r_edge)
+            try:
+                pool = (
+                    [standard_member(family, k, left)] if args.member is None
+                    else enumerate_family(
+                        FamilySpec(family, k, left), budget=args.budget
+                    )
                 )
-            )
-        except ValueError as exc:
-            raise ValueError(
-                f"no {family} member at |L| = {left} for k={k}: {exc}"
-            ) from exc
-        member = args.member or 0
-        if not 0 <= member < len(pool):
-            raise ValueError(
-                f"--member out of range (family has {len(pool)} members)"
-            )
-        g = embedded_candidate(pool[member], n, not args.no_r_edge)
+            except ValueError as exc:
+                raise ValueError(
+                    f"no {family} member at |L| = {left} for k={k}: {exc}"
+                ) from exc
+            index = args.member or 0
+            if not 0 <= index < len(pool):
+                raise ValueError(
+                    f"--member out of range (family has {len(pool)} members)"
+                )
+            member = pool[index]
+        g = candidate(k, n, left, member, r_edge)
     _emit(_graph_text(g, args.format), args.out)
     return EXIT_OK
 

@@ -3,8 +3,9 @@
 Covers the primitive graphs (complete, cycle, matching, empty), odd
 wheels, the one-deficient core component K1 v complement(matching) v K2,
 the families of (nearly) regular graphs with bounded component order, and
-the bipartite-plus-embedding candidate graphs whose spectral radii the
-verification harness compares.
+`candidate(k, n)`, the one builder of the candidates whose spectral radii
+the verification harness compares: K_{|L|,|R|} with a maximum matching in
+each side at k = 2, and a U member in L and one edge in R above.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ V_KIND = "V"
 G_KIND = "GFAM"
 
 
+def _matching(m: int) -> list[tuple[int, int]]:
+    """The edges of a maximum matching on m vertices."""
+    return [(2 * i, 2 * i + 1) for i in range(m // 2)]
+
+
 def primitive(kind: str, m: int) -> Graph:
     """complete/cycle/matching/empty graph on m labeled vertices."""
     if m < 0:
@@ -42,7 +48,7 @@ def primitive(kind: str, m: int) -> Graph:
     if kind == "matching":
         if m % 2:
             raise ValueError("perfect matching needs an even order")
-        return build_graph(m, [(2 * i, 2 * i + 1) for i in range(m // 2)])
+        return build_graph(m, _matching(m))
     if kind == "empty":
         return build_graph(m, [])
     raise ValueError(f"unknown primitive kind {kind!r}")
@@ -274,12 +280,7 @@ def enumerate_family(spec: FamilySpec, budget: int | None = None) -> list[Graph]
 
 @dataclass(frozen=True)
 class CandidateSpec:
-    """A complete bipartite graph K_{|L|,|R|} with a family member embedded
-    in L and (optionally) one edge embedded in R, where |L| = n/2 + s.
-
-    Vertices 0..|L|-1 form L (inner keeps its labels), |L|..n-1 form R;
-    the R edge, when present, connects the first two R vertices.
-    """
+    """`candidate(k, n, n/2 + s, inner, r_edge)` at even n."""
 
     n: int
     k: int
@@ -297,41 +298,61 @@ def bipartite_candidate(h_left: Graph, h_right: Graph) -> Graph:
     return join([h_left, h_right])
 
 
-def embedded_candidate(h_left: Graph, n: int, r_edge: bool = True) -> Graph:
-    """K_{|L|,|R|} with `h_left` on L, its order |L|, and R the other
-    n - |L| vertices, with the edge (0, 1) of R when `r_edge`."""
-    h_right = build_graph(n - h_left.order, [(0, 1)] if r_edge else [])
-    return bipartite_candidate(h_left, h_right)
-
-
 def spex_candidate(spec: CandidateSpec) -> Graph:
     if spec.n % 2:
         raise ValueError(
             "spex_candidate uses |L| = n/2 + s; build odd orders through "
-            "bipartite_candidate"
+            "candidate"
         )
-    left = spec.n // 2 + spec.s
-    if spec.inner.order != left:
-        raise GraphError(
-            f"inner graph has order {spec.inner.order}, expected |L| = {left}"
-        )
-    return embedded_candidate(spec.inner, spec.n, spec.r_edge)
+    return candidate(
+        spec.k, spec.n, spec.n // 2 + spec.s, spec.inner, spec.r_edge
+    )
 
 
-def matching_embedded_candidate(n: int, left: int | None = None) -> Graph:
-    """Complete bipartite K_{left,n-left} plus a maximum matching embedded
-    in each side.  Without `left` this is the k=2 extremal candidate, with
-    |L| = auto_left_sizes(n, 2)[0] (n/2+1 when n = 2 mod 4, otherwise
-    ceil(n/2))."""
-    if left is None:
+def check_sides(k: int, n: int, left: int, r_edge: bool) -> None:
+    """Raise ValueError unless `candidate(k, n, left, r_edge=r_edge)` has
+    room on both sides: |L| and |R| = n - |L| non-empty, and |R| >= 2 for
+    the R edge.  Builds no member."""
+    right = n - left
+    if left < 1 or right < 1:
+        raise ValueError(
+            f"both sides must be non-empty; n={n} and |L| = {left} leave "
+            f"|R| = {right}"
+        )
+    if r_edge and k != 2 and right < 2:
+        raise ValueError(
+            f"the R edge needs |R| >= 2; n={n} and |L| = {left} leave "
+            f"|R| = {right}"
+        )
+
+
+def candidate(k: int, n: int, left: int | None = None,
+              member: Graph | None = None, r_edge: bool = True) -> Graph:
+    """The candidate `bipartite_candidate(H_L, H_R)` for W_{2k+1} on n
+    vertices, its sides checked (`check_sides`) before any member is built.
+
+    H_L is `member`, else a maximum matching at k = 2 and
+    `standard_member(U_KIND, k, |L|)` above.  |L| is the member's order,
+    which `left`, if also given, must equal; else `left`; else, at n >= 4,
+    `auto_left_sizes(n, k)[0]`.  H_R, on the other n - |L| vertices, is
+    edgeless without `r_edge`, else a maximum matching at k = 2 and the
+    edge (0, 1) above."""
+    if member is not None:
+        if left is not None and left != member.order:
+            raise GraphError(
+                f"member has order {member.order}, expected |L| = {left}"
+            )
+        left = member.order
+    elif left is None:
         if n < 4:
             raise ValueError("candidate needs at least 4 vertices")
-        left = auto_left_sizes(n, 2)[0]
-    h_left, h_right = (
-        build_graph(m, [(2 * i, 2 * i + 1) for i in range(m // 2)])
-        for m in (left, n - left)
-    )
-    return bipartite_candidate(h_left, h_right)
+        left = auto_left_sizes(n, k)[0]
+    check_sides(k, n, left, r_edge)
+    if member is None:
+        member = (build_graph(left, _matching(left)) if k == 2
+                  else standard_member(U_KIND, k, left))
+    edges = (_matching(n - left) if k == 2 else [(0, 1)]) if r_edge else []
+    return bipartite_candidate(member, build_graph(n - left, edges))
 
 
 def auto_left_sizes(n: int, k: int) -> list[int]:

@@ -24,13 +24,7 @@ from operator import mul
 
 import numpy as np
 
-from oddwheel.families import (
-    U_KIND,
-    auto_left_sizes,
-    core_component,
-    embedded_candidate,
-    standard_member,
-)
+from oddwheel.families import auto_left_sizes, candidate, core_component
 from oddwheel.graphs import (
     Graph,
     components,
@@ -436,10 +430,7 @@ def claim1_comparison(k: int, n: int) -> Claim1Result:
             f"claim 1 needs two competing side sizes and n >= 4k; k={k}, "
             f"n={n} give |L| in {lefts}"
         )
-    balanced, unbalanced = (
-        embedded_candidate(standard_member(U_KIND, k, left), n)
-        for left in lefts
-    )
+    balanced, unbalanced = (candidate(k, n, left) for left in lefts)
     m1 = quotient(balanced).quotient
     m2 = quotient(unbalanced).quotient
 

@@ -34,11 +34,9 @@ from oddwheel.families import (
     U_KIND,
     V_KIND,
     auto_left_sizes,
-    embedded_candidate,
+    candidate,
     enumerate_family,
-    matching_embedded_candidate,
     primitive,
-    standard_member,
 )
 from oddwheel.formats import encode_graph6
 from oddwheel.graphs import Graph, build_graph, join
@@ -274,16 +272,15 @@ def verify_spex_structure(
     predicted_lefts = auto_left_sizes(n, k)
     candidates: list[tuple[str, int, Graph]] = []
     try:
-        if k == 2:
-            for left in sweep:
-                g = matching_embedded_candidate(n, left)
+        for left in sweep:
+            if k == 2:
+                g = candidate(k, n, left)
                 candidates.append((f"L={left} matching", left, g))
-        else:
-            for left in sweep:
-                pool = enumerate_family(FamilySpec(U_KIND, k, left), budget)
-                for idx, inner in enumerate(pool):
-                    g = embedded_candidate(inner, n)
-                    candidates.append((f"L={left} member{idx}", left, g))
+                continue
+            pool = enumerate_family(FamilySpec(U_KIND, k, left), budget)
+            for idx, inner in enumerate(pool):
+                g = candidate(k, n, member=inner)
+                candidates.append((f"L={left} member{idx}", left, g))
     except BudgetExceededError as exc:
         return VerificationReport("spex-structure", params, BUDGET, {}, str(exc))
     if not candidates:
@@ -344,7 +341,7 @@ def verify_spex_structure(
         vradii = []
         qmats = set()
         for inner in vfam:
-            g = embedded_candidate(inner, n)
+            g = candidate(k, n, member=inner)
             qmats.add(quotient(g).quotient)
             vradii.append(spectral_radius(g, tol).radius)
         # The candidates are connected, so each radius is the Perron root
@@ -385,6 +382,8 @@ def brute_spex(n: int, k: int, tol: float = DEFAULT_TOL) -> VerificationReport:
     (100 * tol) below the best radius so far.  Every graph left out has a
     radius below the best by more than the window, so it could be neither
     the best nor a maximizer."""
+    if k < 2:
+        raise ValueError("k >= 2 required")
     if n < 1:
         raise ValueError(f"brute_spex needs n >= 1, got n={n}")
     if n > 8:
@@ -503,11 +502,11 @@ def fact1_bound(k: int, n: int) -> float:
 def verify_fact1(
     k: int, n: int, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
-    """Finite-n observation: the constructed candidate's radius exceeds
-    the lower bound the asymptotic argument relies on.  An n whose side
-    |L| is smaller than the smallest U member (k vertices) is rejected,
-    and so is one where no candidate exists (a (k-1)-regular filler or a
-    core component that cannot be built), with k and n named."""
+    """Finite-n observation: the radius of `candidate(k, n)` exceeds the
+    lower bound the asymptotic argument relies on.  An n whose side |L|
+    is smaller than k is rejected, and so is one where no candidate
+    exists (n < 4, or a (k-1)-regular filler or a core component that
+    cannot be built), with k and n named."""
     params = {"k": k, "n": n}
     left = auto_left_sizes(n, k)[0]
     if left < k:
@@ -515,12 +514,8 @@ def verify_fact1(
             f"fact-1 needs a side of at least k={k} vertices; n={n} gives "
             f"|L|={left}"
         )
-    if k % 2 == 0 and n % 4 == 2:
-        # The balanced side, carrying the V member, which is the U member
-        # at this odd order; at k = 2 there is none, so no candidate.
-        left = n // 2
     try:
-        g = embedded_candidate(standard_member(U_KIND, k, left), n)
+        g = candidate(k, n)
     except ValueError as exc:
         raise ValueError(
             f"fact-1 has no candidate at k={k}, n={n}: {exc}"

@@ -9,16 +9,22 @@ from oddwheel.cli import main
 from oddwheel.families import (
     V_KIND,
     FamilySpec,
+    auto_left_sizes,
     bipartite_candidate,
+    candidate,
     enumerate_family,
-    matching_embedded_candidate,
     odd_wheel,
     primitive,
     standard_member,
 )
 from oddwheel.formats import decode_graph6, encode_graph6
 from oddwheel.graphs import build_graph, disjoint_union
-from oddwheel.spectral import SpectralError
+from oddwheel.spectral import (
+    SpectralError,
+    claim1_comparison,
+    matrix_radius,
+    quotient,
+)
 from oddwheel.verify import (
     CLAIMS,
     REQUIRED,
@@ -128,7 +134,46 @@ def test_construct_candidate_k2_is_the_matching_candidate(capsys, n):
         capsys, "construct", "candidate", "--n", str(n), "--k", "2"
     )
     assert code == 0
-    assert decode_graph6(out.strip()) == matching_embedded_candidate(n)
+    assert decode_graph6(out.strip()) == candidate(2, n)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_every_entry_point_builds_candidate_k_n(capsys, k):
+    # `construct candidate` with default flags, fact-1 and claim 1 build
+    # `candidate(k, n)` (claim 1 on both of its sides) wherever they
+    # build a candidate at all.
+    built = {"construct": 0, "fact-1": 0, "claim-1": 0}
+    for n in range(61):
+        try:
+            want = candidate(k, n)
+        except ValueError:
+            want = None
+        code, out, _ = run_cli(
+            capsys, "construct", "candidate", "--n", str(n), "--k", str(k)
+        )
+        assert (code == 0) == (want is not None), n
+        if want is not None:
+            assert decode_graph6(out.strip()) == want
+            built["construct"] += 1
+        try:
+            rep = verify_fact1(k, n)
+        except ValueError:
+            pass
+        else:
+            assert rep.evidence["radius"] == (
+                matrix_radius(quotient(want).quotient).radius
+            )
+            built["fact-1"] += 1
+        lefts = auto_left_sizes(n, k)
+        if len(lefts) == 2 and n >= 4 * k:
+            res = claim1_comparison(k, n)
+            assert [res.graph1, res.graph2] == [
+                candidate(k, n, left) for left in lefts
+            ]
+            assert res.graph1 == want
+            built["claim-1"] += 1
+    assert built["construct"] > 40 and built["fact-1"] > 40
+    assert bool(built["claim-1"]) == (k in (4, 6))
 
 
 @pytest.mark.parametrize(
@@ -483,6 +528,11 @@ def test_construct_candidate_side_out_of_range(capsys, k, s, left):
          "no U member at |L| = 1 for k=3: "),
         (("--n", "3", "--k", "3", "--no-r-edge"),
          "no U member at |L| = 2 for k=3: "),
+        # an empty side is named before the R edge or any member
+        (("--n", "0", "--k", "3"),
+         "both sides must be non-empty; n=0 and |L| = 0 leave |R| = 0"),
+        (("--n", "1", "--k", "4", "--no-r-edge"),
+         "both sides must be non-empty; n=1 and |L| = 0 leave |R| = 1"),
     ],
 )
 def test_construct_candidate_names_the_side_that_cannot_be_built(
@@ -510,7 +560,7 @@ def test_construct_candidate_side_at_the_ends_of_the_range(capsys, s, left):
         capsys, "construct", "candidate", "--n", "22", "--k", "2", "--s", s
     )
     assert code == 0
-    assert decode_graph6(out.strip()) == matching_embedded_candidate(22, left)
+    assert decode_graph6(out.strip()) == candidate(2, 22, left)
 
 
 def test_verify_fact1_without_a_candidate_is_usage_error(capsys):

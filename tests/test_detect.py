@@ -18,8 +18,8 @@ from oddwheel.families import (
     V_KIND,
     CandidateSpec,
     bipartite_candidate,
+    candidate,
     core_component,
-    matching_embedded_candidate,
     odd_wheel,
     primitive,
     spex_candidate,
@@ -79,7 +79,7 @@ def test_odd_wheel_examples():
     assert contains_odd_wheel(odd_wheel(2), 2)
     assert contains_odd_wheel(primitive("complete", 6), 2)
     assert not contains_odd_wheel(primitive("cycle", 8), 2)
-    cand = matching_embedded_candidate(20)
+    cand = candidate(2, 20)
     assert not contains_odd_wheel(cand, 2)
 
 

@@ -1,9 +1,11 @@
 import hashlib
 import random
+import re
 
 import pytest
 
 from oddwheel import enumerate as enum_mod
+from oddwheel import families as families_mod
 from oddwheel import verify as verify_mod
 from oddwheel.enumerate import graph_code
 from oddwheel.formats import encode_graph6
@@ -14,10 +16,11 @@ from oddwheel.families import (
     FamilySpec,
     auto_left_sizes,
     bipartite_candidate,
+    candidate,
+    check_sides,
     circulant,
     core_component,
     enumerate_family,
-    matching_embedded_candidate,
     odd_wheel,
     primitive,
     regular_filler,
@@ -162,18 +165,42 @@ def test_spex_candidate_construction():
         spex_candidate(CandidateSpec(22, 4, 1, inner, True))  # size mismatch
     with pytest.raises(ValueError):
         spex_candidate(CandidateSpec(21, 4, 0, inner, True))  # odd order
+    with pytest.raises(ValueError, match=r"n=4 and \|L\| = 3 leave \|R\| = 1"):
+        spex_candidate(CandidateSpec(4, 3, 1, primitive("cycle", 3), True))
+
+
+@pytest.mark.parametrize(
+    "k, n, left, r_edge, message",
+    [
+        (3, 22, 21, True, "the R edge needs |R| >= 2"),
+        (4, 0, 0, False, "both sides must be non-empty"),
+        (5, 22, 22, True, "both sides must be non-empty"),
+        (6, 22, -1, False, "both sides must be non-empty"),
+    ],
+)
+def test_candidate_checks_both_sides_before_it_builds_a_member(
+    monkeypatch, k, n, left, r_edge, message
+):
+    def built(*args):
+        raise AssertionError(f"standard_member{args} ran")
+
+    monkeypatch.setattr(families_mod, "standard_member", built)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        candidate(k, n, left, r_edge=r_edge)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_sides(k, n, left, r_edge)
 
 
 def test_matching_candidate_sizes():
-    g = matching_embedded_candidate(22)  # 22 = 2 mod 4 -> |L| = 12
+    g = candidate(2, 22)  # 22 = 2 mod 4 -> |L| = 12
     degs = sorted(g.degrees())
     assert g.order == 22
     assert g.edge_count == 12 * 10 + 6 + 5
-    g2 = matching_embedded_candidate(20)  # 0 mod 4 -> |L| = 10
+    g2 = candidate(2, 20)  # 0 mod 4 -> |L| = 10
     assert g2.edge_count == 10 * 10 + 5 + 5
-    g3 = matching_embedded_candidate(5)
+    g3 = candidate(2, 5)
     assert g3.order == 5 and g3.edge_count == 2 * 3 + 1 + 1
-    g4 = matching_embedded_candidate(22, 11)  # explicit side size
+    g4 = candidate(2, 22, 11)  # explicit side size
     assert g4.edge_count == 11 * 11 + 5 + 5
     assert sorted(g4.degrees()) == [11, 11] + [12] * 20
     _ = degs
@@ -309,7 +336,7 @@ def test_bipartite_candidate_validation():
 @pytest.mark.parametrize("left", [0, 10])
 def test_matching_candidate_rejects_an_empty_side(left):
     with pytest.raises(ValueError, match="both sides must be non-empty"):
-        matching_embedded_candidate(10, left)
+        candidate(2, 10, left)
 
 
 def _four_argument_candidate(n, left, inner, r_edge):
@@ -351,7 +378,7 @@ def test_two_sided_builder_matches_the_old_builders():
     # sweep visits, with and without the R edge.
     for n in range(4, 120):
         for left in range(1, n):
-            assert matching_embedded_candidate(n, left).rows == (
+            assert candidate(2, n, left).rows == (
                 _edge_list_matching_candidate(n, left).rows
             )
     for k in range(3, 9):

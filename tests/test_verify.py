@@ -15,6 +15,7 @@ from oddwheel.families import (
     FamilySpec,
     U_KIND,
     bipartite_candidate,
+    candidate,
     enumerate_family,
     primitive,
     standard_member,
@@ -492,9 +493,33 @@ def test_fact1_rejects_n_below_the_member_minimum():
     + [(3, 9), (3, 10), (4, 14), (5, 17), (5, 18), (6, 18), (6, 22)],
 )
 def test_fact1_without_a_candidate_names_k_and_n(k, n):
-    # |L| >= k holds here, but no candidate can be built at this (k, n)
+    # |L| >= k holds here.  From n = 4 on, k = 2 has a candidate (a
+    # maximum matching on each side) and the report is on it, as a dense
+    # solver gives its radius; at the other (k, n) none can be built.
+    if k == 2 and n >= 4:
+        rep = verify_fact1(k, n)
+        assert rep.outcome == "PASS" and rep.evidence["candidate_order"] == n
+        a = np.zeros((n, n))
+        for u, v in candidate(2, n).edges():
+            a[u, v] = a[v, u] = 1.0
+        dense = float(np.linalg.eigvalsh(a)[-1])
+        assert rep.evidence["radius"] == pytest.approx(dense, abs=1e-9)
+        return
     with pytest.raises(ValueError, match=rf"k={k}, n={n}:"):
         verify_fact1(k, n)
+
+
+def test_brute_spex_rejects_k_below_two_before_it_enumerates(
+    monkeypatch, capsys
+):
+    def enumerated(n):
+        raise AssertionError(f"all_graphs({n}) ran")
+
+    monkeypatch.setattr(verify_mod, "all_graphs", enumerated)
+    with pytest.raises(ValueError, match="k >= 2 required"):
+        brute_spex(8, 1)
+    assert main(["brute-spex", "--n", "8", "--k", "1"]) == 2
+    assert "k >= 2 required" in capsys.readouterr().err
 
 
 # sha256 of the sorted-key JSON of the claim-1 report's outcome,
