@@ -12,8 +12,10 @@ layers of the claim-1 sweep and the GFAM pass on their own inputs:
 `bracket_largest_root` (width 1e-12, from the quotient's Perron root)
 over the 96 three-class claim-1 quotients, `certify_equitable` on the 192
 claim-1 candidates and their partitions, `ex_infinity_trace` over the
-GFAM(5, 19) members, and `all_graphs(7)` and
-`connected_with_degrees(10, 5, False)` from empty enumeration caches.
+GFAM(5, 19) members, and `all_graphs(7)`,
+`connected_with_degrees(10, 5, False)` and the whole GFAM(5, 19)
+enumeration (its one quintic tree, then every head piece and filler
+multiset) from empty enumeration caches.
 The wheel-scan table times `contains_odd_wheel` (k = 4, best of three)
 on the unbalanced k = 4 candidate (|L| = n/2 + 1, the U standard member
 on L, one R edge) at n = 1,002 and 3,002, and at 10,002 without --quick.
@@ -201,6 +203,8 @@ def layer_rows():
         ("all_graphs(7), cold", 1, timeit(cold(lambda: all_graphs(7)))),
         ("connected_with_degrees(10, 5), cold", 1,
          timeit(cold(lambda: connected_with_degrees(10, 5, False)))),
+        ("enumerate_family(GFAM(5, 19)), cold", 1,
+         timeit(cold(lambda: enumerate_family(FamilySpec(G_KIND, 5, 19))))),
     ]
 
 

@@ -6,12 +6,17 @@ the families of (nearly) regular graphs with bounded component order, and
 `candidate(k, n)`, the one builder of the candidates whose spectral radii
 the verification harness compares: K_{|L|,|R|} with a maximum matching in
 each side at k = 2, and a U member in L and one edge in R above.
+
+Every family member, and every standard member, is a head piece plus
+d-regular fillers: connected d-regular pieces of orders d+1..2d on the
+rest of its order.  One table of the totals those pieces cover exactly
+(`_covered_totals`) decides which piece orders a filler may use, for the
+enumeration and for the one deterministic filler, `regular_filler`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
 
 from oddwheel import kernels
 from oddwheel.enumerate import connected_with_degrees, graph_code, union_code
@@ -146,32 +151,25 @@ def _regular_component_orders(d: int) -> list[int]:
     return [m for m in range(d + 1, 2 * d + 1) if (d * m) % 2 == 0]
 
 
-def _deficient_component_orders(d: int) -> list[int]:
-    # one vertex of degree d-1, the rest of degree d; degree sum parity
-    # forces d and the order both odd.
-    if d % 2 == 0:
-        return []
-    return [q for q in range(d + 1, 2 * d + 1) if q % 2 == 1]
+def _covered_totals(total: int, d: int) -> dict[int, int]:
+    """The totals 0..total that connected d-regular pieces of orders
+    d+1..2d cover exactly, each mapped to the smallest piece order that
+    leaves a covered rest (0 for the total 0)."""
+    orders = _regular_component_orders(d)
+    covered = {0: 0}
+    for t in range(1, total + 1):
+        for m in orders:
+            if t - m in covered:
+                covered[t] = m
+                break
+    return covered
 
 
-def _order_partitions(total: int, orders: list[int]) -> list[tuple[int, ...]]:
-    """Multisets (non-increasing tuples) of allowed orders summing to total."""
-    orders = sorted(orders, reverse=True)
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, idx: int, acc: list[int]) -> None:
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for i in range(idx, len(orders)):
-            m = orders[i]
-            if m <= remaining:
-                acc.append(m)
-                rec(remaining - m, i, acc)
-                acc.pop()
-
-    rec(total, 0, [])
-    return out
+def _cover_orders(rest: int, d: int, covered: dict[int, int]) -> list[int]:
+    """The piece orders that some cover of `rest` uses, largest first;
+    `covered` must reach `rest`."""
+    return [m for m in reversed(_regular_component_orders(d))
+            if rest - m in covered]
 
 
 def _coded(g: Graph) -> tuple[bytes, Graph]:
@@ -181,45 +179,39 @@ def _coded(g: Graph) -> tuple[bytes, Graph]:
 
 
 def _regular_multisets(
-    total: int, d: int, budget: int | None = None
+    total: int, d: int, covered: dict[int, int], budget: int | None = None
 ) -> list[list[tuple[bytes, Graph]]]:
-    """All multisets of connected d-regular components (orders <= 2d)
-    covering `total` vertices, one list of (code, Graph) per multiset."""
-    if total == 0:
-        return [[]]
+    """All multisets of connected d-regular pieces (orders <= 2d) covering
+    `total` vertices, one list of (code, Graph) per multiset.  The pieces
+    are asked for largest order first: its pruned tree answers the
+    smaller ones."""
+    pieces = [
+        (m, _coded(g))
+        for m in _cover_orders(total, d, covered)
+        for g in connected_with_degrees(m, d, False, budget=budget)
+    ]
     out: list[list[tuple[bytes, Graph]]] = []
-    for part in _order_partitions(total, _regular_component_orders(d)):
-        counts: dict[int, int] = {}
-        for m in part:
-            counts[m] = counts.get(m, 0) + 1
-        per_order = []
-        feasible = True
-        # Largest order first: its pruned tree answers the smaller ones.
-        for m, c in sorted(counts.items(), reverse=True):
-            pool = connected_with_degrees(m, d, False, budget=budget)
-            if not pool:
-                feasible = False
-                break
-            per_order.append(
-                list(combinations_with_replacement(map(_coded, pool), c))
-            )
-        if not feasible:
-            continue
-        for combo in product(*per_order):
-            member: list[tuple[bytes, Graph]] = []
-            for group in combo:
-                member.extend(group)
-            out.append(member)
+
+    def rec(rest: int, start: int, acc: list[tuple[bytes, Graph]]) -> None:
+        if rest == 0:
+            out.append(acc)
+            return
+        for i in range(start, len(pieces)):
+            m, piece = pieces[i]
+            if rest - m in covered:
+                rec(rest - m, i, acc + [piece])
+
+    rec(total, 0, [])
     return out
 
 
 def _assemble(
-    deficient: tuple[bytes, Graph] | None, regulars: list[tuple[bytes, Graph]]
+    head: tuple[bytes, Graph] | None, regulars: list[tuple[bytes, Graph]]
 ) -> tuple[list[bytes], Graph]:
-    """A member from (code, connected piece) pairs: the deficient piece
-    first, then the regular ones by code.  Returns the pieces' codes with
-    it; their `union_code` is the member's `graph_code` (orders <= 255)."""
-    parts = ([] if deficient is None else [deficient]) + sorted(
+    """A member from (code, connected piece) pairs: the head piece first,
+    then the regular ones by code.  Returns the pieces' codes with it;
+    their `union_code` is the member's `graph_code` (orders <= 255)."""
+    parts = ([] if head is None else [head]) + sorted(
         regulars, key=lambda p: p[0]
     )
     return [c for c, _ in parts], disjoint_union([g for _, g in parts])
@@ -227,6 +219,11 @@ def _assemble(
 
 def enumerate_family(spec: FamilySpec, budget: int | None = None) -> list[Graph]:
     """All family members up to isomorphism, ordered by canonical form.
+
+    A member is a head piece plus d-regular fillers (d = k - 1 for U and
+    V, Delta for GFAM): the head is the core component for V, nothing at
+    an even degree sum, else each connected piece with one vertex of
+    degree d - 1.
 
     Parameters that simply admit no member give an empty list; invalid
     FamilySpec combinations and a negative budget raise ValueError, the
@@ -236,44 +233,36 @@ def enumerate_family(spec: FamilySpec, budget: int | None = None) -> list[Graph]
     spec.validate()
     _Budget(budget)
     n = spec.order
-    members: list[tuple[list[bytes], Graph]] = []
-
+    d = spec.degree_param - (spec.kind != G_KIND)
+    # GFAM's odd order and odd Delta make every degree sum odd.
+    deficient = spec.kind != V_KIND and (d * n) % 2 == 1
     if spec.kind == V_KIND:
-        k = spec.degree_param
-        core = core_component(k)
-        if n >= core.order:
-            coded_core = (graph_code(core), core)
-            for regs in _regular_multisets(n - core.order, k - 1, budget):
-                members.append(_assemble(coded_core, regs))
+        core = core_component(spec.degree_param)
+        head_orders = [core.order]
+    elif deficient:  # then d is odd, and so is the head's order
+        head_orders = [q for q in range(d + 2, 2 * d + 1, 2) if q <= n]
     else:
-        d = spec.degree_param - 1 if spec.kind == U_KIND else spec.degree_param
-        cap = 2 * d  # components of U stop at 2k-2 = 2d; GFAM at 2*Delta = 2d
-        if (d * n) % 2 == 0:
-            if spec.kind == G_KIND:
-                return []  # degree sum n*d-1 would be odd
-            for regs in _regular_multisets(n, d, budget):
-                members.append(_assemble(None, regs))
-        else:
-            qs = [q for q in _deficient_component_orders(d) if q <= min(n, cap)]
-            # Ask for the largest degree target first: its pruned tree
-            # answers every smaller one (`enumerate` module docstring).  At
-            # equal order the deficient target, whose tree is weaker, wins.
-            orders = _regular_component_orders(d)
-            largest = max(
-                [(q, True) for q in qs]
-                + [(m, False) for q in qs
-                   for part in _order_partitions(n - q, orders) for m in part],
-                default=None,
-            )
-            if largest is not None:
-                connected_with_degrees(largest[0], d, largest[1], budget=budget)
-            for q in qs:
-                fillers = _regular_multisets(n - q, d, budget)
-                for dg in connected_with_degrees(q, d, True, budget=budget):
-                    coded_dg = _coded(dg)
-                    for regs in fillers:
-                        members.append(_assemble(coded_dg, regs))
+        head_orders = [0]
+    covered = _covered_totals(n, d)
+    # Ask for the largest degree target first: its pruned tree answers
+    # every smaller one (`enumerate` module docstring).  At equal order the
+    # deficient target, whose tree is weaker, wins.
+    targets = [(q, True) for q in head_orders if deficient] + [
+        (m, False) for q in head_orders for m in _cover_orders(n - q, d, covered)
+    ]
+    if targets:
+        top, weak = max(targets)
+        connected_with_degrees(top, d, weak, budget=budget)
 
+    members: list[tuple[list[bytes], Graph]] = []
+    for q in head_orders:
+        if deficient:
+            heads = [_coded(g) for g in
+                     connected_with_degrees(q, d, True, budget=budget)]
+        else:
+            heads = [(graph_code(core), core)] if spec.kind == V_KIND else [None]
+        fillers = _regular_multisets(n - q, d, covered, budget)
+        members += [_assemble(head, regs) for head in heads for regs in fillers]
     members.sort(key=lambda m: union_code(m[0]))
     return [g for _, g in members]
 
@@ -380,23 +369,18 @@ def regular_filler(total: int, d: int) -> list[Graph]:
     with orders in [d+1, 2d] covering `total` vertices (empty list for
     total 0); components of equal order are one shared graph.  Raises
     when no decomposition exists."""
-    if total == 0:
-        return []
-    orders = _regular_component_orders(d)
-    # Small DP over achievable totals keeps the choice deterministic.
-    reach: dict[int, tuple[int, ...]] = {0: ()}
-    for t in range(1, total + 1):
-        for m in orders:
-            if m <= t and (t - m) in reach:
-                reach[t] = reach[t - m] + (m,)
-                break
-        # unreachable totals simply stay absent
-    if total not in reach:
+    covered = _covered_totals(total, d)
+    if total not in covered:
         raise ValueError(
             f"{total} vertices cannot be covered by {d}-regular components"
         )
-    built = {m: circulant(m, d) for m in set(reach[total])}
-    return [built[m] for m in reach[total]]
+    # The list holds the table's steps down from `total` last first.
+    orders: list[int] = []
+    while total:
+        orders.append(covered[total])
+        total -= orders[-1]
+    built = {m: circulant(m, d) for m in set(orders)}
+    return [built[m] for m in reversed(orders)]
 
 
 def standard_member(kind: str, k: int, order: int) -> Graph:

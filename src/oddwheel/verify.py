@@ -259,10 +259,11 @@ def verify_spex_structure(
     one R edge), require every candidate odd-wheel-free, and test whether
     the predicted family attains the maximum radius; V-embedded
     candidates must additionally tie through one equitable quotient.
-    An n at which a swept side would be empty (n < 4) is rejected."""
+    An n at which a swept side would be empty (n < 4), or at which the
+    predicted side has no candidate, is rejected with k and n named."""
     if k < 2:
         raise ValueError("k >= 2 required")
-    sweep = sorted({n // 2 - 1, n // 2, n - n // 2, n // 2 + 1})
+    sweep = sorted({n // 2 - 1, n // 2, n // 2 + 1})
     if sweep[0] < 1 or sweep[-1] > n - 1:
         raise ValueError(
             f"spex-structure needs both sides non-empty at every swept "
@@ -283,9 +284,13 @@ def verify_spex_structure(
                 candidates.append((f"L={left} member{idx}", left, g))
     except BudgetExceededError as exc:
         return VerificationReport("spex-structure", params, BUDGET, {}, str(exc))
-    if not candidates:
-        return VerificationReport(
-            "spex-structure", params, FAIL, {}, "no candidates constructible"
+    built = {left for _, left, _ in candidates}
+    empty = [left for left in sweep if left not in built]
+    if predicted_lefts[0] in empty:
+        raise ValueError(
+            f"spex-structure needs a candidate at the predicted side |L| = "
+            f"{predicted_lefts[0]}; k={k}, n={n} give no U member at |L| in "
+            f"{empty}"
         )
 
     wheel_hits = []

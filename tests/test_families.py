@@ -230,6 +230,26 @@ def test_circulant_and_filler():
         regular_filler(2, 3)
 
 
+@pytest.mark.parametrize(
+    "d, total",
+    [(d, t) for d in (2, 3, 4) for t in range(1, 25) if d * t % 2 == 0],
+)
+def test_filler_exists_exactly_where_the_regular_family_has_a_member(d, total):
+    # At even degree sum a U(d + 1, total) member is d-regular fillers
+    # alone, so the standard filler and the enumeration answer the same
+    # covering question, and the filler's orders are some member's.
+    members = enumerate_family(FamilySpec(U_KIND, d + 1, total))
+    try:
+        filler = regular_filler(total, d)
+    except ValueError:
+        assert members == []
+        return
+    orders = sorted(p.order for p in filler)
+    assert orders in [
+        sorted(c.graph.order for c in components(m)) for m in members
+    ]
+
+
 def test_standard_members():
     m = standard_member("V", 4, 25)
     cls = classify_degrees(m)
@@ -245,9 +265,25 @@ def test_standard_members():
     assert big.order == 301 and cls.is_nearly_regular and cls.max_degree == 3
 
 
-def test_family_builds_one_tree_per_degree(fresh_caches, monkeypatch):
-    # GFAM(5, 19) needs the quintic targets (6, F), (7, T), (9, T) and
-    # (10, F); asked first, the largest one's tree answers the rest.
+# The one degree target each family asks the enumerator to build a tree
+# for, recorded before members were built as a head piece plus fillers.
+ONE_TREE_TARGETS = {
+    ("GFAM", 5, 19): (10, 5, False),
+    ("U", 6, 15): (9, 5, True),
+    ("U", 6, 16): (10, 5, False),
+    ("V", 6, 19): (6, 5, False),
+    ("U", 4, 25): (6, 3, False),
+    ("U", 5, 25): (8, 4, False),
+}
+
+
+@pytest.mark.parametrize(
+    "key", list(ONE_TREE_TARGETS), ids=lambda key: "-".join(map(str, key))
+)
+def test_family_builds_one_tree_per_degree(fresh_caches, monkeypatch, key):
+    # The largest degree target a family needs is asked for first; its
+    # pruned tree answers the rest (GFAM(5, 19) needs (6, F), (7, T),
+    # (9, T) and (10, F)).
     built = []
     pruned_levels = enum_mod._pruned_levels
 
@@ -256,9 +292,11 @@ def test_family_builds_one_tree_per_degree(fresh_caches, monkeypatch):
         return pruned_levels(order, target, budget)
 
     monkeypatch.setattr(enum_mod, "_pruned_levels", recording)
-    fam = enumerate_family(FamilySpec("GFAM", 5, 19))
-    assert len(fam) == GOLDEN_FAMILIES[("GFAM", 5, 19)][0]
-    assert built == [(10, 5, False)]
+    fam = enumerate_family(FamilySpec(*key))
+    assert fam
+    if key in GOLDEN_FAMILIES:
+        assert len(fam) == GOLDEN_FAMILIES[key][0]
+    assert built == [ONE_TREE_TARGETS[key]]
 
 
 def test_v_member_is_the_u_member_at_odd_order():
@@ -577,6 +615,32 @@ GOLDEN_FAMILIES = {
     ),
     ("U", 4, 12): (
         4, "5fd694965d362dcecfd042c975200a698fe0e1bf6721656f776d230e53d02440"
+    ),
+    # U at odd degree sum: a deficient head piece, then fillers.
+    ("U", 4, 25): (
+        4, "cb8552e8216ae6ba9619d25a41e6015af248d9b482b7faa8dfb5a2e86864d91e"
+    ),
+    ("U", 6, 15): (
+        31, "70cc13f2951624cc532eb04fd7de765cf403932575caf67178b25331ea98e077"
+    ),
+    ("U", 6, 16): (
+        66, "d58e3d800d72a6ade16604f6adf043d6fe2e0e583c639dd1b38f6b508b0cf3e6"
+    ),
+    ("GFAM", 5, 21): (
+        31, "6424eb9997da9458e16f0a8719781bb7c033ba9d1c039971c7f3c2b76b7e072b"
+    ),
+    ("V", 4, 25): (
+        4, "62a01695e2d72e8f21885dad0e149f4ddee3f8392747ebbe47ee7858c5ea0555"
+    ),
+    # The head alone, with no vertex left for a filler.
+    ("V", 4, 5): (
+        1, "b6fbcc307c7dd118bdfc5818b8201bc9bfce46db398c130aaa9a1d5ed1c13db5"
+    ),
+    ("V", 6, 7): (
+        1, "87c3e6bf6ea7e2373f8e7ad966d0e45afdac30b31adb47a50c9af594700787da"
+    ),
+    ("U", 4, 5): (
+        1, "dd07a2245d27d910155fdf2914f20ecdf738439e2ca187dd24c826ceeee00b06"
     ),
 }
 GOLDEN_STANDARD_MEMBERS = {

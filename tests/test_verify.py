@@ -14,15 +14,17 @@ from oddwheel.enumerate import BudgetExceededError
 from oddwheel.families import (
     FamilySpec,
     U_KIND,
+    auto_left_sizes,
     bipartite_candidate,
     candidate,
     enumerate_family,
     primitive,
     standard_member,
 )
-from oddwheel.formats import encode_graph6
+from oddwheel.formats import decode_graph6, encode_graph6
 from oddwheel.graphs import build_graph, components, disjoint_union
 from oddwheel.spectral import SpectralResult
+from oddwheel.walks import OrderResult, Relation
 from oddwheel.verify import (
     CLAIMS,
     VerificationReport,
@@ -296,6 +298,146 @@ def test_spex_structure_rejects_an_empty_side(n):
         verify_spex_structure(n, 2)
     assert verify_spex_structure(4, 2).outcome == "PASS"
 
+
+
+# (n, k) whose predicted side |L| = auto_left_sizes(n, k)[0] has no U
+# member; at the first twelve no swept side has one.
+SPEX_WITHOUT_A_PREDICTED_CANDIDATE = [
+    (4, 4), (5, 4), (4, 5), (5, 5), (6, 5), (7, 5),
+    (4, 6), (5, 6), (6, 6), (7, 6), (8, 6), (9, 6),
+    (9, 3), (10, 3), (14, 4), (8, 5), (17, 5), (18, 5), (22, 6),
+]
+
+
+@pytest.mark.parametrize("n, k", SPEX_WITHOUT_A_PREDICTED_CANDIDATE)
+def test_spex_structure_rejects_an_n_it_cannot_test(capsys, n, k):
+    # No report: a FAIL would claim the statement false at an n where the
+    # prediction has nothing to be measured on.
+    with pytest.raises(ValueError, match=f"k={k}, n={n} ") as info:
+        verify_spex_structure(n, k)
+    message = str(info.value)
+    predicted = auto_left_sizes(n, k)[0]
+    assert f"the predicted side |L| = {predicted};" in message
+    sweep = sorted({n // 2 - 1, n // 2, n // 2 + 1})
+    empty = [left for left in sweep
+             if not enumerate_family(FamilySpec(U_KIND, k, left))]
+    assert message.endswith(f"|L| in {empty}")
+    assert predicted in empty
+    if SPEX_WITHOUT_A_PREDICTED_CANDIDATE.index((n, k)) < 12:
+        assert empty == sweep
+    assert main(["verify", "spex-structure", "--n", str(n), "--k", str(k)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
+def _evidence_graphs_decode(report):
+    """Every graph in the evidence comes back from its graph6 line."""
+    decoded = 0
+
+    def walk(raw, plain):
+        nonlocal decoded
+        if isinstance(raw, graphs.Graph):
+            assert decode_graph6(plain) == raw
+            decoded += 1
+        elif isinstance(raw, dict):
+            for key, value in raw.items():
+                walk(value, plain[str(key)])
+        elif isinstance(raw, (list, tuple)):
+            for value, line in zip(raw, plain, strict=True):
+                walk(value, line)
+
+    walk(report.evidence, report.to_dict()["evidence"])
+    return decoded
+
+
+def _overrun(*args, **kwargs):
+    raise BudgetExceededError("enumeration budget 1 exhausted")
+
+
+def test_walk_lemma_enumeration_overrun_is_a_budget_report(monkeypatch):
+    monkeypatch.setattr(verify_mod, "enumerate_family", _overrun)
+    rep = verify_walk_lemma(3, 13)
+    assert rep.outcome == "BUDGET" and rep.evidence == {}
+    assert rep.notes == "enumeration budget 1 exhausted"
+
+
+def test_walk_lemma_reports_an_empty_family(monkeypatch):
+    monkeypatch.setattr(verify_mod, "enumerate_family", lambda spec, b: [])
+    rep = verify_walk_lemma(3, 13)
+    assert rep.outcome == "FAIL" and rep.notes == "family unexpectedly empty"
+
+
+def test_walk_lemma_reports_a_survivor_mismatch(monkeypatch):
+    # A target the selection cannot reach: the true survivors come back
+    # unexpected and the planted target missing, each as a graph.
+    planted = primitive("cycle", 13)
+    real = verify_mod.enumerate_family
+    monkeypatch.setattr(
+        verify_mod, "enumerate_family",
+        lambda spec, b: [planted] if spec.kind == "V" else real(spec, b),
+    )
+    rep = verify_walk_lemma(3, 13)
+    assert rep.outcome == "FAIL" and rep.notes == "survivor set mismatch"
+    assert rep.evidence["missing_targets"] == [planted]
+    assert len(rep.evidence["unexpected_survivors"]) == rep.evidence["survivors"]
+    assert _evidence_graphs_decode(rep) == 1 + rep.evidence["survivors"]
+
+
+def test_one_set_reports_a_radius_order_against_the_walk_order(monkeypatch):
+    # C6 and 2C3 tie on walks; claimed SUCC, their equal radii disagree.
+    monkeypatch.setattr(
+        verify_mod, "walk_compare",
+        lambda h1, h2: OrderResult(Relation.SUCC, 1),
+    )
+    c6 = primitive("cycle", 6)
+    c3c3 = disjoint_union([primitive("cycle", 3)] * 2)
+    rep = verify_one_set(40, 6, c6, c3c3)
+    assert rep.outcome == "FAIL"
+    assert rep.notes == "radius order disagrees with walk order"
+    assert rep.evidence["expected"] == "strict >"
+    assert _evidence_graphs_decode(rep) == 2
+
+
+def test_spex_structure_enumeration_overrun_is_a_budget_report(monkeypatch):
+    monkeypatch.setattr(verify_mod, "enumerate_family", _overrun)
+    rep = verify_spex_structure(20, 3)
+    assert rep.outcome == "BUDGET" and rep.evidence == {}
+    assert rep.notes == "enumeration budget 1 exhausted"
+
+
+def test_spex_structure_reports_a_wheel_in_a_candidate(monkeypatch):
+    monkeypatch.setattr(verify_mod, "contains_odd_wheel", lambda g, k: True)
+    rep = verify_spex_structure(20, 3)
+    assert rep.outcome == "FAIL"
+    names = [r["candidate"] for r in rep.evidence["candidates"]]
+    assert rep.notes == f"candidates contain the forbidden wheel: {names}"
+    assert not any(r["wheel_free"] for r in rep.evidence["candidates"])
+    assert _evidence_graphs_decode(rep) == 0
+
+
+def test_spex_structure_reports_v_candidates_that_fail_to_tie(monkeypatch):
+    # Every quotient distinct: the two V(4, 11) candidates cannot tie.
+    seen = []
+    monkeypatch.setattr(
+        verify_mod, "quotient",
+        lambda g: seen.append(g) or type("Q", (), {"quotient": len(seen)}),
+    )
+    rep = verify_spex_structure(22, 4)
+    assert rep.outcome == "FAIL" and len(seen) == 2
+    assert rep.evidence["v_quotients_identical"] is False
+    assert rep.notes.endswith("; V-embedded candidates failed to tie")
+    assert _evidence_graphs_decode(rep) == len(rep.evidence["maximizers"])
+
+
+def test_join_bound_reports_a_violation(monkeypatch):
+    monkeypatch.setattr(
+        verify_mod, "matrix_radius",
+        lambda rows, tol: SpectralResult(0.0, (1.0,), 0.0, 0),
+    )
+    rep = verify_join_bound(pairs=3, max_order=5, seed=1)
+    assert rep.outcome == "FAIL" and rep.notes == "join bound violated"
+    assert rep.evidence["trial"] == 0 and rep.evidence["bound"] == 0.0
+    assert _evidence_graphs_decode(rep) == 2
 
 def test_brute_spex_small():
     rep = brute_spex(4, 2)
