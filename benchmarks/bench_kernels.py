@@ -12,7 +12,9 @@ layers of the claim-1 sweep and the GFAM pass on their own inputs:
 `bracket_largest_root` (width 1e-12, from the quotient's Perron root)
 over the 96 three-class claim-1 quotients, `certify_equitable` on the 192
 claim-1 candidates and their partitions, `ex_infinity_trace` over the
-GFAM(5, 19) members, and `all_graphs(7)`,
+GFAM(5, 19) members and the part-level selection of `verify lemma-3.3`
+(`select_maximizers` over `part_totals` at horizon 2n) over their
+`family_parts`, and `all_graphs(7)`,
 `connected_with_degrees(10, 5, False)` and the whole GFAM(5, 19)
 enumeration (its one quintic tree, then every head piece and filler
 multiset) from empty enumeration caches.
@@ -63,6 +65,7 @@ from oddwheel.families import (  # noqa: E402
     FamilySpec,
     candidate,
     enumerate_family,
+    family_parts,
 )
 from oddwheel.formats import decode_graph6, encode_graph6  # noqa: E402
 from oddwheel.graphs import (  # noqa: E402
@@ -78,7 +81,11 @@ from oddwheel.spectral import (  # noqa: E402
     matrix_radius,
     quotient,
 )
-from oddwheel.walks import ex_infinity_trace  # noqa: E402
+from oddwheel.walks import (  # noqa: E402
+    ex_infinity_trace,
+    part_totals,
+    select_maximizers,
+)
 from workloads import write_inputs  # noqa: E402
 
 
@@ -170,6 +177,7 @@ def layer_rows():
     ]
     certified = [(g, equitable_partition(g)) for g in candidates]
     members = enumerate_family(FamilySpec(G_KIND, 5, 19))
+    parts = family_parts(FamilySpec(G_KIND, 5, 19))
     matrices = [quotient(g).quotient for g in candidates[1::2]]
     polys = [(char_poly(m), matrix_radius(m).radius) for m in matrices]
     width = Fraction(1, 10**12)
@@ -200,6 +208,8 @@ def layer_rows():
                      [(f, r, width) for f, r in polys]))),
         ("ex_infinity_trace, GFAM(5, 19) members", len(members),
          timeit(lambda: ex_infinity_trace(members))),
+        ("part-level selection, GFAM(5, 19) parts", len(parts),
+         timeit(lambda: select_maximizers(part_totals(parts, 2 * 19)))),
         ("all_graphs(7), cold", 1, timeit(cold(lambda: all_graphs(7)))),
         ("connected_with_degrees(10, 5), cold", 1,
          timeit(cold(lambda: connected_with_degrees(10, 5, False)))),

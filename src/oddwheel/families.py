@@ -12,11 +12,16 @@ d-regular fillers: connected d-regular pieces of orders d+1..2d on the
 rest of its order.  One table of the totals those pieces cover exactly
 (`_covered_totals`) decides which piece orders a filler may use, for the
 enumeration and for the one deterministic filler, `regular_filler`.
+One loop, `family_parts`, lists every member as its pieces;
+`enumerate_family` assembles them all, and a reader that decides on the
+pieces (the walk selection of `verify lemma-3.3`) assembles only the
+members it keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from oddwheel import kernels
 from oddwheel.enumerate import connected_with_degrees, graph_code, union_code
@@ -205,25 +210,25 @@ def _regular_multisets(
     return out
 
 
-def _assemble(
-    head: tuple[bytes, Graph] | None, regulars: list[tuple[bytes, Graph]]
-) -> tuple[list[bytes], Graph]:
-    """A member from (code, connected piece) pairs: the head piece first,
-    then the regular ones by code.  Returns the pieces' codes with it;
-    their `union_code` is the member's `graph_code` (orders <= 255)."""
-    parts = ([] if head is None else [head]) + sorted(
-        regulars, key=lambda p: p[0]
-    )
-    return [c for c, _ in parts], disjoint_union([g for _, g in parts])
+class MemberParts(NamedTuple):
+    """A family member as the pieces it is built from: the head, a
+    (code, connected piece) pair or None, and the filler multiset, a list
+    of (code, connected d-regular piece) pairs.  Each code is the piece's
+    canonical code, and the piece is canonically labelled."""
+
+    head: tuple[bytes, Graph] | None
+    fillers: list[tuple[bytes, Graph]]
 
 
-def enumerate_family(spec: FamilySpec, budget: int | None = None) -> list[Graph]:
-    """All family members up to isomorphism, ordered by canonical form.
+def family_parts(spec: FamilySpec, budget: int | None = None) -> list[MemberParts]:
+    """Every family member up to isomorphism, each as its head piece and
+    its filler multiset, heads in order and one member per (head, filler
+    multiset) pair.
 
-    A member is a head piece plus d-regular fillers (d = k - 1 for U and
-    V, Delta for GFAM): the head is the core component for V, nothing at
-    an even degree sum, else each connected piece with one vertex of
-    degree d - 1.
+    The head is the core component for V, nothing at an even degree sum,
+    else each connected piece of order q with one vertex of degree d - 1
+    (d = k - 1 for U and V, Delta for GFAM); the fillers are d-regular
+    pieces of orders d+1..2d on the other n - q vertices.
 
     Parameters that simply admit no member give an empty list; invalid
     FamilySpec combinations and a negative budget raise ValueError, the
@@ -254,7 +259,7 @@ def enumerate_family(spec: FamilySpec, budget: int | None = None) -> list[Graph]
         top, weak = max(targets)
         connected_with_degrees(top, d, weak, budget=budget)
 
-    members: list[tuple[list[bytes], Graph]] = []
+    parts: list[MemberParts] = []
     for q in head_orders:
         if deficient:
             heads = [_coded(g) for g in
@@ -262,9 +267,30 @@ def enumerate_family(spec: FamilySpec, budget: int | None = None) -> list[Graph]
         else:
             heads = [(graph_code(core), core)] if spec.kind == V_KIND else [None]
         fillers = _regular_multisets(n - q, d, covered, budget)
-        members += [_assemble(head, regs) for head in heads for regs in fillers]
-    members.sort(key=lambda m: union_code(m[0]))
+        parts += [MemberParts(head, regs) for head in heads for regs in fillers]
+    return parts
+
+
+def assemble_members(parts: list[MemberParts]) -> list[Graph]:
+    """The members `parts` describe, each its head piece first and then
+    its fillers by code, ordered by canonical form: the `union_code` of
+    a member's piece codes is its `graph_code` (orders <= 255)."""
+    members = []
+    for head, fillers in parts:
+        pieces = ([] if head is None else [head]) + sorted(
+            fillers, key=lambda p: p[0]
+        )
+        members.append((union_code([c for c, _ in pieces]),
+                         disjoint_union([g for _, g in pieces])))
+    members.sort(key=lambda m: m[0])
     return [g for _, g in members]
+
+
+def enumerate_family(spec: FamilySpec, budget: int | None = None) -> list[Graph]:
+    """All family members up to isomorphism, ordered by canonical form:
+    `assemble_members` of `family_parts(spec, budget)`, whose errors and
+    budget it shares."""
+    return assemble_members(family_parts(spec, budget))
 
 
 @dataclass(frozen=True)
@@ -402,10 +428,10 @@ def standard_member(kind: str, k: int, order: int) -> Graph:
         if order < core.order:
             raise ValueError("no nearly-regular member this small")
     filler = regular_filler(order - (0 if core is None else core.order), d)
-    # The core first, then the fillers by code, as `_assemble` orders them.
-    # A code starts with its order byte, and fillers of one order are one
-    # shared graph, so the order sorts them as their codes do.  No member
-    # code is formed: orders above 255 are built here and the format stops
-    # there.
+    # The core first, then the fillers by code, as `assemble_members`
+    # orders them.  A code starts with its order byte, and fillers of one
+    # order are one shared graph, so the order sorts them as their codes
+    # do.  No member code is formed: orders above 255 are built here and
+    # the format stops there.
     pieces = sorted(filler, key=lambda g: g.order)
     return disjoint_union(([] if core is None else [core]) + pieces)

@@ -12,6 +12,7 @@ certified equitable quotients (`quotient`) are computed here alone.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -152,19 +153,64 @@ def triangle_value(rows: Sequence[int]) -> int:
     return _reverse_bits(low_first, offset)
 
 
+_decode_plans: dict[int, tuple] = {}
+
+
+def _decode_plan(n: int) -> tuple:
+    """How `rows_from_triangle` decodes order n, kept per order.
+
+    The rows are packed width = max(8, span) bits apart in one int, span
+    the least power of two >= n.  The plan holds, in order:
+    - per column j: j, the mask of its j bits and its offset j * width;
+    - the masked swaps that transpose a span x span bit matrix packed
+      that way: for s = span/2, ..., 2, 1, the entries (r, c) with bit s
+      clear in r and set in c trade places with (r + s, c - s), which
+      sits s * (width - 1) bits higher; a step is (that shift, the mask
+      of those entries);
+    - the row size in bytes, and the native unsigned `memoryview`
+      format whose item is one row (None above 64 bits and on
+      big-endian hosts, as the rows are packed little-endian)."""
+    span = 1 << max(n - 1, 0).bit_length()
+    width = max(8, span)
+    columns = tuple((j, (1 << j) - 1, j * width) for j in range(1, n))
+    steps = []
+    s = span // 2
+    while s:
+        in_block = sum(1 << c for c in range(span) if c & s)
+        mask = sum(in_block << (r * width) for r in range(span) if not r & s)
+        steps.append((s * (width - 1), mask))
+        s //= 2
+    formats = {memoryview(b"").cast(c).itemsize: c for c in "QLIHB"}
+    code = formats.get(width // 8) if sys.byteorder == "little" else None
+    plan = _decode_plans[n] = (columns, tuple(steps), width // 8, code)
+    return plan
+
+
 def rows_from_triangle(n: int, value: int) -> tuple[int, ...]:
     """The adjacency rows of the order-n graph whose `triangle_value` is
-    `value`, which has at most n(n-1)/2 bits."""
-    rows = [0] * n
+    `value`, which has at most n(n-1)/2 bits.
+
+    Column j of the triangle is row j's lower half (its neighbours below
+    j).  The columns are packed into one int, and the upper halves are
+    that int transposed (`_decode_plan`): whole rows, not one edge at a
+    time."""
+    columns, steps, size, code = _decode_plans.get(n) or _decode_plan(n)
     pending = _reverse_bits(value, n * (n - 1) // 2)  # first bit lowest
-    for j in range(1, n):
-        rows[j] = low = pending & ((1 << j) - 1)
+    lower = 0
+    for j, bits, offset in columns:
+        lower |= (pending & bits) << offset
         pending >>= j
-        while low:  # column j's edges, added to the lower ends' rows
-            b = low & -low
-            rows[b.bit_length() - 1] |= 1 << j
-            low ^= b
-    return tuple(rows)
+    upper = lower
+    for shift, mask in steps:
+        swap = ((upper >> shift) ^ upper) & mask
+        upper ^= swap | (swap << shift)
+    packed = (lower | upper).to_bytes(n * size, "little")
+    if size == 1:
+        return tuple(packed)
+    if code:
+        return tuple(memoryview(packed).cast(code))
+    return tuple([int.from_bytes(packed[i:i + size], "little")
+                  for i in range(0, len(packed), size)])
 
 
 def _check_endpoint(u: int, order: int) -> None:

@@ -33,9 +33,11 @@ from oddwheel.families import (
     G_KIND,
     U_KIND,
     V_KIND,
+    assemble_members,
     auto_left_sizes,
     candidate,
     enumerate_family,
+    family_parts,
     primitive,
 )
 from oddwheel.formats import encode_graph6
@@ -50,7 +52,12 @@ from oddwheel.spectral import (
     radius_upper_bounds,
     spectral_radius,
 )
-from oddwheel.walks import Relation, ex_infinity_trace, walk_compare
+from oddwheel.walks import (
+    Relation,
+    part_totals,
+    select_maximizers,
+    walk_compare,
+)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -162,37 +169,44 @@ def verify_walk_lemma(
     delta: int, n: int, budget: int | None = None
 ) -> VerificationReport:
     """Compare the iterated walk maximizers of the one-deficient family
-    against the fixed-core family, as canonical-form sets."""
+    against the fixed-core family, as canonical-form sets.
+
+    The selection runs on the pieces the members are built from
+    (`family_parts`, `part_totals`); only the survivors are assembled,
+    in family order."""
     spec = FamilySpec(G_KIND, delta, n)
     spec.validate()
     params = {"delta": delta, "n": n}
     try:
-        family = enumerate_family(spec, budget)
+        parts = family_parts(spec, budget)
         target = enumerate_family(FamilySpec(V_KIND, delta + 1, n), budget)
     except BudgetExceededError as exc:
         return VerificationReport("lemma-3.3", params, BUDGET, {}, str(exc))
-    if not family:
+    if not parts:
         return VerificationReport(
             "lemma-3.3", params, FAIL, {}, "family unexpectedly empty"
         )
-    trace = ex_infinity_trace(family)
-    got = {graph_code(g) for g in trace.survivors}
+    # Every member has order n, so the horizon is `default_horizon`'s 2n;
+    # GFAM orders are >= 3*delta + 4 >= 13, so it has six levels.
+    profiles = part_totals(parts, 2 * n)
+    alive, stabilized, _ = select_maximizers(profiles)
+    survivors = assemble_members([parts[i] for i in alive])
+    got = {graph_code(g) for g in survivors}
     want = {graph_code(g) for g in target}
-    # GFAM orders are >= 3*delta + 4 >= 13: the horizon 2n has six levels
-    w5 = sorted(p[4] for p in trace.profiles)
-    w6 = sorted(p[5] for p in trace.profiles)
+    w5 = sorted(p[4] for p in profiles)
+    w6 = sorted(p[5] for p in profiles)
     evidence = {
-        "family_size": len(family),
+        "family_size": len(parts),
         "target_size": len(target),
-        "survivors": len(trace.survivors),
-        "stabilization_level": trace.stabilization_level,
+        "survivors": len(survivors),
+        "stabilization_level": stabilized,
         "w5_min_max": [w5[0], w5[-1]],
         "w6_min_max": [w6[0], w6[-1]],
     }
     if got == want:
         return VerificationReport("lemma-3.3", params, PASS, evidence)
     evidence["unexpected_survivors"] = [
-        g for g in trace.survivors if graph_code(g) not in want
+        g for g in survivors if graph_code(g) not in want
     ]
     evidence["missing_targets"] = [
         g for g in target if graph_code(g) not in got
@@ -259,15 +273,21 @@ def verify_spex_structure(
     one R edge), require every candidate odd-wheel-free, and test whether
     the predicted family attains the maximum radius; V-embedded
     candidates must additionally tie through one equitable quotient.
-    An n at which a swept side would be empty (n < 4), or at which the
-    predicted side has no candidate, is rejected with k and n named."""
+    An n at which a swept side cannot be built (n < 4, and n = 4 at
+    k >= 3, whose |R| = 1 has no room for the R edge) is rejected before
+    any enumeration, and one at which the predicted side has no
+    candidate after it; both name k and n."""
     if k < 2:
         raise ValueError("k >= 2 required")
     sweep = sorted({n // 2 - 1, n // 2, n // 2 + 1})
-    if sweep[0] < 1 or sweep[-1] > n - 1:
+    # Every swept side needs |L| >= 1 and |R| = n - |L| >= 1, and |R| >= 2
+    # at k >= 3, where each candidate carries the R edge (k = 2 puts a
+    # matching in R).
+    need = 1 if k == 2 else 2
+    if sweep[0] < 1 or n - sweep[-1] < need:
         raise ValueError(
-            f"spex-structure needs both sides non-empty at every swept "
-            f"side size {sweep}; n={n} is too small"
+            f"spex-structure at k={k} needs |L| >= 1 and |R| >= {need} at "
+            f"every swept side size {sweep}; n={n} is too small"
         )
     params = {"n": n, "k": k}
     predicted_lefts = auto_left_sizes(n, k)

@@ -14,12 +14,15 @@ one addition per edge end (Godsil & Royle, Algebraic Graph Theory, ch. 9).
 The adjacency matrix of a disjoint union is block diagonal, so every
 total is the sum of the totals of the connected pieces, in exact ints.
 The maximizer selection therefore counts walks once per distinct
-connected piece of its family, as placed in its member, and adds the
-pieces' totals up per member.
+connected piece of its family and adds the pieces' totals up per member:
+`ex_infinity_trace` splits built members into pieces as placed,
+`part_totals` takes members as the pieces they are built from, keyed by
+their codes, and both select through `select_maximizers`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from operator import add
@@ -33,6 +36,11 @@ from oddwheel.graphs import (
     components,
     quotient,
 )
+
+
+# A connected piece with a code that names it up to isomorphism
+# (`families.MemberParts`).
+CodedPiece = tuple[bytes, Graph]
 
 
 @dataclass(frozen=True)
@@ -238,13 +246,34 @@ class ExInfinityTrace:
     profiles: tuple[tuple[int, ...], ...]
 
 
+def select_maximizers(
+    profiles: Sequence[tuple[int, ...]],
+) -> tuple[list[int], int, tuple[int, ...]]:
+    """Iterated maximizer selection over totals of equal length L: at
+    each level 1..L keep the members maximizing W^level among the current
+    survivors.  Returns the surviving indices in increasing order, the
+    last level at which the survivor set shrank (0 if it never did) and
+    the survivor count after each level."""
+    alive = list(range(len(profiles)))
+    stabilized = 0
+    counts = []
+    for level in range(len(profiles[0])):
+        best = max(profiles[i][level] for i in alive)
+        nxt = [i for i in alive if profiles[i][level] == best]
+        if len(nxt) != len(alive):
+            stabilized = level + 1
+        alive = nxt
+        counts.append(len(alive))
+    return alive, stabilized, tuple(counts)
+
+
 def ex_infinity_trace(
     family: list[Graph], levels: int | None = None
 ) -> ExInfinityTrace:
-    """Iterated walk-total maximizer selection: at each level keep the
-    members maximizing W^level among the current survivors, through
-    `levels` (default `default_horizon`).  Records the last level at
-    which the survivor set shrank.
+    """Iterated walk-total maximizer selection (`select_maximizers`) over
+    the members of `family`, through `levels` (default
+    `default_horizon`).  Records the last level at which the survivor
+    set shrank.
 
     Totals are counted once per connected piece.  W^l of a member is the
     sum of W^l over its pieces (block-diagonal adjacency), so each member
@@ -280,19 +309,51 @@ def ex_infinity_trace(
             total = list(map(add, total, counts))
         total = tuple(total)
         profiles.append(by_total.setdefault(total, total))
-    alive = list(range(len(family)))
-    stabilized = 0
-    counts = []
-    for level in range(1, levels + 1):
-        best = max(profiles[i][level - 1] for i in alive)
-        nxt = [i for i in alive if profiles[i][level - 1] == best]
-        if len(nxt) != len(alive):
-            stabilized = level
-        alive = nxt
-        counts.append(len(alive))
+    alive, stabilized, counts = select_maximizers(profiles)
     return ExInfinityTrace(
         survivors=tuple(family[i] for i in alive),
         stabilization_level=stabilized,
-        survivor_counts=tuple(counts),
+        survivor_counts=counts,
         profiles=tuple(profiles),
     )
+
+
+def part_totals(
+    parts: Sequence[tuple[CodedPiece | None, list[CodedPiece]]], levels: int
+) -> list[tuple[int, ...]]:
+    """W^1..W^levels of each member given as its pieces: a head
+    (code, piece) pair or None, and a filler multiset of such pairs
+    (`families.family_parts`), where a code names its piece up to
+    isomorphism.
+
+    W^l of a member is the sum over its pieces (block-diagonal
+    adjacency).  Each distinct code is counted once, on its piece's
+    certified quotient (`_profile_counts`, with its splitting
+    self-check); each filler multiset, keyed by its codes, is summed
+    once; a member's totals are that sum plus its head's.  Members with
+    equal totals share one tuple."""
+    if levels < 1:
+        raise ValueError("levels >= 1 required")
+    by_code: dict[bytes, tuple[int, ...]] = {}
+
+    def counted(code: bytes, piece: Graph) -> tuple[int, ...]:
+        counts = by_code.get(code)
+        if counts is None:
+            counts = by_code[code] = _profile_counts(quotient(piece), levels)
+        return counts
+
+    by_fillers: dict[tuple[bytes, ...], tuple[int, ...]] = {}
+    by_total: dict[tuple[int, ...], tuple[int, ...]] = {}
+    profiles = []
+    for head, fillers in parts:
+        key = tuple([code for code, _ in fillers])
+        total = by_fillers.get(key)
+        if total is None:
+            sums = [0] * levels
+            for piece in fillers:
+                sums = list(map(add, sums, counted(*piece)))
+            total = by_fillers[key] = tuple(sums)
+        if head is not None:
+            total = tuple(map(add, total, counted(*head)))
+        profiles.append(by_total.setdefault(total, total))
+    return profiles

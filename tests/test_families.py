@@ -7,7 +7,8 @@ import pytest
 from oddwheel import enumerate as enum_mod
 from oddwheel import families as families_mod
 from oddwheel import verify as verify_mod
-from oddwheel.enumerate import graph_code
+from oddwheel.cli import main
+from oddwheel.enumerate import graph_code, union_code
 from oddwheel.formats import encode_graph6
 from oddwheel.families import (
     U_KIND,
@@ -20,7 +21,9 @@ from oddwheel.families import (
     check_sides,
     circulant,
     core_component,
+    assemble_members,
     enumerate_family,
+    family_parts,
     odd_wheel,
     primitive,
     regular_filler,
@@ -665,3 +668,62 @@ def test_family_golden_graph6(key):
 @pytest.mark.parametrize("key", sorted(GOLDEN_STANDARD_MEMBERS))
 def test_standard_member_golden_graph6(key):
     assert graph6_digest([standard_member(*key)]) == GOLDEN_STANDARD_MEMBERS[key]
+
+
+# sha256 of `oddwheel enumerate --kind GFAM` output, recorded before the
+# members were listed as parts (`family_parts`) and assembled from them.
+ENUMERATE_GFAM_OUTPUT = {
+    (5, 19): "bb9a28e17ef1eedaa6b498ffbc6c93bafe8da66c6d5c12bde15b710a17b8d9bf",
+    (3, 15): "9d683aa3dc717dd9f445ac91eed2c7a9130974b88003cde305f578cdc7b8bdb4",
+}
+
+
+@pytest.mark.parametrize("key", sorted(ENUMERATE_GFAM_OUTPUT))
+def test_enumerate_gfam_output_unchanged(capsys, key):
+    delta, n = key
+    argv = ["enumerate", "--kind", "GFAM", "--degree", str(delta),
+            "--order", str(n)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+        ENUMERATE_GFAM_OUTPUT[key]
+    )
+
+
+@pytest.mark.parametrize("key", [("GFAM", 5, 19), ("U", 4, 12), ("V", 4, 25)])
+def test_family_parts_are_the_members(key):
+    # one part per member, in the loop's order: a deficient head (the core
+    # for V, none at an even degree sum) and a list of connected regular
+    # fillers
+    kind, k, n = key
+    d = k if kind == "GFAM" else k - 1
+    parts = family_parts(FamilySpec(*key))
+    members = enumerate_family(FamilySpec(*key))
+    assert assemble_members(parts) == members
+    codes = []
+    for head, fillers in parts:
+        pieces = fillers if head is None else [head, *fillers]
+        assert sum(g.order for _, g in pieces) == n
+        for code, g in pieces:
+            assert code == graph_code(g) and is_connected(g)
+        assert all(max(g.degrees()) == min(g.degrees()) == d
+                   for _, g in fillers)
+        if head is not None:
+            assert sorted(head[1].degrees())[:2] == [d - 1, d]
+        codes.append(union_code([c for c, _ in pieces]))
+    assert sorted(codes) == [graph_code(g) for g in members]
+    if kind == "U":
+        assert {head for head, _ in parts} == {None}
+    if kind == "V":
+        assert {head[0] for head, _ in parts} == {graph_code(core_component(k))}
+
+
+def test_family_parts_list_each_head_with_each_filler_multiset():
+    # GFAM(5, 19): the order-7 head with K_6 + K_6, and 28 order-9 heads
+    # with each of the 60 connected quintic graphs of order 10
+    parts = family_parts(FamilySpec("GFAM", 5, 19))
+    assert len(parts) == 1681 == 1 + 28 * 60
+    assert len({head[0] for head, _ in parts}) == 29
+    assert len({tuple(c for c, _ in fillers) for _, fillers in parts}) == 61
+    with pytest.raises(ValueError, match="budget must be non-negative"):
+        family_parts(FamilySpec("U", 3, 1), budget=-1)

@@ -18,6 +18,7 @@ from oddwheel.families import (
     bipartite_candidate,
     candidate,
     enumerate_family,
+    family_parts,
     primitive,
     standard_member,
 )
@@ -131,6 +132,8 @@ GOLDEN_WALK_LEMMA = {
     (3, 13): "a4d6bdc2d52227f535c5188ec5a963609b10c2253a26f5f8f7601e50e92e5040",
     (3, 17): "f9386fa6b93c23a02be5b0b2bea8dfd747c230c494403d49714d45deb21c6b82",
     (5, 19): "bf6ff6342cdb2f5ee7f078c2b5c7f070902eb2862e5042426ad6112f95b3b7e0",
+    # recorded while the selection still ran on the assembled members
+    (5, 31): "ab9c2b25d35004bd2db09f76171ef20620410a3bc4152dfa357df0f50337ba66",
 }
 
 
@@ -141,6 +144,8 @@ def test_walk_lemma_golden(key):
 
 
 def test_walk_lemma_counts_each_placed_piece_once(monkeypatch):
+    # `ex_infinity_trace` over the built GFAM(3, 17) members, the
+    # selection `lemma-3.3` ran on before it moved to the pieces;
     # certifications counted where `quotient` makes them
     tables, certified = [], []
     cell_walks, certify = walks._cell_walks, graphs.certify_equitable
@@ -153,10 +158,10 @@ def test_walk_lemma_counts_each_placed_piece_once(monkeypatch):
         certified.append(g.rows)
         return certify(g, part, twins)
 
+    family = enumerate_family(FamilySpec("GFAM", 3, 17))
     monkeypatch.setattr(walks, "_cell_walks", counting_table)
     monkeypatch.setattr(graphs, "certify_equitable", counting_certify)
-    rep = verify_walk_lemma(3, 17)
-    family = enumerate_family(FamilySpec("GFAM", 3, 17))
+    trace = walks.ex_infinity_trace(family)
     # each connected piece as placed in its member, relabelled 0..k-1
     placed = {
         tuple(g.rows[v] for v in c.labels): c.graph.rows
@@ -167,8 +172,53 @@ def test_walk_lemma_counts_each_placed_piece_once(monkeypatch):
     # one walk table per distinct placed piece, at horizon 2n, and each
     # such piece certified exactly once
     assert tables == [34] * len(placed)
-    assert rep.evidence["family_size"] == len(family)
+    assert len(trace.profiles) == len(family)
     assert sorted(certified) == sorted(placed.values())
+
+
+# Distinct piece codes over the GFAM(delta, n) members: one walk table
+# each.  At (5, 19): the 1 + 28 deficient heads of orders 7 and 9, K_6
+# and the 60 connected quintic graphs of order 10.
+PIECE_CODES = {(5, 19): 90, (5, 31): 93}
+
+
+@pytest.mark.parametrize("key", sorted(PIECE_CODES))
+def test_walk_lemma_counts_each_piece_code_once(monkeypatch, key):
+    tables, certified, assembled = [], [], []
+    cell_walks, certify = walks._cell_walks, graphs.certify_equitable
+    assemble = verify_mod.assemble_members
+
+    def counting_table(part, levels):
+        tables.append(levels)
+        return cell_walks(part, levels)
+
+    def counting_certify(g, part, twins=None):
+        certified.append(g.rows)
+        return certify(g, part, twins)
+
+    def counting_assemble(parts):
+        assembled.append(len(parts))
+        return assemble(parts)
+
+    delta, n = key
+    parts = family_parts(FamilySpec("GFAM", delta, n))
+    codes = {
+        code: piece.rows
+        for head, fillers in parts
+        for code, piece in [head, *fillers]
+    }
+    monkeypatch.setattr(walks, "_cell_walks", counting_table)
+    monkeypatch.setattr(graphs, "certify_equitable", counting_certify)
+    monkeypatch.setattr(verify_mod, "assemble_members", counting_assemble)
+    rep = verify_walk_lemma(delta, n)
+    assert len(codes) == PIECE_CODES[key]
+    assert tables == [2 * n] * len(codes)
+    assert sorted(certified) == sorted(codes.values())
+    # only the survivors are built as graphs
+    assert assembled == [rep.evidence["survivors"]]
+    assert rep.evidence["family_size"] == len(parts)
+    if key == (5, 19):
+        assert assembled == [1]
 
 
 def _overrun_on_second_call(monkeypatch):
@@ -303,8 +353,8 @@ def test_spex_structure_rejects_an_empty_side(n):
 # (n, k) whose predicted side |L| = auto_left_sizes(n, k)[0] has no U
 # member; at the first twelve no swept side has one.
 SPEX_WITHOUT_A_PREDICTED_CANDIDATE = [
-    (4, 4), (5, 4), (4, 5), (5, 5), (6, 5), (7, 5),
-    (4, 6), (5, 6), (6, 6), (7, 6), (8, 6), (9, 6),
+    (5, 4), (5, 5), (6, 5), (7, 5),
+    (5, 6), (6, 6), (7, 6), (8, 6), (9, 6),
     (9, 3), (10, 3), (14, 4), (8, 5), (17, 5), (18, 5), (22, 6),
 ]
 
@@ -323,11 +373,39 @@ def test_spex_structure_rejects_an_n_it_cannot_test(capsys, n, k):
              if not enumerate_family(FamilySpec(U_KIND, k, left))]
     assert message.endswith(f"|L| in {empty}")
     assert predicted in empty
-    if SPEX_WITHOUT_A_PREDICTED_CANDIDATE.index((n, k)) < 12:
+    if SPEX_WITHOUT_A_PREDICTED_CANDIDATE.index((n, k)) < 9:
         assert empty == sweep
     assert main(["verify", "spex-structure", "--n", str(n), "--k", str(k)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("n, k", [(4, 3), (4, 4), (4, 5), (4, 6), (3, 2)])
+def test_spex_structure_rejects_a_side_without_room(capsys, monkeypatch, n, k):
+    # At k >= 3 every candidate carries the R edge, so the sweep's largest
+    # side |L| = n/2 + 1 must leave |R| >= 2; n = 4 leaves 1.  The sweep
+    # check says so before any member is enumerated.  At k = 2, R holds
+    # a matching and |R| >= 1 is enough: n = 4 is tested, n = 3 is not.
+    monkeypatch.setattr(verify_mod, "enumerate_family", _overrun)
+    need = 1 if k == 2 else 2
+    sweep = sorted({n // 2 - 1, n // 2, n // 2 + 1})
+    message = (
+        f"spex-structure at k={k} needs |L| >= 1 and |R| >= {need} at every "
+        f"swept side size {sweep}; n={n} is too small"
+    )
+    with pytest.raises(ValueError) as info:
+        verify_spex_structure(n, k)
+    assert str(info.value) == message
+    assert main(["verify", "spex-structure", "--n", str(n), "--k", str(k)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
+def test_spex_structure_tests_the_k2_edge(capsys):
+    # n = 4 at k = 2 has |R| = 1 on its largest side, a one-vertex matching
+    assert verify_spex_structure(4, 2).outcome == "PASS"
+    assert main(["verify", "spex-structure", "--n", "4", "--k", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"] == "PASS"
 
 
 def _evidence_graphs_decode(report):
@@ -355,14 +433,14 @@ def _overrun(*args, **kwargs):
 
 
 def test_walk_lemma_enumeration_overrun_is_a_budget_report(monkeypatch):
-    monkeypatch.setattr(verify_mod, "enumerate_family", _overrun)
+    monkeypatch.setattr(verify_mod, "family_parts", _overrun)
     rep = verify_walk_lemma(3, 13)
     assert rep.outcome == "BUDGET" and rep.evidence == {}
     assert rep.notes == "enumeration budget 1 exhausted"
 
 
 def test_walk_lemma_reports_an_empty_family(monkeypatch):
-    monkeypatch.setattr(verify_mod, "enumerate_family", lambda spec, b: [])
+    monkeypatch.setattr(verify_mod, "family_parts", lambda spec, b: [])
     rep = verify_walk_lemma(3, 13)
     assert rep.outcome == "FAIL" and rep.notes == "family unexpectedly empty"
 
@@ -381,6 +459,24 @@ def test_walk_lemma_reports_a_survivor_mismatch(monkeypatch):
     assert rep.evidence["missing_targets"] == [planted]
     assert len(rep.evidence["unexpected_survivors"]) == rep.evidence["survivors"]
     assert _evidence_graphs_decode(rep) == 1 + rep.evidence["survivors"]
+
+
+def test_walk_lemma_lists_unexpected_survivors_in_family_order(monkeypatch):
+    # At (5, 31) the 191 survivors come out of the parts loop in another
+    # order than the family's; the FAIL report lists them as
+    # `ex_infinity_trace` over the built family does.
+    planted = primitive("empty", 31)
+    real = verify_mod.enumerate_family
+    monkeypatch.setattr(
+        verify_mod, "enumerate_family",
+        lambda spec, b: [planted] if spec.kind == "V" else real(spec, b),
+    )
+    rep = verify_walk_lemma(5, 31)
+    assert rep.outcome == "FAIL" and rep.notes == "survivor set mismatch"
+    trace = walks.ex_infinity_trace(enumerate_family(FamilySpec("GFAM", 5, 31)))
+    assert rep.evidence["unexpected_survivors"] == list(trace.survivors)
+    assert len(trace.survivors) == rep.evidence["survivors"] == 191
+    assert rep.evidence["stabilization_level"] == trace.stabilization_level
 
 
 def test_one_set_reports_a_radius_order_against_the_walk_order(monkeypatch):

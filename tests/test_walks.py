@@ -4,13 +4,14 @@ import random
 import pytest
 
 from oddwheel import graphs, walks
-from oddwheel.enumerate import graph_code
+from oddwheel.enumerate import graph_code, union_code
 from oddwheel.families import (
     V_KIND,
     CandidateSpec,
     FamilySpec,
     core_component,
     enumerate_family,
+    family_parts,
     primitive,
     spex_candidate,
     standard_member,
@@ -33,6 +34,8 @@ from oddwheel.walks import (
     default_horizon,
     ex_infinity_trace,
     extract_deficient_structure,
+    part_totals,
+    select_maximizers,
     vertex_walks,
     walk_compare,
     walk_profile,
@@ -503,3 +506,65 @@ def test_ex_infinity_certifies_members_that_share_a_profile(monkeypatch):
         ex_infinity_trace([p4, copy])
     with pytest.raises(GraphError):
         ex_infinity_trace([copy, p4])
+
+
+def _totals_by_member_code(parts, levels):
+    """`part_totals` keyed by each member's `union_code`, its graph_code."""
+    return {
+        union_code([c for c, _ in ([] if head is None else [head]) + fillers]):
+            totals
+        for (head, fillers), totals in zip(parts, part_totals(parts, levels))
+    }
+
+
+@pytest.mark.parametrize(
+    "key", [("GFAM", 5, 19), ("GFAM", 3, 17), ("U", 4, 12), ("V", 4, 25)]
+)
+def test_part_totals_are_the_member_totals(key):
+    # The totals read off the pieces equal `ex_infinity_trace`'s over the
+    # built members, member by member (matched by canonical code), and
+    # members with equal totals share one tuple.
+    parts = family_parts(FamilySpec(*key))
+    fam = enumerate_family(FamilySpec(*key))
+    levels = 2 * key[2]
+    trace = ex_infinity_trace(fam)
+    assert _totals_by_member_code(parts, levels) == {
+        graph_code(g): p for g, p in zip(fam, trace.profiles)
+    }
+    totals = part_totals(parts, levels)
+    assert len({id(t) for t in totals}) == len(set(totals))
+
+
+def test_member_totals_are_the_head_excess_over_regular():
+    # ROADMAP item 2: a Delta-regular piece of order m has W^l = m Delta^l,
+    # so each GFAM(5, 19) member's W^l is n Delta^l + s_l(D), with
+    # s_l(D) = W^l(D) - q Delta^l read off its head D (order q) alone.
+    delta, n = 5, 19
+    parts = family_parts(FamilySpec("GFAM", delta, n))
+    levels = 2 * n
+    by_code = _totals_by_member_code(parts, levels)
+    fam = enumerate_family(FamilySpec("GFAM", delta, n))
+    assert sorted(by_code) == [graph_code(g) for g in fam]
+    for head, fillers in parts:
+        code, piece = head
+        w = walk_profile(piece, levels).counts
+        excess = [w[l - 1] - piece.order * delta**l for l in range(1, levels + 1)]
+        member = union_code([code] + [c for c, _ in fillers])
+        assert by_code[member] == tuple(
+            n * delta**l + excess[l - 1] for l in range(1, levels + 1)
+        )
+
+
+def test_select_maximizers():
+    assert select_maximizers([(1, 2), (1, 3), (0, 9)]) == ([1], 2, (2, 1))
+    assert select_maximizers([(4,), (4,)]) == ([0, 1], 0, (2,))
+
+
+def test_part_totals_edge_cases():
+    k2 = primitive("complete", 2)
+    code = graph_code(k2)
+    # no head and no filler: the order-0 member, all zeros
+    assert part_totals([(None, [])], 3) == [(0, 0, 0)]
+    assert part_totals([((code, k2), [(code, k2)])], 3) == [(4, 4, 4)]
+    with pytest.raises(ValueError, match="levels >= 1"):
+        part_totals([(None, [])], 0)
